@@ -5,7 +5,7 @@
  * single machine-readable report (`BENCH_10.json` at the repo root by
  * convention), so successive PRs leave a comparable speedup trail.
  *
- * Seven sections:
+ * Six sections:
  *   micro_kernels       the google-benchmark kernel microbenches, run as
  *                       a subprocess with --benchmark_format=json
  *   batch_throughput    serial-vs-batch-engine wall clock, run as a
@@ -19,12 +19,6 @@
  *                       slow-request accounting, a 1 Hz Prometheus
  *                       scraper thread) vs telemetry off, on identical
  *                       requests against a shared persistent index
- *   backend_batch       in-process: a fixed-seed GACT-X tile pool run
- *                       one-at-a-time through the single-tile façade
- *                       (single thread) vs staged in bounded batches
- *                       through the cpu-simd backend over a thread
- *                       pool, in tiles/sec — results asserted
- *                       bit-identical
  *   bounded_memory      in-process: one synthetic pair aligned by the
  *                       in-RAM byte pipeline vs the out-of-core
  *                       streaming dataflow (2-bit packed genomes,
@@ -42,11 +36,10 @@
  *                       circuit breaker and the next align is served
  *                       degraded
  *
- * Five sections assert acceptance bars and make the suite exit nonzero
+ * Four sections assert acceptance bars and make the suite exit nonzero
  * when missed, so CI can gate on them: index_reuse must cut per-pair
  * seeding latency by at least 5x, telemetry_overhead must stay under 2%
- * (and leave the served MAF byte-identical), backend_batch must reach
- * at least 1.3x serial tile throughput, bounded_memory must finish
+ * (and leave the served MAF byte-identical), bounded_memory must finish
  * under its armed heap budget with byte-identical MAF, at most 16 MiB
  * of fixed dataflow residency, and no worse than 0.3x the in-RAM
  * pipeline's tiles/sec, and overload must answer every flooded request
@@ -64,15 +57,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <mutex>
-#include <span>
 #include <sstream>
 #include <thread>
-
-#include "align/batch.h"
-#include "align/gactx.h"
-#include "align/kernels/gactx_kernels.h"
 
 #include "fault/cancel.h"
 #include "index/index_io.h"
@@ -84,7 +71,6 @@
 #include "seq/fasta.h"
 #include "serve/server.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/timer.h"
 #include "wga/maf.h"
 
@@ -374,180 +360,6 @@ run_telemetry_overhead(std::size_t pair_bp, std::size_t num_requests,
     return report;
 }
 
-struct BackendBatchReport {
-    std::size_t tiles = 0;
-    std::size_t tile_bp = 0;
-    std::size_t threads = 0;
-    std::size_t flush_tiles = 0;
-    std::size_t dead_tiles = 0;         // candidates that die on x-drop
-    std::uint64_t score_only_hits = 0;  // probe pass skips, batched arm
-    double serial_seconds = 0.0;   // best pass, one-at-a-time façade
-    double batched_seconds = 0.0;  // best pass, cpu-simd backend + pool
-    bool identical_results = true;
-
-    double serial_tiles_per_sec() const
-    {
-        return serial_seconds > 0.0
-                   ? static_cast<double>(tiles) / serial_seconds
-                   : 0.0;
-    }
-    double batched_tiles_per_sec() const
-    {
-        return batched_seconds > 0.0
-                   ? static_cast<double>(tiles) / batched_seconds
-                   : 0.0;
-    }
-    double speedup() const
-    {
-        return batched_seconds > 0.0 ? serial_seconds / batched_seconds
-                                     : 0.0;
-    }
-};
-
-/**
- * Batched-backend tile throughput in the extension stage's dominant
- * regime: a candidate pool where most tiles are noise. The seed filter
- * forwards far more tile pairs than survive — the paper's sensitivity
- * story rests on probing many candidates of which the bulk die on the
- * X-drop immediately (max_score == 0, empty CIGAR). The pool
- * reproduces that deterministically: 1 tile in 8 is a true homologous
- * (aligned-offset) pair, the other 7 are unrelated-window candidates
- * rejection-sampled to actually die, so the dead fraction is exact.
- *
- * The serial arm runs every tile one-at-a-time through
- * GactXTileAligner::align_tile (the serial-dispatch baseline every
- * backend must match bit-for-bit, full traceback per tile). The
- * batched arm stages the same tiles in bounded flushes through the
- * cpu-simd backend with the score-only probe enabled: dead tiles are
- * retired from the probe result alone and never touch the traceback
- * machinery. Best of three interleaved passes per arm, like
- * telemetry_overhead: per-pass wall time on a shared machine swings
- * more than the batching win.
- */
-BackendBatchReport
-run_backend_batch(std::size_t num_tiles, std::size_t tile_bp,
-                  std::size_t threads, std::uint64_t seed)
-{
-    synth::AncestorConfig shape;
-    shape.num_chromosomes = 1;
-    shape.chromosome_length = std::max<std::size_t>(tile_bp * 4, 20'000);
-    shape.exons_per_chromosome = shape.chromosome_length / 2'500;
-    const auto pair = synth::make_species_pair(
-        synth::paper_species_pairs().front(), shape, seed);
-    const auto& t = pair.target.genome.chromosome(0).codes();
-    const auto& q = pair.query.genome.chromosome(0).codes();
-
-    BackendBatchReport report;
-    report.tile_bp = tile_bp;
-    report.threads = threads;
-    report.flush_tiles = wga::WgaParams{}.batch_flush_tiles;
-
-    const align::GactXParams params;
-
-    // (target offset, query offset) per tile; a fixed Rng makes the
-    // pool identical across runs. Dead candidates are classified with
-    // the scalar score-only kernel at setup (outside the timed loops);
-    // the sample cap only matters if the genome were so self-similar
-    // that dead windows are rare, and merely dilutes the dead fraction.
-    Rng rng(seed);
-    std::vector<std::pair<std::size_t, std::size_t>> tiles;
-    const std::size_t lim = std::min(t.size(), q.size()) - tile_bp;
-    const auto window = [&](const std::vector<std::uint8_t>& codes,
-                            std::size_t off) {
-        return std::span<const std::uint8_t>{codes.data() + off, tile_bp};
-    };
-    std::size_t samples_left = 64 * num_tiles;
-    for (std::size_t i = 0; i < num_tiles; ++i) {
-        if (i % 8 == 0) {
-            const std::size_t off =
-                rng.uniform(static_cast<std::uint32_t>(lim));
-            tiles.emplace_back(off, off);
-            continue;
-        }
-        for (;;) {
-            const std::size_t toff =
-                rng.uniform(static_cast<std::uint32_t>(lim));
-            const std::size_t qoff =
-                rng.uniform(static_cast<std::uint32_t>(lim));
-            const bool dead =
-                samples_left > 0 &&
-                align::kernels::gactx_wavefront_scalar_score_only(
-                    window(t, toff), window(q, qoff), params)
-                        .max_score == 0;
-            if (samples_left > 0)
-                --samples_left;
-            if (dead || samples_left == 0) {
-                tiles.emplace_back(toff, qoff);
-                if (dead)
-                    ++report.dead_tiles;
-                break;
-            }
-        }
-    }
-    report.tiles = tiles.size();
-
-    const align::GactXTileAligner aligner(params);
-    const align::AlignBackend* backend = align::cpu_simd_backend();
-    ThreadPool pool(threads);
-
-    std::vector<align::TileResult> serial_out(tiles.size());
-    std::vector<align::TileResult> batched_out(tiles.size());
-    const auto target_span = [&](std::size_t i) {
-        return window(t, tiles[i].first);
-    };
-    const auto query_span = [&](std::size_t i) {
-        return window(q, tiles[i].second);
-    };
-
-    report.serial_seconds = std::numeric_limits<double>::max();
-    report.batched_seconds = std::numeric_limits<double>::max();
-    for (int pass = 0; pass < 3; ++pass) {
-        Timer timer;
-        for (std::size_t i = 0; i < tiles.size(); ++i)
-            serial_out[i] =
-                aligner.align_tile(target_span(i), query_span(i));
-        report.serial_seconds =
-            std::min(report.serial_seconds, timer.seconds());
-
-        timer.reset();
-        align::BatchOptions options;
-        options.pool = &pool;
-        options.probe_score_only = true;
-        align::BatchExecStats stats;
-        align::TileBatch batch;
-        std::size_t flush_base = 0;
-        const auto flush = [&]() {
-            if (batch.empty())
-                return;
-            backend->gactx_batch(batch, params, options,
-                                 {batched_out.data() + flush_base,
-                                  batch.size()},
-                                 &stats);
-            flush_base += batch.size();
-            batch.clear();
-        };
-        for (std::size_t i = 0; i < tiles.size(); ++i) {
-            batch.push(target_span(i), query_span(i));
-            if (batch.size() >= report.flush_tiles)
-                flush();
-        }
-        flush();
-        report.batched_seconds =
-            std::min(report.batched_seconds, timer.seconds());
-        report.score_only_hits = stats.score_only_hits;
-    }
-
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-        if (serial_out[i].max_score != batched_out[i].max_score ||
-            serial_out[i].cells_computed !=
-                batched_out[i].cells_computed ||
-            serial_out[i].cigar.to_string() !=
-                batched_out[i].cigar.to_string())
-            report.identical_results = false;
-    }
-    return report;
-}
-
 struct BoundedMemoryReport {
     std::size_t pair_bp = 0;
     std::uint64_t budget_bytes = 0;
@@ -594,7 +406,7 @@ struct BoundedMemoryReport {
  * catches the failure mode bounded residency invites: a dataflow that
  * stays under budget by re-reading or re-computing its way to a crawl.
  *
- * Two memory axes are reported (DESIGN.md §13): residency_bytes is the
+ * Two memory axes are reported (DESIGN.md §12): residency_bytes is the
  * streaming dataflow's fixed in-memory footprint (the wga.heap.*
  * gauges — hit channel window + candidate chunk) and is gated hard at
  * 16 MiB regardless of genome size; charged_bytes is the CancelToken's
@@ -882,21 +694,6 @@ run_suite(const ArgParser& args, const char* argv0)
                  telemetry.off_seconds, telemetry.on_seconds,
                  telemetry.overhead() * 100.0);
 
-    const BackendBatchReport batched = run_backend_batch(
-        static_cast<std::size_t>(args.get_int("backend-tiles")),
-        static_cast<std::size_t>(args.get_int("backend-tile-bp")),
-        static_cast<std::size_t>(args.get_int("threads")),
-        static_cast<std::uint64_t>(args.get_int("seed")));
-    std::fprintf(stderr,
-                 "backend_batch: serial %.0f tiles/s, batched %.0f "
-                 "tiles/s (%.2fx) over %zu tiles x %zu bp (%zu dead, "
-                 "%llu probe hits)\n",
-                 batched.serial_tiles_per_sec(),
-                 batched.batched_tiles_per_sec(), batched.speedup(),
-                 batched.tiles, batched.tile_bp, batched.dead_tiles,
-                 static_cast<unsigned long long>(
-                     batched.score_only_hits));
-
     const BoundedMemoryReport bounded = run_bounded_memory(
         static_cast<std::size_t>(args.get_int("bounded-bp")),
         static_cast<std::uint64_t>(args.get_int("bounded-budget-mb")),
@@ -969,25 +766,6 @@ run_suite(const ArgParser& args, const char* argv0)
          << (telemetry.identical_output ? "true" : "false") << ",\n"
          << "    \"meets_2pct\": "
          << (telemetry.overhead() < 0.02 ? "true" : "false") << "\n"
-         << "  },\n"
-         << "  \"backend_batch\": {\n"
-         << "    \"tiles\": " << batched.tiles << ",\n"
-         << "    \"tile_bp\": " << batched.tile_bp << ",\n"
-         << "    \"threads\": " << batched.threads << ",\n"
-         << "    \"flush_tiles\": " << batched.flush_tiles << ",\n"
-         << "    \"dead_tiles\": " << batched.dead_tiles << ",\n"
-         << "    \"score_only_hits\": " << batched.score_only_hits
-         << ",\n"
-         << "    \"serial_tiles_per_sec\": "
-         << strprintf("%.1f", batched.serial_tiles_per_sec()) << ",\n"
-         << "    \"batched_tiles_per_sec\": "
-         << strprintf("%.1f", batched.batched_tiles_per_sec()) << ",\n"
-         << "    \"speedup\": " << strprintf("%.2f", batched.speedup())
-         << ",\n"
-         << "    \"identical_results\": "
-         << (batched.identical_results ? "true" : "false") << ",\n"
-         << "    \"meets_1_3x\": "
-         << (batched.speedup() >= 1.3 ? "true" : "false") << "\n"
          << "  },\n"
          << "  \"bounded_memory\": {\n"
          << "    \"pair_bp\": " << bounded.pair_bp << ",\n"
@@ -1073,19 +851,6 @@ run_suite(const ArgParser& args, const char* argv0)
                      telemetry.overhead() * 100.0);
         return 1;
     }
-    if (!batched.identical_results) {
-        std::fprintf(stderr,
-                     "ERROR: batched backend results differ from serial "
-                     "dispatch\n");
-        return 1;
-    }
-    if (batched.speedup() < 1.3) {
-        std::fprintf(stderr,
-                     "ERROR: backend_batch speedup %.2fx is below the "
-                     "1.3x bar\n",
-                     batched.speedup());
-        return 1;
-    }
     if (!bounded.under_budget) {
         std::fprintf(stderr,
                      "ERROR: streaming run exceeded its %.0f MiB heap "
@@ -1165,10 +930,6 @@ main(int argc, char** argv)
                     "telemetry_overhead chromosome length");
     args.add_option("telemetry-requests", "8",
                     "telemetry_overhead aligns per timed pass");
-    args.add_option("backend-tiles", "256",
-                    "backend_batch GACT-X tiles per arm");
-    args.add_option("backend-tile-bp", "384",
-                    "backend_batch tile length (bp)");
     args.add_option("bounded-bp", "120000",
                     "bounded_memory chromosome length");
     args.add_option("bounded-budget-mb", "1024",

@@ -62,136 +62,74 @@ clip_at_overlap(const TileResult& tile, std::size_t boundary)
     return kept;
 }
 
+/**
+ * Extend from the anchor in one direction: over forward slices starting
+ * at the anchor, or (`leftward`) over reversed slices ending at it.
+ * Tiles follow each other until one is x-drop dead, makes no forward
+ * progress, or holds a path that ends before the overlap region.
+ * Returns the tiles' kept paths joined, in the orientation of the
+ * fetched slices.
+ */
+KeptPath
+extend_direction(seq::BaseView target, seq::BaseView query,
+                 std::size_t anchor_t, std::size_t anchor_q, bool leftward,
+                 const TileAligner& aligner, ExtensionStats& stats)
+{
+    const std::size_t tile_size = aligner.tile_size();
+    const std::size_t boundary = tile_size - aligner.tile_overlap();
+    const std::size_t remaining_t =
+        leftward ? anchor_t : target.size() - anchor_t;
+    const std::size_t remaining_q =
+        leftward ? anchor_q : query.size() - anchor_q;
+    KeptPath dir;
+    // Packed-backed views decode per tile into these buffers, so
+    // residency stays O(tile_size).
+    std::vector<std::uint8_t> target_buf;
+    std::vector<std::uint8_t> query_buf;
+    while (dir.target_consumed < remaining_t &&
+           dir.query_consumed < remaining_q) {
+        fault::poll("extend.tile");
+        const std::size_t rlen =
+            std::min(tile_size, remaining_t - dir.target_consumed);
+        const std::size_t qlen =
+            std::min(tile_size, remaining_q - dir.query_consumed);
+        if (leftward) {
+            // Slice [anchor - consumed - len, anchor - consumed), reversed.
+            target.fetch_reversed(anchor_t - dir.target_consumed, rlen,
+                                  &target_buf);
+            query.fetch_reversed(anchor_q - dir.query_consumed, qlen,
+                                 &query_buf);
+        } else {
+            target.fetch(anchor_t + dir.target_consumed, rlen, &target_buf);
+            query.fetch(anchor_q + dir.query_consumed, qlen, &query_buf);
+        }
+        const TileResult tile = aligner.align_tile(
+            {target_buf.data(), rlen}, {query_buf.data(), qlen});
+        stats.absorb(tile);
+        if (tile.max_score <= 0) {
+            ++stats.xdrop_terminations;
+            break;
+        }
+
+        // When the tile does not fill the nominal size (sequence end),
+        // the overlap clipping still applies against the nominal
+        // boundary; a short tile's path simply ends before it.
+        const KeptPath kept = clip_at_overlap(tile, boundary);
+        if (kept.target_consumed == 0 && kept.query_consumed == 0)
+            break;  // no forward progress: stop rather than loop
+        dir.cigar.append(kept.cigar);
+        dir.target_consumed += kept.target_consumed;
+        dir.query_consumed += kept.query_consumed;
+
+        // If the whole path was kept (it ended before the overlap
+        // region), the alignment genuinely ended inside this tile.
+        if (tile.target_max < boundary && tile.query_max < boundary)
+            break;
+    }
+    return dir;
+}
+
 }  // namespace
-
-AnchorExtender::AnchorExtender(seq::BaseView target, seq::BaseView query,
-                               std::size_t anchor_t, std::size_t anchor_q,
-                               std::size_t tile_size,
-                               std::size_t tile_overlap)
-    : target_(target), query_(query), anchor_t_(anchor_t),
-      anchor_q_(anchor_q), tile_size_(tile_size)
-{
-    require(anchor_t_ <= target_.size() && anchor_q_ <= query_.size(),
-            "extend_anchor: anchor outside spans");
-    require(tile_size_ > tile_overlap, "extend_direction: tile <= overlap");
-    boundary_ = tile_size_ - tile_overlap;
-    // Right extension first: forward slices starting at the anchor.
-    remaining_t_ = target_.size() - anchor_t_;
-    remaining_q_ = query_.size() - anchor_q_;
-}
-
-void
-AnchorExtender::end_direction()
-{
-    DirectionResult& dir = phase_ == Phase::Right ? right_ : left_;
-    dir.cigar = std::move(cur_cigar_);
-    dir.target_consumed = pos_t_;
-    dir.query_consumed = pos_q_;
-    cur_cigar_ = Cigar{};
-    pos_t_ = 0;
-    pos_q_ = 0;
-    if (phase_ == Phase::Right) {
-        // Left: reversed slices ending at the anchor.
-        phase_ = Phase::Left;
-        remaining_t_ = anchor_t_;
-        remaining_q_ = anchor_q_;
-    } else {
-        phase_ = Phase::Done;
-        remaining_t_ = 0;
-        remaining_q_ = 0;
-    }
-}
-
-bool
-AnchorExtender::next_tile(std::span<const std::uint8_t>* target_tile,
-                          std::span<const std::uint8_t>* query_tile)
-{
-    require(!staged_, "AnchorExtender: staged tile not consumed");
-    // A direction whose sequences are exhausted ends without a poll —
-    // the serial loop's while condition.
-    while (phase_ != Phase::Done &&
-           (pos_t_ >= remaining_t_ || pos_q_ >= remaining_q_))
-        end_direction();
-    if (phase_ == Phase::Done)
-        return false;
-
-    fault::poll("extend.tile");
-    const std::size_t rlen = std::min(tile_size_, remaining_t_ - pos_t_);
-    const std::size_t qlen = std::min(tile_size_, remaining_q_ - pos_q_);
-    if (phase_ == Phase::Right) {
-        target_.fetch(anchor_t_ + pos_t_, rlen, &target_buf_);
-        query_.fetch(anchor_q_ + pos_q_, qlen, &query_buf_);
-    } else {
-        // Slice [anchor - pos - len, anchor - pos), reversed.
-        target_.fetch_reversed(anchor_t_ - pos_t_, rlen, &target_buf_);
-        query_.fetch_reversed(anchor_q_ - pos_q_, qlen, &query_buf_);
-    }
-    staged_ = true;
-    *target_tile = {target_buf_.data(), rlen};
-    *query_tile = {query_buf_.data(), qlen};
-    return true;
-}
-
-void
-AnchorExtender::consume(const TileResult& tile)
-{
-    require(staged_, "AnchorExtender: consume without a staged tile");
-    staged_ = false;
-    stats_.absorb(tile);
-    if (tile.max_score <= 0) {
-        ++stats_.xdrop_terminations;
-        end_direction();
-        return;
-    }
-
-    // When the tile does not fill the nominal size (sequence end), the
-    // overlap clipping still applies against the nominal boundary; a
-    // short tile's path simply ends before it.
-    const KeptPath kept = clip_at_overlap(tile, boundary_);
-    if (kept.target_consumed == 0 && kept.query_consumed == 0) {
-        end_direction();  // no forward progress: stop rather than loop
-        return;
-    }
-    cur_cigar_.append(kept.cigar);
-    pos_t_ += kept.target_consumed;
-    pos_q_ += kept.query_consumed;
-
-    // If the whole path was kept (it ended before the overlap region),
-    // the alignment genuinely ended inside this tile.
-    if (tile.target_max < boundary_ && tile.query_max < boundary_)
-        end_direction();
-}
-
-Alignment
-AnchorExtender::finish(const ScoringParams& scoring) const
-{
-    require(phase_ == Phase::Done, "AnchorExtender: finish before done");
-    Alignment out;
-    out.target_start = anchor_t_ - left_.target_consumed;
-    out.target_end = anchor_t_ + right_.target_consumed;
-    out.query_start = anchor_q_ - left_.query_consumed;
-    out.query_end = anchor_q_ + right_.query_consumed;
-
-    // The left path was computed on reversed sequences: flip the run
-    // order to express it forward, then join with the right path.
-    Cigar left_forward = left_.cigar;
-    left_forward.reverse();
-    out.cigar = std::move(left_forward);
-    out.cigar.append(right_.cigar);
-
-    if (out.cigar.empty())
-        return out;
-    std::vector<std::uint8_t> target_scratch;
-    std::vector<std::uint8_t> query_scratch;
-    out.score = out.cigar.score(
-        target_.materialize(out.target_start,
-                            out.target_end - out.target_start,
-                            &target_scratch),
-        query_.materialize(out.query_start,
-                           out.query_end - out.query_start, &query_scratch),
-        scoring);
-    return out;
-}
 
 Alignment
 extend_anchor(seq::BaseView target, seq::BaseView query,
@@ -199,15 +137,45 @@ extend_anchor(seq::BaseView target, seq::BaseView query,
               const TileAligner& aligner, const ScoringParams& scoring,
               ExtensionStats* stats)
 {
-    AnchorExtender extender(target, query, anchor_t, anchor_q,
-                            aligner.tile_size(), aligner.tile_overlap());
-    std::span<const std::uint8_t> target_tile;
-    std::span<const std::uint8_t> query_tile;
-    while (extender.next_tile(&target_tile, &query_tile))
-        extender.consume(aligner.align_tile(target_tile, query_tile));
+    require(anchor_t <= target.size() && anchor_q <= query.size(),
+            "extend_anchor: anchor outside spans");
+    require(aligner.tile_size() > aligner.tile_overlap(),
+            "extend_anchor: tile <= overlap");
+    ExtensionStats local;
+    const KeptPath right = extend_direction(
+        target, query, anchor_t, anchor_q, /*leftward=*/false, aligner,
+        local);
+    const KeptPath left = extend_direction(
+        target, query, anchor_t, anchor_q, /*leftward=*/true, aligner,
+        local);
     if (stats)
-        stats->merge(extender.stats());
-    return extender.finish(scoring);
+        stats->merge(local);
+
+    Alignment out;
+    out.target_start = anchor_t - left.target_consumed;
+    out.target_end = anchor_t + right.target_consumed;
+    out.query_start = anchor_q - left.query_consumed;
+    out.query_end = anchor_q + right.query_consumed;
+
+    // The left path was computed on reversed sequences: flip the run
+    // order to express it forward, then join with the right path.
+    Cigar left_forward = left.cigar;
+    left_forward.reverse();
+    out.cigar = std::move(left_forward);
+    out.cigar.append(right.cigar);
+
+    if (out.cigar.empty())
+        return out;
+    std::vector<std::uint8_t> target_scratch;
+    std::vector<std::uint8_t> query_scratch;
+    out.score = out.cigar.score(
+        target.materialize(out.target_start,
+                           out.target_end - out.target_start,
+                           &target_scratch),
+        query.materialize(out.query_start, out.query_end - out.query_start,
+                          &query_scratch),
+        scoring);
+    return out;
 }
 
 Alignment

@@ -86,94 +86,6 @@ Alignment extend_anchor(seq::BaseView target, seq::BaseView query,
                         const ScoringParams& scoring,
                         ExtensionStats* stats = nullptr);
 
-/**
- * Resumable single-anchor extension — extend_anchor with the tile
- * alignment inverted out, so a batching layer can co-schedule the
- * *current* tile of many live anchors into one backend flush
- * (align/batch.h). Tiles within one anchor are inherently sequential
- * (each tile's origin is the previous tile's clipped endpoint), so
- * cross-anchor co-scheduling is the only batching axis.
- *
- * Protocol: `next_tile` stages the anchor's next tile (right extension
- * first, then left over reversed slices — the same order, tile
- * geometry, `extend.tile` probe polls and termination rules as
- * extend_anchor); the caller aligns the staged spans with any backend
- * and hands the result to `consume`. When `done`, `finish` stitches
- * exactly what extend_anchor would have returned. Driving this class
- * with a serial `align_tile` loop IS extend_anchor — that is how
- * extend_anchor is implemented.
- */
-class AnchorExtender {
-  public:
-    /** Anchor must lie inside the views; tile_size > tile_overlap.
-     *  The backing storage must stay alive for the extender's
-     *  lifetime. Packed-backed views decode per tile into the staging
-     *  buffers, so the extender's residency stays O(tile_size). */
-    AnchorExtender(seq::BaseView target, seq::BaseView query,
-                   std::size_t anchor_t, std::size_t anchor_q,
-                   std::size_t tile_size, std::size_t tile_overlap);
-
-    AnchorExtender(std::span<const std::uint8_t> target,
-                   std::span<const std::uint8_t> query,
-                   std::size_t anchor_t, std::size_t anchor_q,
-                   std::size_t tile_size, std::size_t tile_overlap)
-        : AnchorExtender(seq::BaseView(target), seq::BaseView(query),
-                         anchor_t, anchor_q, tile_size, tile_overlap)
-    {
-    }
-
-    /**
-     * Stage the next tile. Returns false when the anchor is finished.
-     * The output spans alias internal buffers valid until the next
-     * next_tile call on this extender; exactly one consume() must
-     * happen between staging calls that return true.
-     */
-    bool next_tile(std::span<const std::uint8_t>* target_tile,
-                   std::span<const std::uint8_t>* query_tile);
-
-    /** Apply the staged tile's result: absorb stats, clip at the
-     *  overlap boundary, advance or terminate the direction. */
-    void consume(const TileResult& tile);
-
-    bool done() const { return phase_ == Phase::Done; }
-
-    /** Stitch the final alignment (valid once done). */
-    Alignment finish(const ScoringParams& scoring) const;
-
-    /** Work counters absorbed so far (complete once done). */
-    const ExtensionStats& stats() const { return stats_; }
-
-  private:
-    enum class Phase { Right, Left, Done };
-    struct DirectionResult {
-        Cigar cigar;  ///< in the orientation of the fetched slices
-        std::size_t target_consumed = 0;
-        std::size_t query_consumed = 0;
-    };
-
-    /** Commit the current direction and move to the next phase. */
-    void end_direction();
-
-    seq::BaseView target_;
-    seq::BaseView query_;
-    std::size_t anchor_t_ = 0;
-    std::size_t anchor_q_ = 0;
-    std::size_t tile_size_ = 0;
-    std::size_t boundary_ = 0;  ///< tile_size - overlap (clip point)
-    Phase phase_ = Phase::Right;
-    bool staged_ = false;
-    std::size_t pos_t_ = 0;
-    std::size_t pos_q_ = 0;
-    std::size_t remaining_t_ = 0;
-    std::size_t remaining_q_ = 0;
-    Cigar cur_cigar_;
-    DirectionResult right_;
-    DirectionResult left_;
-    std::vector<std::uint8_t> target_buf_;
-    std::vector<std::uint8_t> query_buf_;
-    ExtensionStats stats_;
-};
-
 }  // namespace darwin::align
 
 #endif  // DARWIN_ALIGN_EXTENSION_H

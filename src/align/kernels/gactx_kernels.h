@@ -59,10 +59,10 @@ TileResult gactx_wavefront_scalar(std::span<const std::uint8_t> target,
  * Score-only probe: the scalar wavefront with every traceback side
  * effect elided but *all* accounting intact (same max_score/x_max cell,
  * cells_computed, stripe_columns, traceback_bytes — and the same
- * budget charges and probe polls). Used by the batched backends'
- * score-only first pass: a probe returning max_score == 0 is the
- * complete bit-identical TileResult of an x-drop-dead tile (empty
- * CIGAR), so such tiles never pay for pointer storage.
+ * budget charges and probe polls). A probe returning max_score == 0
+ * is the complete bit-identical TileResult of an x-drop-dead tile
+ * (empty CIGAR). The differential suite checks every ISA's variant
+ * against its full kernel.
  */
 TileResult gactx_wavefront_scalar_score_only(
     std::span<const std::uint8_t> target,

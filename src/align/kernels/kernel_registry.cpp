@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "align/batch.h"
 #include "align/kernels/bsw_kernels.h"
 #include "align/kernels/cpu_features.h"
 #include "util/logging.h"
@@ -55,24 +54,6 @@ KernelRegistry::KernelRegistry() {
 
     if (const char* env = std::getenv(kEnvVar); env != nullptr && *env != '\0')
         select(env);
-
-    // The batch backend table (align/batch.h). Ids are stable — they
-    // are published as the wga.batch.backend gauge value. cycle-model
-    // lives in src/hw/backend_cycle.cpp; the static-library link
-    // resolves it just like the per-ISA kernel_ops hooks.
-    backends_.push_back(BackendImpl{/*id=*/0, "serial", serial_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/1, "cpu-scalar", cpu_scalar_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/2, "cpu-simd", cpu_simd_backend()});
-    backends_.push_back(
-        BackendImpl{/*id=*/3, "cycle-model", cycle_model_backend()});
-    active_backend_.store(find_backend("cpu-simd"),
-                          std::memory_order_release);
-
-    if (const char* env = std::getenv(kBackendEnvVar);
-        env != nullptr && *env != '\0')
-        select_backend(env);
 }
 
 const KernelImpl& KernelRegistry::best_usable() const {
@@ -113,32 +94,6 @@ void KernelRegistry::select(const std::string& name) {
         fatal(msg.str());
     }
     active_.store(k, std::memory_order_release);
-}
-
-const BackendImpl* KernelRegistry::find_backend(const std::string& name) const {
-    for (const BackendImpl& b : backends_)
-        if (name == b.name)
-            return &b;
-    return nullptr;
-}
-
-void KernelRegistry::select_backend(const std::string& name) {
-    if (name == "auto") {
-        active_backend_.store(find_backend("cpu-simd"),
-                              std::memory_order_release);
-        return;
-    }
-    const BackendImpl* b = find_backend(name);
-    if (b == nullptr) {
-        std::ostringstream msg;
-        msg << "DARWIN_BACKEND/--backend: unknown backend '" << name
-            << "' (valid: auto";
-        for (const BackendImpl& cand : backends_)
-            msg << ", " << cand.name;
-        msg << ")";
-        fatal(msg.str());
-    }
-    active_backend_.store(b, std::memory_order_release);
 }
 
 }  // namespace darwin::align::kernels

@@ -17,13 +17,6 @@
  * scheduler, benches) transparently picks up the fast path. The active
  * id is published as the `wga.filter.kernel` and `wga.extend.kernel`
  * gauges.
- *
- * The registry also hosts the *batch backend* table (align/batch.h):
- * how many-tile batches execute, orthogonal to which kernel computes a
- * tile. Overridden with `DARWIN_BACKEND` or `--backend`, taking
- * `auto|serial|cpu-scalar|cpu-simd|cycle-model` ("auto" resolves to
- * cpu-simd). The active backend id is published as the
- * `wga.batch.backend` gauge.
  */
 #ifndef DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
 #define DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
@@ -35,10 +28,6 @@
 #include "align/banded_sw.h"
 #include "align/kernels/gactx_kernels.h"
 #include "align/ungapped_xdrop.h"
-
-namespace darwin::align {
-class AlignBackend;
-}
 
 namespace darwin::align::kernels {
 
@@ -63,8 +52,7 @@ struct KernelImpl {
     UngappedKernelFn ungapped = nullptr;
     GactXKernelFn gactx = nullptr;
     /** GACT-X score-only variant (no traceback machinery): same scores
-     *  and accounting as gactx, empty CIGAR. Used by the cpu-simd
-     *  backend's score-only probe pass (align/batch.h). */
+     *  and accounting as gactx, empty CIGAR. */
     GactXKernelFn gactx_score_only = nullptr;
 
     bool usable() const { return compiled && cpu_ok && bsw != nullptr; }
@@ -85,15 +73,6 @@ struct KernelOps {
 const KernelOps* sse42_kernel_ops();
 const KernelOps* avx2_kernel_ops();
 
-/** One registered batch backend (align/batch.h). Every backend is
- *  always usable — batching strategy does not depend on the CPU. */
-struct BackendImpl {
-    int id = 0;             ///< stable: 0 serial, 1 cpu-scalar,
-                            ///<         2 cpu-simd, 3 cycle-model
-    const char* name = "";  ///< the DARWIN_BACKEND spelling
-    const AlignBackend* backend = nullptr;
-};
-
 /**
  * Process-wide kernel table + active selection.
  *
@@ -106,7 +85,6 @@ struct BackendImpl {
 class KernelRegistry {
   public:
     static constexpr const char* kEnvVar = "DARWIN_KERNEL";
-    static constexpr const char* kBackendEnvVar = "DARWIN_BACKEND";
 
     static KernelRegistry& instance();
 
@@ -128,23 +106,6 @@ class KernelRegistry {
     /** Lookup by name; nullptr when unknown (no fatal). */
     const KernelImpl* find(const std::string& name) const;
 
-    /** All batch backends in id order. */
-    const std::vector<BackendImpl>& backends() const { return backends_; }
-
-    /** The backend the staging layers dispatch batches through. */
-    const BackendImpl& active_backend() const {
-        return *active_backend_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Select a batch backend: "auto" (cpu-simd) or an exact backend
-     * name. fatal() on an unknown name, mirroring select().
-     */
-    void select_backend(const std::string& name);
-
-    /** Lookup by name; nullptr when unknown (no fatal). */
-    const BackendImpl* find_backend(const std::string& name) const;
-
     KernelRegistry(const KernelRegistry&) = delete;
     KernelRegistry& operator=(const KernelRegistry&) = delete;
 
@@ -155,8 +116,6 @@ class KernelRegistry {
 
     std::vector<KernelImpl> kernels_;
     std::atomic<const KernelImpl*> active_{nullptr};
-    std::vector<BackendImpl> backends_;
-    std::atomic<const BackendImpl*> active_backend_{nullptr};
 };
 
 }  // namespace darwin::align::kernels

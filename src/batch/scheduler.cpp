@@ -194,10 +194,6 @@ class Engine {
             align::kernels::KernelRegistry::instance().active().id;
         metrics_.gauge("wga.filter.kernel").set(kernel_id);
         metrics_.gauge("wga.extend.kernel").set(kernel_id);
-        metrics_.gauge("wga.batch.backend")
-            .set(align::kernels::KernelRegistry::instance()
-                     .active_backend()
-                     .id);
 
         for (std::size_t p = 0; p < jobs_.size(); ++p) {
             PrepareTask task{p};
@@ -767,31 +763,6 @@ class Engine {
         enqueue(filter_queue_, filter, "filter", kFilter, task.pair);
     }
 
-    /**
-     * Publish one task's backend flush counters. Counters appear only
-     * when the task actually flushed batches (i.e. a non-serial backend
-     * ran a batched stage), so serial-backend runs keep the exact
-     * pre-batching metric set.
-     */
-    void
-    publish_batch_exec(const align::BatchExecStats& batch)
-    {
-        if (batch.flushes == 0)
-            return;
-        for (const std::uint32_t size : batch.flush_sizes)
-            metrics_.histogram("batch.backend.tiles_per_flush").observe(size);
-        metrics_.counter("batch.backend.flushes").add(batch.flushes);
-        metrics_.counter("batch.backend.tiles").add(batch.tiles);
-        metrics_.counter("batch.backend.score_only_hits")
-            .add(batch.score_only_hits);
-        if (batch.device_cycles > 0) {
-            metrics_.counter("batch.backend.device_cycles")
-                .add(batch.device_cycles);
-            metrics_.counter("batch.backend.device_makespan_cycles")
-                .add(batch.device_makespan_cycles);
-        }
-    }
-
     void
     do_filter(FilterTask& task)
     {
@@ -804,9 +775,6 @@ class Engine {
         StrandState& strand = pair.strands[task.strand];
 
         wga::PipelineStats local;
-        // filter_hits batches the hits' BSW tiles through the active
-        // backend (serial per-hit dispatch under backend `serial` or in
-        // ungapped mode) while keeping per-hit verdicts in hit order.
         std::vector<wga::FilterCandidate> candidates;
         for (const auto& slot :
              strand.filter->filter_hits(task.hits, &local.filter)) {
@@ -817,7 +785,6 @@ class Engine {
         metrics_.counter("batch.filter.tasks").add(1);
         metrics_.counter("batch.filter.hits_in").add(task.hits.size());
         metrics_.counter("batch.filter.cells").add(local.filter.cells);
-        publish_batch_exec(local.filter.batch);
         metrics_.counter("batch.filter.candidates").add(candidates.size());
         metrics_.counter("batch.filter.dropped")
             .add(task.hits.size() - candidates.size());
@@ -893,7 +860,6 @@ class Engine {
             .add(local.extend.matched_bases);
         metrics_.counter("batch.alignments").add(strand.alignments.size());
         metrics_.histogram("batch.extend.seconds").observe(timer.seconds());
-        publish_batch_exec(local.extend.batch);
 
         if (pair.strands_remaining.fetch_sub(1) == 1) {
             ChainTask chain{task.pair};

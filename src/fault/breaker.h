@@ -6,10 +6,10 @@
  * rate of full-fidelity align requests. When the failure fraction of
  * the last `window` outcomes crosses `trip_ratio` the breaker *opens*:
  * every request is served in degraded mode (fault/degrade.h — narrower
- * band, tighter x-drops, capped seed hits, forced score-only probe
- * pass) until `cooldown_seconds` elapse. Then exactly one request runs
- * at full fidelity as a *half-open* probe; its outcome decides whether
- * the breaker closes (healthy again) or re-opens for another cooldown.
+ * band, tighter x-drops, capped seed hits) until `cooldown_seconds`
+ * elapse. Then exactly one request runs at full fidelity as a
+ * *half-open* probe; its outcome decides whether the breaker closes
+ * (healthy again) or re-opens for another cooldown.
  *
  * Degraded outcomes never feed the rolling window — only full-fidelity
  * attempts say anything about whether full fidelity is healthy.

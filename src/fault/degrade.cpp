@@ -29,8 +29,6 @@ apply_degrade(const wga::WgaParams& params, const DegradePolicy& policy)
                 : std::min(params.dsoft.max_hits_per_chunk,
                            policy.max_hits_per_chunk);
     }
-    if (policy.force_probe)
-        out.force_probe_score_only = true;
     return out;
 }
 

@@ -12,9 +12,7 @@
  * contract is testable outside both.
  *
  * The transform: a narrower filter band, a tighter GACT-X / ungapped
- * X-drop, a per-chunk seed-hit cap, and (opt-in; the serve breaker
- * sets it) the score-only probe pass on batch extension so dead tiles
- * never pay the traceback lattice.
+ * X-drop, and a per-chunk seed-hit cap.
  */
 #ifndef DARWIN_FAULT_DEGRADE_H
 #define DARWIN_FAULT_DEGRADE_H
@@ -39,16 +37,6 @@ struct DegradePolicy {
     /** DsoftParams::max_hits_per_chunk for the retry (0 keeps the
      *  original). */
     std::size_t max_hits_per_chunk = 256;
-
-    /** Force the score-only probe pass on batched extension flushes
-     *  (WgaParams::force_probe_score_only) instead of waiting for the
-     *  dead-tile heuristic to warm up. Output is unchanged — probing
-     *  only skips traceback work for tiles whose score is dead — but
-     *  live tiles pay the probe cells *plus* the full pass, so this is
-     *  off for the batch retry (whose budget counts cells) and on for
-     *  the serve breaker (whose enemy is wall time on dead-heavy
-     *  overload work). */
-    bool force_probe = false;
 };
 
 /** The degraded parameter set for one retry of `params`. */

@@ -557,10 +557,9 @@ Server::do_align(const Request& request, double queue_wait_seconds)
         params.dsoft.transitions = false;
 
     // While the breaker is open every request runs in degraded mode —
-    // the shared policy the batch engine's degraded retry uses, plus a
-    // forced score-only probe pass — so the daemon keeps answering
-    // under sustained budget pressure instead of quarantining its way
-    // through the backlog.
+    // the shared policy the batch engine's degraded retry uses — so
+    // the daemon keeps answering under sustained budget pressure
+    // instead of quarantining its way through the backlog.
     const bool degraded =
         options_.breaker_enabled && breaker_.should_degrade();
     if (degraded) {

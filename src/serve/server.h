@@ -17,7 +17,7 @@
  * serving. stop() cancels every in-flight token, which is how SIGTERM
  * turns into a bounded drain instead of a hung exit.
  *
- * Overload safety (DESIGN.md §14): submit() is the admission point —
+ * Overload safety (DESIGN.md §13): submit() is the admission point —
  * align requests past max_queue (or the in-flight bp cap) are shed
  * with an "overloaded" error carrying a retry_after_ms hint from the
  * EWMA of observed service time, so the transport never blocks and
@@ -130,14 +130,8 @@ struct ServerOptions {
     fault::BreakerOptions breaker;
 
     /** Parameter transform for degraded serving; shared with the
-     *  batch engine's degraded retry, plus the score-only probe pass
-     *  (cheap wall time on the dead-heavy work overload brings). */
-    fault::DegradePolicy degrade = {.band_divisor = 2,
-                                    .min_band = 8,
-                                    .ydrop_divisor = 2,
-                                    .min_ydrop = 100,
-                                    .max_hits_per_chunk = 256,
-                                    .force_probe = true};
+     *  batch engine's degraded retry. */
+    fault::DegradePolicy degrade;
 };
 
 /** The request-processing core; transports plug in around it. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "align/gactx.h"
-#include "align/kernels/kernel_registry.h"
 #include "fault/cancel.h"
 #include "util/logging.h"
 
@@ -89,75 +87,6 @@ ExtendStage::covered_fraction(std::span<const std::uint64_t> cells) const
            static_cast<double>(cells.size());
 }
 
-void
-ExtendStage::extend_wave_batched(
-    const std::vector<FilterCandidate>& wave,
-    const align::GactXParams& gactx_params,
-    const align::AlignBackend& backend,
-    std::vector<align::Alignment>& extended, ExtendStats& local,
-    ThreadPool* pool)
-{
-    // One resumable extender per anchor; each flush co-schedules the
-    // current tile of every live anchor (tiles within an anchor are
-    // sequential, so cross-anchor interleaving is the batching axis).
-    std::vector<align::AnchorExtender> extenders;
-    extenders.reserve(wave.size());
-    for (const FilterCandidate& candidate : wave)
-        extenders.emplace_back(target_, query_, candidate.anchor_t,
-                               candidate.anchor_q, gactx_params.tile_size,
-                               gactx_params.overlap);
-
-    const std::size_t flush_cap =
-        std::max<std::size_t>(1, params_.batch_flush_tiles);
-    align::TileBatch batch;
-    std::vector<std::size_t> owner;
-    std::vector<align::TileResult> results;
-    std::span<const std::uint8_t> target_tile;
-    std::span<const std::uint8_t> query_tile;
-    for (;;) {
-        batch.clear();
-        owner.clear();
-        for (std::size_t w = 0;
-             w < extenders.size() && batch.size() < flush_cap; ++w) {
-            if (extenders[w].done())
-                continue;
-            if (!extenders[w].next_tile(&target_tile, &query_tile))
-                continue;
-            batch.push(target_tile, query_tile);
-            owner.push_back(w);
-        }
-        if (batch.empty())
-            break;
-
-        fault::poll("batch.flush");
-        align::BatchOptions options;
-        options.pool = pool;
-        options.probe_score_only =
-            params_.force_probe_score_only ||
-            (probe_seen_ > 0 && probe_dead_ * 2 > probe_seen_);
-        results.assign(batch.size(), align::TileResult{});
-        local.batch.flushes += 1;
-        local.batch.tiles += batch.size();
-        local.batch.flush_sizes.push_back(
-            static_cast<std::uint32_t>(batch.size()));
-        backend.gactx_batch(batch, gactx_params, options,
-                            {results.data(), results.size()},
-                            &local.batch);
-        for (std::size_t k = 0; k < results.size(); ++k) {
-            ++probe_seen_;
-            if (results[k].max_score <= 0)
-                ++probe_dead_;
-            extenders[owner[k]].consume(results[k]);
-        }
-    }
-
-    local.extended += wave.size();
-    for (const align::AnchorExtender& extender : extenders)
-        local.extension.merge(extender.stats());
-    for (std::size_t w = 0; w < wave.size(); ++w)
-        extended[w] = extenders[w].finish(params_.scoring);
-}
-
 std::vector<align::Alignment>
 ExtendStage::extend_all(const std::vector<FilterCandidate>& candidates,
                         const align::TileAligner& aligner,
@@ -179,16 +108,6 @@ ExtendStage::extend_stream(
     const align::TileAligner& aligner, ExtendStats* stats,
     ThreadPool* pool)
 {
-    // Batched execution applies when a non-serial backend is active and
-    // the aligner is the GACT-X engine (whose params the backend call
-    // needs); anything else — e.g. a custom TileAligner in tests —
-    // keeps the serial per-anchor path.
-    const align::kernels::BackendImpl& backend_impl =
-        align::kernels::KernelRegistry::instance().active_backend();
-    const auto* gactx =
-        dynamic_cast<const align::GactXTileAligner*>(&aligner);
-    const bool batched = backend_impl.id != 0 && gactx != nullptr;
-
     std::vector<align::Alignment> out;
     ExtendStats local;
     std::optional<FilterCandidate> pending = next();
@@ -211,27 +130,21 @@ ExtendStage::extend_stream(
 
         // Extend the wave (parallel when a pool is available).
         std::vector<align::Alignment> extended(wave.size());
-        if (batched) {
-            extend_wave_batched(wave, gactx->params(),
-                                *backend_impl.backend, extended, local,
-                                pool);
+        std::vector<align::ExtensionStats> wave_stats(wave.size());
+        auto extend_one = [&](std::size_t w) {
+            extended[w] = align::extend_anchor(
+                target_, query_, wave[w].anchor_t, wave[w].anchor_q,
+                aligner, params_.scoring, &wave_stats[w]);
+        };
+        if (pool) {
+            pool->parallel_for(0, wave.size(), extend_one, 1);
         } else {
-            std::vector<align::ExtensionStats> wave_stats(wave.size());
-            auto extend_one = [&](std::size_t w) {
-                extended[w] = align::extend_anchor(
-                    target_, query_, wave[w].anchor_t, wave[w].anchor_q,
-                    aligner, params_.scoring, &wave_stats[w]);
-            };
-            if (pool) {
-                pool->parallel_for(0, wave.size(), extend_one, 1);
-            } else {
-                for (std::size_t w = 0; w < wave.size(); ++w)
-                    extend_one(w);
-            }
-            local.extended += wave.size();
-            for (const auto& ws : wave_stats)
-                local.extension.merge(ws);
+            for (std::size_t w = 0; w < wave.size(); ++w)
+                extend_one(w);
         }
+        local.extended += wave.size();
+        for (const auto& ws : wave_stats)
+            local.extension.merge(ws);
 
         // Merge in order with convergent-duplicate suppression: a path
         // that mostly re-covers already-marked cells re-derives an
@@ -252,16 +165,8 @@ ExtendStage::extend_stream(
             out.push_back(std::move(alignment));
         }
     }
-    if (stats) {
-        stats->anchors_in += local.anchors_in;
-        stats->absorbed += local.absorbed;
-        stats->extended += local.extended;
-        stats->duplicates += local.duplicates;
-        stats->alignments_out += local.alignments_out;
-        stats->matched_bases += local.matched_bases;
-        stats->extension.merge(local.extension);
-        stats->batch.merge(local.batch);
-    }
+    if (stats)
+        stats->merge(local);
     return out;
 }
 

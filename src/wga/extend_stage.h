@@ -19,7 +19,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "align/batch.h"
 #include "align/extension.h"
 #include "util/thread_pool.h"
 #include "wga/filter_stage.h"
@@ -39,8 +38,18 @@ struct ExtendStats {
     /** Total bases in matched blocks of the alignments kept. */
     std::uint64_t matched_bases = 0;
     align::ExtensionStats extension;
-    /** Batched-backend flush counters (empty under the serial backend). */
-    align::BatchExecStats batch;
+
+    void
+    merge(const ExtendStats& other)
+    {
+        anchors_in += other.anchors_in;
+        absorbed += other.absorbed;
+        extended += other.extended;
+        duplicates += other.duplicates;
+        alignments_out += other.alignments_out;
+        matched_bases += other.matched_bases;
+        extension.merge(other.extension);
+    }
 };
 
 /** Extension with anchor absorption over one span pair. */
@@ -68,15 +77,6 @@ class ExtendStage {
      * results are merged in order with duplicate suppression. The wave
      * size is a constant — never the pool size — so results are
      * identical for any thread count.
-     *
-     * When the active batch backend is not `serial` and the aligner is
-     * the GACT-X engine, a wave executes *batched*: each live anchor's
-     * current tile is co-scheduled into a bounded TileBatch (flushed
-     * through the backend at params.batch_flush_tiles tiles, with a
-     * `batch.flush` fault probe before each flush), results are fed
-     * back and the next round of tiles staged until the wave drains.
-     * Per-tile inputs and outputs are identical to the serial path, so
-     * the stage's alignments are bit-identical under every backend.
      */
     std::vector<align::Alignment> extend_all(
         const std::vector<FilterCandidate>& candidates,
@@ -120,32 +120,12 @@ class ExtendStage {
         return (t_cell << 27) ^ q_cell;
     }
 
-    /**
-     * Extend one wave through the batch backend (see extend_all).
-     * Fills `extended` (one alignment per wave entry, in wave order)
-     * and merges per-anchor extension stats into `local` exactly as
-     * the serial path does.
-     */
-    void extend_wave_batched(
-        const std::vector<FilterCandidate>& wave,
-        const align::GactXParams& gactx_params,
-        const align::AlignBackend& backend,
-        std::vector<align::Alignment>& extended, ExtendStats& local,
-        ThreadPool* pool);
-
     const WgaParams& params_;
     seq::BaseView target_;
     seq::BaseView query_;
     std::unordered_set<std::uint64_t> covered_cells_;
     /** Scratch for path_cells, reused across the merge loop. */
     std::vector<std::uint64_t> path_scratch_;
-    /** Adaptive score-only gating: tiles consumed / tiles dead so far
-     *  in this stage instance. A flush probes iff dead tiles are the
-     *  majority (dead * 2 > seen) — noise-dominated workloads pay the
-     *  cheap probe, homologous ones skip it. Sequential staging makes
-     *  the gate deterministic; probing never changes results. */
-    std::uint64_t probe_seen_ = 0;
-    std::uint64_t probe_dead_ = 0;
 };
 
 }  // namespace darwin::wga

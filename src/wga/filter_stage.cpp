@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 
-#include "align/kernels/kernel_registry.h"
 #include "align/ungapped_xdrop.h"
 #include "fault/cancel.h"
 #include "seed/seed_pattern.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace darwin::wga {
 
@@ -87,108 +85,24 @@ FilterStage::filter_hits(const std::vector<seed::SeedHit>& hits,
 {
     std::vector<std::optional<FilterCandidate>> slots(hits.size());
 
-    const align::kernels::BackendImpl& backend_impl =
-        align::kernels::KernelRegistry::instance().active_backend();
-    if (params_.filter_mode != FilterMode::Gapped || backend_impl.id == 0) {
-        // Serial per-hit dispatch (the legacy path; also ungapped mode,
-        // whose diagonal scans gain nothing from tile batching).
-        if (pool) {
-            std::atomic<std::uint64_t> tiles{0}, cells{0}, passed{0};
-            pool->parallel_for(0, hits.size(), [&](std::size_t i) {
-                FilterStats local;
-                slots[i] = filter(hits[i], &local);
-                tiles.fetch_add(local.tiles, std::memory_order_relaxed);
-                cells.fetch_add(local.cells, std::memory_order_relaxed);
-                passed.fetch_add(local.passed, std::memory_order_relaxed);
-            });
-            if (stats) {
-                stats->tiles += tiles.load();
-                stats->cells += cells.load();
-                stats->passed += passed.load();
-            }
-        } else {
-            for (std::size_t i = 0; i < hits.size(); ++i)
-                slots[i] = filter(hits[i], stats);
+    if (pool) {
+        std::atomic<std::uint64_t> tiles{0}, cells{0}, passed{0};
+        pool->parallel_for(0, hits.size(), [&](std::size_t i) {
+            FilterStats local;
+            slots[i] = filter(hits[i], &local);
+            tiles.fetch_add(local.tiles, std::memory_order_relaxed);
+            cells.fetch_add(local.cells, std::memory_order_relaxed);
+            passed.fetch_add(local.passed, std::memory_order_relaxed);
+        });
+        if (stats) {
+            stats->tiles += tiles.load();
+            stats->cells += cells.load();
+            stats->passed += passed.load();
         }
-        return slots;
+    } else {
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            slots[i] = filter(hits[i], stats);
     }
-
-    // Batched gapped filtering: stage each hit's BSW tile in hit order,
-    // flush on size or deadline. The per-hit `filter.hit` probe fires
-    // at staging time, so injection/budget visit counts match the
-    // serial path.
-    FilterStats local;
-    align::TileBatch batch;
-    std::vector<TileWindow> windows;
-    std::vector<std::size_t> owner;
-    std::vector<align::BswResult> results;
-    // Packed mode: TileBatch aliases caller storage, so each staged
-    // tile's decoded window lives here until its flush (bounded by
-    // 2 * flush_cap * filter_tile bytes). Byte mode stages zero-copy
-    // subspans and never touches this.
-    std::vector<std::vector<std::uint8_t>> decoded_tiles;
-    Timer staged_since;
-    const std::size_t flush_cap =
-        std::max<std::size_t>(1, params_.batch_flush_tiles);
-
-    auto flush = [&]() {
-        if (batch.empty())
-            return;
-        fault::poll("batch.flush");
-        align::BatchOptions options;
-        options.pool = pool;
-        results.assign(batch.size(), align::BswResult{});
-        local.batch.flushes += 1;
-        local.batch.tiles += batch.size();
-        local.batch.flush_sizes.push_back(
-            static_cast<std::uint32_t>(batch.size()));
-        backend_impl.backend->bsw_batch(batch, params_.scoring,
-                                        params_.filter_band, options,
-                                        {results.data(), results.size()},
-                                        &local.batch);
-        for (std::size_t k = 0; k < results.size(); ++k) {
-            const align::BswResult& bsw = results[k];
-            const TileWindow& w = windows[k];
-            local.cells += bsw.cells_computed;
-            if (bsw.max_score >= params_.filter_threshold) {
-                slots[owner[k]] =
-                    FilterCandidate{w.t0 + bsw.target_max,
-                                    w.q0 + bsw.query_max, bsw.max_score};
-                ++local.passed;
-            }
-        }
-        batch.clear();
-        windows.clear();
-        owner.clear();
-        decoded_tiles.clear();
-    };
-
-    auto stage_span = [&](const seq::BaseView& view, std::uint64_t start,
-                          std::size_t len) -> std::span<const std::uint8_t> {
-        if (!view.packed())
-            return view.bytes().subspan(start, len);
-        decoded_tiles.emplace_back();
-        return view.materialize(start, len, &decoded_tiles.back());
-    };
-
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        fault::poll("filter.hit");
-        ++local.tiles;
-        const TileWindow w = gapped_window(hits[i]);
-        if (batch.empty())
-            staged_since.reset();
-        batch.push(stage_span(target_, w.t0, w.tlen),
-                   stage_span(query_, w.q0, w.qlen));
-        windows.push_back(w);
-        owner.push_back(i);
-        if (batch.size() >= flush_cap ||
-            staged_since.seconds() >= params_.batch_flush_deadline)
-            flush();
-    }
-    flush();
-
-    if (stats)
-        stats->merge(local);
     return slots;
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "align/banded_sw.h"
-#include "align/batch.h"
 #include "seed/dsoft.h"
 #include "seq/base_view.h"
 #include "util/thread_pool.h"
@@ -36,9 +35,6 @@ struct FilterStats {
     std::uint64_t tiles = 0;
     std::uint64_t cells = 0;
     std::uint64_t passed = 0;
-    /** Batched-backend flush counters (empty under the serial backend
-     *  and in ungapped mode). */
-    align::BatchExecStats batch;
 
     void
     merge(const FilterStats& other)
@@ -46,7 +42,6 @@ struct FilterStats {
         tiles += other.tiles;
         cells += other.cells;
         passed += other.passed;
-        batch.merge(other.batch);
     }
 };
 
@@ -84,13 +79,9 @@ class FilterStage {
 
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
-     * (nullopt when it failed). When the active batch backend is not
-     * `serial` and the mode is gapped, the hits' BSW tiles are staged
-     * into bounded batches (flushed at params.batch_flush_tiles tiles
-     * or params.batch_flush_deadline seconds, `batch.flush` fault
-     * probe per flush) and executed through the backend — per-hit
-     * verdicts and anchors stay bit-identical to per-hit dispatch.
-     * Both filter_all and the batch scheduler route through this.
+     * (nullopt when it failed). Hits are filtered one at a time, across
+     * the pool when one is given. Both filter_all and the batch
+     * scheduler route through this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(
         const std::vector<seed::SeedHit>& hits, FilterStats* stats = nullptr,

@@ -60,19 +60,6 @@ struct WgaParams {
     std::size_t absorb_cell = 64;
 
     /**
-     * Batched backend staging (align/batch.h): a flush is triggered
-     * when this many tiles have accumulated...
-     */
-    std::size_t batch_flush_tiles = 64;
-
-    /**
-     * ...or when the oldest staged tile has waited this long (seconds).
-     * The deadline bounds staging latency when tiles trickle in (e.g.
-     * sparse seed hits); it never changes results — only flush shapes.
-     */
-    double batch_flush_deadline = 0.05;
-
-    /**
      * Also align the reverse complement of the query (second pass).
      * Alignments from that pass carry Strand::Reverse with query
      * coordinates in reverse-complement space (MAF '-' convention).
@@ -80,16 +67,6 @@ struct WgaParams {
      * inversions, and the second pass doubles seeding/filter work.
      */
     bool align_both_strands = false;
-
-    /**
-     * Always run the score-only probe pass on batched extension
-     * flushes instead of waiting for the dead-tile heuristic to warm
-     * up (align/batch.h BatchOptions::probe_score_only). Results are
-     * unchanged — probing only skips traceback for dead tiles. Set by
-     * fault::apply_degrade so degraded serving sheds traceback work
-     * from the first flush.
-     */
-    bool force_probe_score_only = false;
 
     /** Darwin-WGA defaults (gapped filtering). */
     static WgaParams darwin_defaults();

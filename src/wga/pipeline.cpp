@@ -14,14 +14,7 @@ PipelineStats::merge(const PipelineStats& other)
 {
     seeding.merge(other.seeding);
     filter.merge(other.filter);
-    extend.anchors_in += other.extend.anchors_in;
-    extend.absorbed += other.extend.absorbed;
-    extend.extended += other.extend.extended;
-    extend.duplicates += other.extend.duplicates;
-    extend.alignments_out += other.extend.alignments_out;
-    extend.matched_bases += other.extend.matched_bases;
-    extend.extension.merge(other.extend.extension);
-    extend.batch.merge(other.extend.batch);
+    extend.merge(other.extend);
     seed_seconds += other.seed_seconds;
     filter_seconds += other.filter_seconds;
     extend_seconds += other.extend_seconds;
@@ -58,35 +51,6 @@ publish_pipeline_stats(obs::MetricsRegistry& metrics,
         .add(stats.extend.extension.stripes);
     metrics.counter(name(".extend.xdrop_terminations"))
         .add(stats.extend.extension.xdrop_terminations);
-    // Batched-backend counters: absent entirely under the serial
-    // backend (no flushes), so serial runs keep the exact metric set
-    // they had before batching existed.
-    const align::BatchExecStats* batches[] = {&stats.filter.batch,
-                                              &stats.extend.batch};
-    std::uint64_t batch_flushes = 0;
-    for (const align::BatchExecStats* batch : batches) {
-        batch_flushes += batch->flushes;
-        for (const std::uint32_t size : batch->flush_sizes)
-            metrics.histogram(name(".batch.tiles_per_flush"))
-                .observe(static_cast<double>(size));
-    }
-    if (batch_flushes > 0) {
-        metrics.counter(name(".batch.flushes")).add(batch_flushes);
-        metrics.counter(name(".batch.tiles"))
-            .add(stats.filter.batch.tiles + stats.extend.batch.tiles);
-        metrics.counter(name(".batch.score_only_hits"))
-            .add(stats.filter.batch.score_only_hits +
-                 stats.extend.batch.score_only_hits);
-    }
-    if (stats.filter.batch.device_cycles + stats.extend.batch.device_cycles >
-        0) {
-        metrics.counter(name(".batch.device_cycles"))
-            .add(stats.filter.batch.device_cycles +
-                 stats.extend.batch.device_cycles);
-        metrics.counter(name(".batch.device_makespan_cycles"))
-            .add(stats.filter.batch.device_makespan_cycles +
-                 stats.extend.batch.device_makespan_cycles);
-    }
     if (stats.seed_seconds > 0.0)
         metrics.histogram(name(".seed.seconds")).observe(stats.seed_seconds);
     if (stats.filter_seconds > 0.0)
@@ -105,29 +69,39 @@ WgaPipeline::WgaPipeline(WgaParams params, chain::ChainParams chain_params)
 {
 }
 
-WgaResult
-WgaPipeline::run(const seq::Genome& target, const seq::Genome& query,
-                 ThreadPool* pool, obs::MetricsRegistry* metrics) const
-{
-    return run_sequences(target.flattened(), query.flattened(), pool,
-                         metrics);
-}
-
 namespace {
 
+/** The filter/extension view of a byte-per-base sequence... */
+seq::BaseView
+base_view(const seq::Sequence& sequence)
+{
+    return std::span<const std::uint8_t>{sequence.codes().data(),
+                                         sequence.size()};
+}
+
+/** ...and of a 2-bit packed one (decoded one tile window at a time). */
+seq::BaseView
+base_view(const seq::PackedSequence& sequence)
+{
+    return seq::BaseView(sequence);
+}
+
 /** Seed -> filter -> extend one query orientation against the index.
- *  Each stage merges its stats fragment into *stats as it completes and
- *  (when a registry is given) publishes it, so a progress reporter
- *  watching the registry sees per-stage movement mid-run. */
+ *  `Sequence` is seq::Sequence or seq::PackedSequence: seeding reads
+ *  the query in that storage, and the filter and extension stages read
+ *  both sequences through seq::BaseView, so byte and packed runs give
+ *  bit-identical results. Each stage merges its stats fragment into
+ *  *stats as it completes and (when a registry is given) publishes it,
+ *  so a progress reporter watching the registry sees per-stage
+ *  movement mid-run. */
+template <class Sequence>
 std::vector<align::Alignment>
 run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
-               std::span<const std::uint8_t> target_span,
-               const seq::Sequence& query, align::Strand strand,
-               PipelineStats* stats, ThreadPool* pool,
+               seq::BaseView target, const Sequence& query,
+               align::Strand strand, PipelineStats* stats, ThreadPool* pool,
                obs::MetricsRegistry* metrics)
 {
-    const std::span<const std::uint8_t> query_span{query.codes().data(),
-                                                   query.size()};
+    const seq::BaseView query_view = base_view(query);
     const std::int64_t strand_arg =
         strand == align::Strand::Reverse ? 1 : 0;
     Timer timer;
@@ -155,7 +129,7 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
         obs::ScopedSpan span("filter", "wga");
         span.arg("strand", strand_arg);
         PipelineStats stage;
-        const FilterStage filter(params, target_span, query_span);
+        const FilterStage filter(params, target, query_view);
         candidates = filter.filter_all(hits, &stage.filter, pool);
         stage.filter_seconds = timer.seconds();
         span.arg("candidates", static_cast<std::int64_t>(candidates.size()));
@@ -171,7 +145,7 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
         span.arg("strand", strand_arg);
         PipelineStats stage;
         const align::GactXTileAligner aligner(params.gactx);
-        ExtendStage extend(params, target_span, query_span);
+        ExtendStage extend(params, target, query_view);
         alignments =
             extend.extend_all(candidates, aligner, &stage.extend, pool);
         stage.extend_seconds = timer.seconds();
@@ -189,9 +163,54 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
 }  // namespace
 
 WgaResult
+WgaPipeline::run(const seq::Genome& target, const seq::Genome& query,
+                 ThreadPool* pool, obs::MetricsRegistry* metrics) const
+{
+    return run_building_index(target.flattened(), query.flattened(), pool,
+                              metrics);
+}
+
+WgaResult
 WgaPipeline::run_sequences(const seq::Sequence& target,
                            const seq::Sequence& query, ThreadPool* pool,
                            obs::MetricsRegistry* metrics) const
+{
+    return run_building_index(target, query, pool, metrics);
+}
+
+WgaResult
+WgaPipeline::run_packed(const seq::Genome& target, const seq::Genome& query,
+                        ThreadPool* pool,
+                        obs::MetricsRegistry* metrics) const
+{
+    return run_building_index(target.flattened_packed(),
+                              query.flattened_packed(), pool, metrics);
+}
+
+WgaResult
+WgaPipeline::run_with_index(const seed::SeedIndex& index,
+                            const seq::Sequence& target,
+                            const seq::Sequence& query, ThreadPool* pool,
+                            obs::MetricsRegistry* metrics) const
+{
+    return run_impl(index, target, query, WgaResult{}, pool, metrics);
+}
+
+WgaResult
+WgaPipeline::run_with_index_packed(const seed::SeedIndex& index,
+                                   const seq::PackedSequence& target,
+                                   const seq::PackedSequence& query,
+                                   ThreadPool* pool,
+                                   obs::MetricsRegistry* metrics) const
+{
+    return run_impl(index, target, query, WgaResult{}, pool, metrics);
+}
+
+template <class Sequence>
+WgaResult
+WgaPipeline::run_building_index(const Sequence& target,
+                                const Sequence& query, ThreadPool* pool,
+                                obs::MetricsRegistry* metrics) const
 {
     WgaResult result;
     Timer timer;
@@ -211,27 +230,19 @@ WgaPipeline::run_sequences(const seq::Sequence& target,
                     metrics);
 }
 
+template <class Sequence>
 WgaResult
-WgaPipeline::run_with_index(const seed::SeedIndex& index,
-                            const seq::Sequence& target,
-                            const seq::Sequence& query, ThreadPool* pool,
-                            obs::MetricsRegistry* metrics) const
-{
-    if (index.pattern().pattern() != params_.seed_pattern)
-        fatal(strprintf("run_with_index: index seed shape %s does not "
-                        "match the pipeline's %s",
-                        index.pattern().pattern().c_str(),
-                        params_.seed_pattern.c_str()));
-    return run_impl(index, target, query, WgaResult{}, pool, metrics);
-}
-
-WgaResult
-WgaPipeline::run_impl(const seed::SeedIndex& index,
-                      const seq::Sequence& target,
-                      const seq::Sequence& query, WgaResult result,
+WgaPipeline::run_impl(const seed::SeedIndex& index, const Sequence& target,
+                      const Sequence& query, WgaResult result,
                       ThreadPool* pool,
                       obs::MetricsRegistry* metrics) const
 {
+    if (index.pattern().pattern() != params_.seed_pattern)
+        fatal(strprintf("index seed shape %s does not match the "
+                        "pipeline's %s",
+                        index.pattern().pattern().c_str(),
+                        params_.seed_pattern.c_str()));
+
     // Umbrella span over the whole run: per-request dumps group the
     // seed/filter/extend/chain children under one "pipeline" row, and
     // the span carries the workload size for at-a-glance triage.
@@ -241,8 +252,6 @@ WgaPipeline::run_impl(const seed::SeedIndex& index,
     pipeline_span.arg("query_bases",
                       static_cast<std::int64_t>(query.size()));
 
-    const std::span<const std::uint8_t> target_span{target.codes().data(),
-                                                    target.size()};
     if (metrics != nullptr) {
         // Which kernel implementation the filter and extension stages
         // dispatch to (id: 0 scalar, 1 sse42, 2 avx2). All kernels are
@@ -251,18 +260,12 @@ WgaPipeline::run_impl(const seed::SeedIndex& index,
             align::kernels::KernelRegistry::instance().active().id;
         metrics->gauge("wga.filter.kernel").set(kernel_id);
         metrics->gauge("wga.extend.kernel").set(kernel_id);
-        // Which batch backend stages dispatch through (id: 0 serial,
-        // 1 cpu-scalar, 2 cpu-simd, 3 cycle-model). Backends are
-        // bit-identical too; only wga.batch.* shapes vary.
-        metrics->gauge("wga.batch.backend")
-            .set(align::kernels::KernelRegistry::instance()
-                     .active_backend().id);
     }
 
     // Coordinates of the reverse pass stay in reverse-complement space
     // (the MAF '-' strand convention).
     const std::size_t num_strands = params_.align_both_strands ? 2 : 1;
-    seq::Sequence query_rc;
+    Sequence query_rc;
     if (num_strands == 2)
         query_rc = query.reverse_complement();
 
@@ -270,7 +273,7 @@ WgaPipeline::run_impl(const seed::SeedIndex& index,
     std::vector<PipelineStats> strand_stats(num_strands);
     const auto run_strand = [&](std::size_t s) {
         per_strand[s] = run_one_strand(
-            params_, index, target_span, s == 0 ? query : query_rc,
+            params_, index, base_view(target), s == 0 ? query : query_rc,
             s == 0 ? align::Strand::Forward : align::Strand::Reverse,
             &strand_stats[s], pool, metrics);
     };
@@ -291,19 +294,22 @@ WgaPipeline::run_impl(const seed::SeedIndex& index,
             std::make_move_iterator(per_strand[s].end()));
     }
 
-    Timer timer;
-    {
-        obs::ScopedSpan span("chain", "wga");
-        result.chains = chain::chain_alignments(result.alignments,
-                                                chain_params_);
-        PipelineStats stage;
-        stage.chain_seconds = timer.seconds();
-        result.stats.chain_seconds = stage.chain_seconds;
-        span.arg("chains", static_cast<std::int64_t>(result.chains.size()));
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
+    run_chain(result, metrics);
     return result;
+}
+
+void
+WgaPipeline::run_chain(WgaResult& result, obs::MetricsRegistry* metrics) const
+{
+    Timer timer;
+    obs::ScopedSpan span("chain", "wga");
+    result.chains = chain::chain_alignments(result.alignments, chain_params_);
+    PipelineStats stage;
+    stage.chain_seconds = timer.seconds();
+    result.stats.chain_seconds = stage.chain_seconds;
+    span.arg("chains", static_cast<std::int64_t>(result.chains.size()));
+    if (metrics)
+        publish_pipeline_stats(*metrics, stage);
 }
 
 }  // namespace darwin::wga

@@ -192,18 +192,24 @@ class WgaPipeline {
         obs::MetricsRegistry* metrics = nullptr) const;
 
   private:
-    WgaResult run_impl(const seed::SeedIndex& index,
-                       const seq::Sequence& target,
-                       const seq::Sequence& query, WgaResult result,
+    /** Build the target seed index (accounted as seeding time), then
+     *  run_impl. `Sequence` is seq::Sequence or seq::PackedSequence. */
+    template <class Sequence>
+    WgaResult run_building_index(const Sequence& target,
+                                 const Sequence& query, ThreadPool* pool,
+                                 obs::MetricsRegistry* metrics) const;
+
+    /** The strand passes plus chaining over byte or packed storage —
+     *  one runner for both (pipeline.cpp). */
+    template <class Sequence>
+    WgaResult run_impl(const seed::SeedIndex& index, const Sequence& target,
+                       const Sequence& query, WgaResult result,
                        ThreadPool* pool,
                        obs::MetricsRegistry* metrics) const;
 
-    /** Strand loop + chain over packed storage (streaming.cpp). */
-    WgaResult run_packed_impl(const seed::SeedIndex& index,
-                              const seq::PackedSequence& target,
-                              const seq::PackedSequence& query,
-                              WgaResult result, ThreadPool* pool,
-                              obs::MetricsRegistry* metrics) const;
+    /** Chain result.alignments into result.chains (the "chain" span),
+     *  shared by run_impl and run_streaming. */
+    void run_chain(WgaResult& result, obs::MetricsRegistry* metrics) const;
 
     WgaParams params_;
     chain::ChainParams chain_params_;

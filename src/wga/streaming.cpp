@@ -1,10 +1,10 @@
 /**
  * @file
- * Packed-storage and bounded-memory entry points of WgaPipeline
- * (declared in pipeline.h): run_packed keeps the classic dataflow over
- * 2-bit sequences; run_streaming additionally shards the seed index
- * and streams hits/candidates through spill-or-backpressure channels
- * so per-pair residency is fixed regardless of genome size.
+ * The bounded-memory entry point of WgaPipeline (declared in
+ * pipeline.h): run_streaming runs over 2-bit sequences like
+ * run_packed, but shards the seed index and streams hits/candidates
+ * through spill-or-backpressure channels so per-pair residency is
+ * fixed regardless of genome size.
  */
 #include "wga/pipeline.h"
 
@@ -58,72 +58,6 @@ struct StreamTelemetry {
         candidate_spilled_bytes += other.candidate_spilled_bytes;
     }
 };
-
-/** Seed -> filter -> extend one packed query orientation (materialized
- *  dataflow — the packed twin of pipeline.cpp's run_one_strand). */
-std::vector<align::Alignment>
-run_one_strand_packed(const WgaParams& params, const seed::SeedIndex& index,
-                      const seq::PackedSequence& target,
-                      const seq::PackedSequence& query,
-                      align::Strand strand, PipelineStats* stats,
-                      ThreadPool* pool, obs::MetricsRegistry* metrics)
-{
-    const std::int64_t strand_arg =
-        strand == align::Strand::Reverse ? 1 : 0;
-    Timer timer;
-
-    std::vector<seed::SeedHit> hits;
-    {
-        obs::ScopedSpan span("seed", "wga");
-        span.arg("strand", strand_arg);
-        PipelineStats stage;
-        const seed::DsoftSeeder seeder(index, params.dsoft);
-        hits = seeder.seed_all(query, &stage.seeding, pool);
-        stage.seed_seconds = timer.seconds();
-        span.arg("hits", static_cast<std::int64_t>(hits.size()));
-        stats->merge(stage);
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
-
-    timer.reset();
-    std::vector<FilterCandidate> candidates;
-    {
-        obs::ScopedSpan span("filter", "wga");
-        span.arg("strand", strand_arg);
-        PipelineStats stage;
-        const FilterStage filter(params, seq::BaseView(target),
-                                 seq::BaseView(query));
-        candidates = filter.filter_all(hits, &stage.filter, pool);
-        stage.filter_seconds = timer.seconds();
-        span.arg("candidates", static_cast<std::int64_t>(candidates.size()));
-        stats->merge(stage);
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
-
-    timer.reset();
-    std::vector<align::Alignment> alignments;
-    {
-        obs::ScopedSpan span("extend", "wga");
-        span.arg("strand", strand_arg);
-        PipelineStats stage;
-        const align::GactXTileAligner aligner(params.gactx);
-        ExtendStage extend(params, seq::BaseView(target),
-                           seq::BaseView(query));
-        alignments =
-            extend.extend_all(candidates, aligner, &stage.extend, pool);
-        stage.extend_seconds = timer.seconds();
-        span.arg("alignments", static_cast<std::int64_t>(alignments.size()));
-        stats->merge(stage);
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
-
-    for (auto& alignment : alignments)
-        alignment.query_strand = strand;
-    return alignments;
-}
 
 /**
  * One streaming strand pass: a producer thread seeds shard by shard
@@ -292,92 +226,6 @@ run_one_strand_streaming(const WgaParams& params, const StreamingParams& sp,
 }  // namespace
 
 WgaResult
-WgaPipeline::run_packed(const seq::Genome& target, const seq::Genome& query,
-                        ThreadPool* pool,
-                        obs::MetricsRegistry* metrics) const
-{
-    const seq::PackedSequence& target_packed = target.flattened_packed();
-    const seq::PackedSequence& query_packed = query.flattened_packed();
-
-    WgaResult result;
-    Timer timer;
-    std::unique_ptr<seed::SeedIndex> index;
-    {
-        obs::ScopedSpan span("index", "wga");
-        const seed::SeedPattern pattern(params_.seed_pattern);
-        index = std::make_unique<seed::SeedIndex>(target_packed, pattern);
-        PipelineStats stage;
-        stage.seed_seconds = timer.seconds();
-        result.stats.merge(stage);
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
-    return run_packed_impl(*index, target_packed, query_packed,
-                           std::move(result), pool, metrics);
-}
-
-WgaResult
-WgaPipeline::run_with_index_packed(const seed::SeedIndex& index,
-                                   const seq::PackedSequence& target,
-                                   const seq::PackedSequence& query,
-                                   ThreadPool* pool,
-                                   obs::MetricsRegistry* metrics) const
-{
-    if (index.pattern().pattern() != params_.seed_pattern)
-        fatal(strprintf("run_with_index_packed: index seed shape %s does "
-                        "not match the pipeline's %s",
-                        index.pattern().pattern().c_str(),
-                        params_.seed_pattern.c_str()));
-    return run_packed_impl(index, target, query, WgaResult{}, pool,
-                           metrics);
-}
-
-WgaResult
-WgaPipeline::run_packed_impl(const seed::SeedIndex& index,
-                             const seq::PackedSequence& target,
-                             const seq::PackedSequence& query,
-                             WgaResult result, ThreadPool* pool,
-                             obs::MetricsRegistry* metrics) const
-{
-    obs::ScopedSpan pipeline_span("pipeline", "wga");
-    pipeline_span.arg("target_bases",
-                      static_cast<std::int64_t>(target.size()));
-    pipeline_span.arg("query_bases",
-                      static_cast<std::int64_t>(query.size()));
-
-    const std::size_t num_strands = params_.align_both_strands ? 2 : 1;
-    seq::PackedSequence query_rc;
-    if (num_strands == 2)
-        query_rc = query.reverse_complement();
-    for (std::size_t s = 0; s < num_strands; ++s) {
-        PipelineStats strand_stats;
-        auto alignments = run_one_strand_packed(
-            params_, index, target, s == 0 ? query : query_rc,
-            s == 0 ? align::Strand::Forward : align::Strand::Reverse,
-            &strand_stats, pool, metrics);
-        result.stats.merge(strand_stats);
-        result.alignments.insert(
-            result.alignments.end(),
-            std::make_move_iterator(alignments.begin()),
-            std::make_move_iterator(alignments.end()));
-    }
-
-    Timer chain_timer;
-    {
-        obs::ScopedSpan span("chain", "wga");
-        result.chains = chain::chain_alignments(result.alignments,
-                                                chain_params_);
-        PipelineStats stage;
-        stage.chain_seconds = chain_timer.seconds();
-        result.stats.chain_seconds = stage.chain_seconds;
-        span.arg("chains", static_cast<std::int64_t>(result.chains.size()));
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
-    return result;
-}
-
-WgaResult
 WgaPipeline::run_streaming(const seq::Genome& target,
                            const seq::Genome& query,
                            const StreamingParams& streaming,
@@ -472,18 +320,7 @@ WgaPipeline::run_streaming(const seq::Genome& target,
                 .set(static_cast<std::int64_t>(token->heap_bytes_charged()));
     }
 
-    Timer chain_timer;
-    {
-        obs::ScopedSpan span("chain", "wga");
-        result.chains = chain::chain_alignments(result.alignments,
-                                                chain_params_);
-        PipelineStats stage;
-        stage.chain_seconds = chain_timer.seconds();
-        result.stats.chain_seconds = stage.chain_seconds;
-        span.arg("chains", static_cast<std::int64_t>(result.chains.size()));
-        if (metrics)
-            publish_pipeline_stats(*metrics, stage);
-    }
+    run_chain(result, metrics);
     return result;
 }
 

@@ -355,6 +355,37 @@ expect_gactx_identical(std::span<const std::uint8_t> t,
     return checked;
 }
 
+/**
+ * Each kernel's score-only GACT-X variant against its own full kernel
+ * on the same tile: the same maximum, cell and work accounting, and no
+ * CIGAR.
+ */
+void
+expect_score_only_matches_full(std::span<const std::uint8_t> t,
+                               std::span<const std::uint8_t> q,
+                               const GactXParams& params,
+                               const std::string& context)
+{
+    for (const KernelImpl& k : KernelRegistry::instance().kernels()) {
+        if (!k.usable())
+            continue;
+        ASSERT_NE(k.gactx_score_only, nullptr) << k.name;
+        const TileResult full = k.gactx(t, q, params);
+        const TileResult probe = k.gactx_score_only(t, q, params);
+        const std::string what = std::string(k.name) + " score-only " +
+                                 context +
+                                 " npe=" + std::to_string(params.num_pe) +
+                                 " ydrop=" + std::to_string(params.ydrop);
+        EXPECT_EQ(probe.max_score, full.max_score) << what;
+        EXPECT_EQ(probe.target_max, full.target_max) << what;
+        EXPECT_EQ(probe.query_max, full.query_max) << what;
+        EXPECT_EQ(probe.cells_computed, full.cells_computed) << what;
+        EXPECT_EQ(probe.stripe_columns, full.stripe_columns) << what;
+        EXPECT_EQ(probe.traceback_bytes, full.traceback_bytes) << what;
+        EXPECT_TRUE(probe.cigar.empty()) << what;
+    }
+}
+
 TEST(GactXKernelDiff, RandomTileSweep)
 {
     auto params = GactXParams{};
@@ -372,11 +403,14 @@ TEST(GactXKernelDiff, RandomTileSweep)
                         const auto q = random_codes(m, alphabet, rng);
                         params.num_pe = npe;
                         params.ydrop = ydrop;
-                        expect_gactx_identical(
-                            sp(t), sp(q), params,
+                        const std::string context =
                             "random a" + std::to_string(alphabet) +
-                                " n=" + std::to_string(n) +
-                                " m=" + std::to_string(m));
+                            " n=" + std::to_string(n) +
+                            " m=" + std::to_string(m);
+                        expect_gactx_identical(sp(t), sp(q), params,
+                                               context);
+                        expect_score_only_matches_full(sp(t), sp(q),
+                                                       params, context);
                         ++tiles;
                     }
                 }
@@ -485,6 +519,9 @@ TEST(GactXKernelDiff, SynthEvolvedTileSweep)
                     params.num_pe = npe;
                     params.ydrop = ydrop;
                     checked += expect_gactx_identical(
+                        sp(tt), sp(qq), params,
+                        "evolved " + spec.pair_name);
+                    expect_score_only_matches_full(
                         sp(tt), sp(qq), params,
                         "evolved " + spec.pair_name);
                 }

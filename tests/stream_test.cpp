@@ -273,11 +273,19 @@ TEST(StreamingPipeline, PackedRunIsBitIdenticalToByteRun)
 {
     const auto pair = small_pair("dm6-droSim1", 30000);
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto classic =
-        pipeline.run(pair.target.genome, pair.query.genome);
-    const auto packed =
-        pipeline.run_packed(pair.target.genome, pair.query.genome);
+    obs::MetricsRegistry classic_metrics, packed_metrics;
+    const auto classic = pipeline.run(pair.target.genome, pair.query.genome,
+                                      nullptr, &classic_metrics);
+    const auto packed = pipeline.run_packed(
+        pair.target.genome, pair.query.genome, nullptr, &packed_metrics);
     expect_identical(classic, packed);
+
+    // One strand runner serves both: the same wga.* counters and the
+    // same wga.{filter,extend}.kernel gauges.
+    EXPECT_EQ(classic_metrics.snapshot().counters,
+              packed_metrics.snapshot().counters);
+    EXPECT_EQ(classic_metrics.gauge_snapshot("wga."),
+              packed_metrics.gauge_snapshot("wga."));
 }
 
 TEST(StreamingPipeline, StreamingRunIsBitIdenticalIncludingMaf)

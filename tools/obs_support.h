@@ -15,11 +15,6 @@
  *                            (overrides the DARWIN_KERNEL env var; every
  *                            kernel is bit-identical, this only selects
  *                            the implementation)
- *   --backend NAME           batch backend: auto|serial|cpu-scalar|
- *                            cpu-simd|cycle-model (overrides the
- *                            DARWIN_BACKEND env var; every backend is
- *                            bit-identical, this only selects how tiles
- *                            are dispatched)
  *
  * ObsSetup owns the lifecycle: it installs the trace session and JSON
  * log sink when the flags ask for them, and finish() writes the output
@@ -64,9 +59,6 @@ add_obs_options(ArgParser& args)
     args.add_option("kernel", "",
                     "filter kernel: auto|scalar|sse42|avx2 (default: "
                     "$DARWIN_KERNEL, else auto)");
-    args.add_option("backend", "",
-                    "batch backend: auto|serial|cpu-scalar|cpu-simd|"
-                    "cycle-model (default: $DARWIN_BACKEND, else auto)");
 }
 
 /** Flag-driven observability lifecycle for one CLI run. */
@@ -88,14 +80,6 @@ class ObsSetup {
             align::kernels::KernelRegistry::instance().select(kernel);
         inform(std::string("filter kernel: ") +
                align::kernels::KernelRegistry::instance().active().name);
-        // Same deal for --backend / DARWIN_BACKEND.
-        const std::string backend = args.get("backend");
-        if (!backend.empty())
-            align::kernels::KernelRegistry::instance().select_backend(backend);
-        inform(std::string("batch backend: ") +
-               align::kernels::KernelRegistry::instance()
-                   .active_backend()
-                   .name);
         if (!trace_path_.empty()) {
             trace_ = std::make_unique<obs::TraceSession>();
             obs::TraceSession::install(trace_.get());
