@@ -17,7 +17,9 @@
  *    (vectorized must never lose to scalar); the paper-reproduction
  *    target is >= 2.0. Every comparison also asserts bit-identity
  *    (checksums over all result fields, including the CIGAR and
- *    per-stripe column counts for GACT-X).
+ *    per-stripe column counts for GACT-X). Each GACT-X kernel is also
+ *    timed score-only; its `pointer_overhead` (full over score-only
+ *    seconds per tile) is the standing cost of the traceback pointers.
  */
 #include <benchmark/benchmark.h>
 
@@ -498,6 +500,7 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         const char* name;
         int id;
         GactxTiming timing;
+        GactxTiming score_only;
         double speedup;
     };
     std::vector<GRow> grows;
@@ -505,10 +508,16 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         if (!k.usable())
             continue;
         GRow row{k.name, k.id,
-                 time_gactx(k.gactx, gactx_pool, gactx_params), 0.0};
+                 time_gactx(k.gactx, gactx_pool, gactx_params),
+                 time_gactx(k.gactx_score_only, gactx_pool, gactx_params),
+                 0.0};
         row.speedup = gactx_baseline.seconds_per_tile /
                       row.timing.seconds_per_tile;
-        if (row.timing.checksum != gactx_baseline.checksum)
+        // Score-only results carry no CIGAR, so they are checked
+        // against each other rather than against the seed engine.
+        if (row.timing.checksum != gactx_baseline.checksum ||
+            (!grows.empty() && row.score_only.checksum !=
+                                   grows.front().score_only.checksum))
             identical = false;
         grows.push_back(row);
     }
@@ -651,10 +660,17 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         for (std::size_t i = 0; i < grows.size(); ++i)
             std::printf("      {\"name\": \"%s\", \"id\": %d, "
                         "\"seconds_per_tile\": %.9f, \"cells_per_second\": "
-                        "%.0f, \"speedup_vs_seed\": %.3f}%s\n",
+                        "%.0f, \"speedup_vs_seed\": %.3f, "
+                        "\"score_only\": {\"seconds_per_tile\": %.9f, "
+                        "\"cells_per_second\": %.0f}, "
+                        "\"pointer_overhead\": %.3f}%s\n",
                         grows[i].name, grows[i].id,
                         grows[i].timing.seconds_per_tile,
                         grows[i].timing.cells_per_second, grows[i].speedup,
+                        grows[i].score_only.seconds_per_tile,
+                        grows[i].score_only.cells_per_second,
+                        grows[i].timing.seconds_per_tile /
+                            grows[i].score_only.seconds_per_tile,
                         i + 1 < grows.size() ? "," : "");
         std::printf("    ],\n");
         std::printf("    \"best_vectorized_speedup\": %.3f\n  },\n",

@@ -1,18 +1,21 @@
 /**
  * @file
- * Internal: packed per-row traceback-pointer storage and the shared
- * traceback walker used by the X-drop reference engine and the GACT-X
- * kernels.
+ * Internal: traceback-pointer storage and the shared traceback walker
+ * used by the X-drop reference engine and the GACT-X kernels.
  *
- * Rows store only their computed column window, two 4-bit pointers per
- * byte in row-major order (low nibble = even in-row index). The stored
- * footprint therefore *equals* the accounted `traceback_bytes`
- * ((len + 1) / 2 per row) and the hardware BRAM budget — the seed
- * engine's one-byte-per-cell `Pointer` records and the per-stripe
- * transpose are gone; engines either append a pre-packed row directly
- * (the wavefront kernels write nibbles in row-major order as the
- * anti-diagonal sweeps) or hand over one code byte per cell and let
- * `add_row_codes` pack.
+ * Two stores, one `at(i, j)` interface:
+ *  - `PointerGrid` (the reference engines): rows store only their
+ *    computed column window, two 4-bit pointers per byte in row-major
+ *    order (low nibble = even in-row index). For these engines the
+ *    stored footprint equals the accounted `traceback_bytes`
+ *    ((len + 1) / 2 per row), i.e. the hardware BRAM budget.
+ *  - `StripePointerStore` (the wavefront kernels): one code byte per
+ *    cell, laid out diagonal-major within each stripe, so a SIMD block
+ *    of lanes on one anti-diagonal commits its pointers with a single
+ *    contiguous store — the software form of the array writing one
+ *    wavefront of pointers per cycle. Its resident footprint is at
+ *    least twice the accounted 4-bit `traceback_bytes`, which stays
+ *    the hardware figure.
  */
 #ifndef DARWIN_ALIGN_DETAIL_POINTER_GRID_H
 #define DARWIN_ALIGN_DETAIL_POINTER_GRID_H
@@ -59,6 +62,12 @@ unpack_pointer(std::uint8_t code)
     return p;
 }
 
+/** Shared `require` messages of the stores' `at()` bounds checks. */
+inline constexpr const char* kRowOutOfRange =
+    "traceback row out of range";
+inline constexpr const char* kOutsideWindow =
+    "traceback outside stored window";
+
 /**
  * Rows 1..m of packed pointers (row 0 and column 0 are implicit
  * boundaries). One contiguous byte pool holds every row back to back,
@@ -66,20 +75,6 @@ unpack_pointer(std::uint8_t code)
  */
 class PointerGrid {
   public:
-    /**
-     * Append the next row (rows arrive in increasing i): `len` cells
-     * starting at column `start`, already packed two-per-byte in
-     * `packed[0 .. (len + 1) / 2)`. A trailing padding nibble is
-     * ignored (never read back).
-     */
-    void
-    add_packed_row(std::size_t start, const std::uint8_t* packed,
-                   std::size_t len)
-    {
-        rows_.push_back(RowRef{start, bytes_.size(), len});
-        bytes_.insert(bytes_.end(), packed, packed + (len + 1) / 2);
-    }
-
     /** Append the next row from one pointer code per byte, packing. */
     void
     add_row_codes(std::size_t start, const std::uint8_t* codes,
@@ -109,11 +104,9 @@ class PointerGrid {
     Pointer
     at(std::size_t i, std::size_t j) const
     {
-        require(i >= 1 && i <= rows_.size(),
-                "PointerGrid: traceback row out of range");
+        require(i >= 1 && i <= rows_.size(), kRowOutOfRange);
         const RowRef& row = rows_[i - 1];
-        require(j >= row.start && j - row.start < row.len,
-                "PointerGrid: traceback outside stored window");
+        require(j >= row.start && j - row.start < row.len, kOutsideWindow);
         const std::size_t nib = j - row.start;
         const std::uint8_t byte = bytes_[row.offset + nib / 2];
         return unpack_pointer((nib % 2 != 0) ? (byte >> 4)
@@ -135,13 +128,90 @@ class PointerGrid {
 };
 
 /**
+ * Stripe-local, diagonal-major pointer codes of the wavefront kernels.
+ *
+ * Stripe k covers rows k * num_pe + 1 .. k * num_pe + rows. Within it,
+ * lane r (row k * num_pe + 1 + r) computes column fdc + dd - r on
+ * anti-diagonal dd, and its code byte sits at
+ * `pool[offset + dd * num_pe + r]`: every lane of one diagonal is
+ * contiguous. The pool is caller-owned (a
+ * per-thread scratch buffer reused across tiles), so a tile only pays
+ * for growth past the largest tile the thread has seen.
+ */
+class StripePointerStore {
+  public:
+    StripePointerStore(std::vector<std::uint8_t>& pool, std::size_t num_pe)
+        : pool_(pool), npe_(num_pe)
+    {
+    }
+
+    /**
+     * Make room for the next stripe's `diagonals` anti-diagonals and
+     * return its cell base: cell (dd, r) at `base[dd * num_pe + r]`.
+     * Growing the pool keeps earlier stripes but moves the buffer, so
+     * a base is only valid until the next call.
+     */
+    std::uint8_t*
+    open_stripe(std::size_t diagonals)
+    {
+        const std::size_t need = used_ + diagonals * npe_;
+        if (pool_.size() < need)
+            pool_.resize(need);
+        return pool_.data() + used_;
+    }
+
+    /**
+     * Record the stripe just filled: `rows` lanes whose stored window
+     * is the `cols` completed columns starting at target column `fdc`.
+     * Its last stored diagonal is cols + rows - 2; the next stripe
+     * starts right after it.
+     */
+    void
+    close_stripe(std::size_t rows, std::size_t fdc, std::size_t cols)
+    {
+        stripes_.push_back(StripeRef{rows, fdc, cols, used_});
+        if (cols != 0)
+            used_ += (cols + rows - 1) * npe_;
+    }
+
+    /** Pointer at DP cell (i, j), i >= 1, j >= 1. */
+    Pointer
+    at(std::size_t i, std::size_t j) const
+    {
+        const std::size_t k = (i - 1) / npe_;
+        const std::size_t r = (i - 1) % npe_;
+        require(i >= 1 && k < stripes_.size() && r < stripes_[k].rows,
+                kRowOutOfRange);
+        const StripeRef& s = stripes_[k];
+        require(j >= s.fdc && j - s.fdc < s.cols, kOutsideWindow);
+        const std::size_t dd = j - s.fdc + r;
+        return unpack_pointer(pool_[s.offset + dd * npe_ + r]);
+    }
+
+  private:
+    struct StripeRef {
+        std::size_t rows;    ///< lanes in the stripe
+        std::size_t fdc;     ///< target column of c = 0
+        std::size_t cols;    ///< completed (stored) columns
+        std::size_t offset;  ///< pool offset of diagonal 0
+    };
+
+    std::vector<std::uint8_t>& pool_;
+    std::size_t npe_;
+    std::size_t used_ = 0;
+    std::vector<StripeRef> stripes_;
+};
+
+/**
  * Walk pointers from cell (i, j) back to the origin, emitting the edit
  * script in forward order. Boundary rules: on reaching row 0 the
  * remaining columns are Deletes; on reaching column 0 the remaining rows
  * are Inserts (both correspond to the gap-initialized DP borders).
+ * `Grid` is either store above.
  */
-inline Cigar
-trace_from(const PointerGrid& grid, std::span<const std::uint8_t> target,
+template <class Grid>
+Cigar
+trace_from(const Grid& grid, std::span<const std::uint8_t> target,
            std::span<const std::uint8_t> query, std::size_t i,
            std::size_t j)
 {

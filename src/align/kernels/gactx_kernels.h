@@ -76,7 +76,10 @@ TileResult gactx_wavefront_scalar_score_only(
  * values for lane 0, mirroring the systolic array's BRAM port). The
  * kernels maintain the invariant that every slot a later diagonal (or
  * stripe) reads was written earlier in the same call, so none of the
- * buffers is ever cleared — `prepare` only grows capacity.
+ * buffers is ever cleared — `prepare` only grows capacity. The pointer
+ * pool grows on demand, stripe by stripe, and keeps its size between
+ * tiles (at paper defaults at most ~3.8 MB: 1920 columns + 31 skew
+ * diagonals, x 32 lanes, x 60 stripes, one byte per cell).
  */
 struct GactXScratch {
     std::vector<Score> bram_v, bram_g;  ///< previous stripe's last row
@@ -87,7 +90,7 @@ struct GactXScratch {
     std::vector<Score> init_left;       ///< column-0 boundary per lane
     std::vector<Score> colmax;          ///< per-column running best
     std::vector<std::int32_t> colbest;  ///< its smallest-row lane
-    std::vector<std::uint8_t> ptr_rows; ///< packed stripe traceback rows
+    std::vector<std::uint8_t> ptr_pool; ///< StripePointerStore codes
 
     void prepare(std::size_t n, std::size_t npe);
 };

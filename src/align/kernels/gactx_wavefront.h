@@ -7,12 +7,14 @@
  * frontier scan, the boundary column, the diagonal loop with its
  * buffer rotation and lane activation, the column-completion bookkeeping
  * that replays the seed engine's sequential vmax/termination order, and
- * the packed-traceback row emission. A Policy only supplies
+ * the stripe records of the traceback store. A Policy only supplies
  * `diagonal(ctx, dd, rlo, rhi)`: compute lanes rlo..rhi of diagonal dd
  * (slots rlo+1..rhi+1 of the lane buffers), fold each value into the
- * per-column running best, and store each cell's packed 4-bit pointer
- * at nibble `base + (dd - r)` of its row. `gactx_cell` is the scalar
- * per-cell body the SIMD policies reuse for their tails.
+ * per-column running best, and store each cell's 4-bit pointer code as
+ * one byte at `ptr[r]` — the diagonal's lanes are contiguous in the
+ * diagonal-major `StripePointerStore`, so a SIMD block is one store.
+ * `gactx_cell` is the scalar per-cell body the SIMD policies reuse for
+ * their tails.
  *
  * Coordinate map (see DESIGN.md "Extension kernels"): within a stripe
  * starting at query row i0 with first data column fdc, lane r handles
@@ -51,8 +53,6 @@ struct GactXDiagCtx {
     Score open = 0;
     Score extend = 0;
     std::size_t fdc = 0;    ///< target column of c = 0
-    std::size_t base = 0;   ///< nibble offset of c = 0 (1 after a boundary col)
-    std::size_t stride = 0; ///< packed bytes per traceback row
     Score* vd1 = nullptr;
     Score* vd2 = nullptr;
     Score* vcur = nullptr;
@@ -62,7 +62,7 @@ struct GactXDiagCtx {
     Score* hcur = nullptr;
     Score* colmax = nullptr;
     std::int32_t* colbest = nullptr;
-    std::uint8_t* ptr_rows = nullptr;
+    std::uint8_t* ptr = nullptr;  ///< this diagonal's codes: lane r -> ptr[r]
 };
 
 /**
@@ -110,17 +110,11 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
         c.colbest[col] = static_cast<std::int32_t>(r);
     }
 
-    const std::size_t nib = c.base + col;
-    std::uint8_t* byte = c.ptr_rows + r * c.stride + nib / 2;
-    const std::uint8_t code = detail::pack_pointer(vdir, hopen, vopen);
-    if (nib % 2 != 0)
-        *byte = static_cast<std::uint8_t>(*byte | (code << 4));
-    else
-        *byte = code;  // assigning zeroes the (yet unwritten) high nibble
+    c.ptr[r] = detail::pack_pointer(vdir, hopen, vopen);
 }
 
 /**
- * gactx_cell without the pointer-nibble store — the same DP recurrence,
+ * gactx_cell without the pointer store — the same DP recurrence,
  * column-best update and buffer writes, so a score-only pass visits the
  * identical cell set and produces the identical score trajectory.
  */
@@ -158,16 +152,15 @@ gactx_cell_score_only(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
 }
 
 /**
- * `kScoreOnly` elides every traceback side effect — the ptr_rows
- * staging buffer, the PointerGrid rows and the final trace — while
- * keeping the DP, the X-drop walk and *all* accounting
- * (cells_computed, stripe_columns, traceback_bytes, budget charges)
- * identical. Because vmax starts at 0 and only strictly-greater column
- * bests move it, max_score == 0 iff the best cell is the origin iff
- * the CIGAR is empty: a score-only result with max_score == 0 is the
- * complete bit-identical TileResult for that (dead) tile. A
- * kScoreOnly Policy must route cells through gactx_cell_score_only
- * (ctx.ptr_rows is not sized for writing).
+ * `kScoreOnly` elides every traceback side effect — the pointer store
+ * and the final trace — while keeping the DP, the X-drop walk and *all*
+ * accounting (cells_computed, stripe_columns, traceback_bytes, budget
+ * charges) identical. Because vmax starts at 0 and only strictly-greater
+ * column bests move it, max_score == 0 iff the best cell is the origin
+ * iff the CIGAR is empty: a score-only result with max_score == 0 is the
+ * complete bit-identical TileResult for that (dead) tile. A kScoreOnly
+ * Policy must route cells through gactx_cell_score_only (ctx.ptr is
+ * null).
  */
 template <class Policy, bool kScoreOnly = false>
 TileResult
@@ -212,7 +205,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     std::size_t best_i = 0;
     std::size_t best_j = 0;
 
-    detail::PointerGrid grid;
+    detail::StripePointerStore store(ws.ptr_pool, npe);
+    std::uint8_t* stripe_ptr = nullptr;
     std::uint64_t traceback_bytes = 0;
     bool out_of_memory = false;
 
@@ -248,12 +242,9 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
 
         const std::size_t fdc = std::max<std::size_t>(jstart, 1);
         const std::size_t num_cols = n - fdc + 1;
-        const std::size_t base = (jstart == 0) ? 1 : 0;
-        const std::size_t stride = (base + num_cols + 1) / 2;
-        if constexpr (!kScoreOnly) {
-            if (ws.ptr_rows.size() < rows * stride)
-                ws.ptr_rows.resize(rows * stride);
-        }
+        const std::size_t ddmax = (num_cols - 1) + (rows - 1);
+        if constexpr (!kScoreOnly)
+            stripe_ptr = store.open_stripe(ddmax + 1);
 
         // Column-0 boundary values per lane (-gap_cost(i0 + r) when the
         // window touches column 0, pruned otherwise). These seed each
@@ -281,12 +272,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         std::size_t last_col = (jstart == 0) ? 0 : jstart - 1;
 
         if (jstart == 0) {
-            // Boundary column: one leading-query-gap cell per lane.
-            if constexpr (!kScoreOnly) {
-                for (std::size_t r = 0; r < rows; ++r)
-                    ws.ptr_rows[r * stride] = detail::pack_pointer(
-                        detail::kVGap, false, i0 + r == 1);
-            }
+            // Boundary column: one leading-query-gap cell per lane. Its
+            // pointers are never stored — the traceback stops at j == 0.
             out.cells_computed += rows;
             next_v[0] = ws.init_left[rows - 1];
             next_g[0] = ws.init_left[rows - 1];
@@ -305,12 +292,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
 
         ctx.q = query.data() + (i0 - 1);
         ctx.fdc = fdc;
-        ctx.base = base;
-        ctx.stride = stride;
-        ctx.ptr_rows = ws.ptr_rows.data();
 
         bool stripe_done = false;
-        const std::size_t ddmax = (num_cols - 1) + (rows - 1);
         for (std::size_t dd = 0; dd <= ddmax && !stripe_done; ++dd) {
             const std::size_t rlo =
                 (dd >= num_cols) ? dd - (num_cols - 1) : 0;
@@ -335,6 +318,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
             ctx.gcur = gcur;
             ctx.hd1 = hd1;
             ctx.hcur = hcur;
+            if constexpr (!kScoreOnly)
+                ctx.ptr = stripe_ptr + dd * npe;
             pol.diagonal(ctx, dd, rlo, rhi);
 
             // Activate lane dd+1: this single write is its left
@@ -386,15 +371,14 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         out.cells_computed +=
             static_cast<std::uint64_t>(data_columns) * rows;
 
-        const std::size_t row_len = base + data_columns;
+        // traceback_bytes stays the array's 4-bit BRAM figure: per row,
+        // the computed window (boundary column included) at two cells
+        // per byte — not this store's one byte per cell.
+        const std::size_t row_len = (jstart == 0 ? 1 : 0) + data_columns;
         const std::uint64_t traceback_before = traceback_bytes;
-        for (std::size_t r = 0; r < rows; ++r) {
-            traceback_bytes += (row_len + 1) / 2;
-            if constexpr (!kScoreOnly)
-                grid.add_packed_row(jstart,
-                                    ws.ptr_rows.data() + r * stride,
-                                    row_len);
-        }
+        traceback_bytes += rows * ((row_len + 1) / 2);
+        if constexpr (!kScoreOnly)
+            store.close_stripe(rows, fdc, data_columns);
         if (traceback_bytes > params.traceback_bytes)
             out_of_memory = true;
         fault::charge_cells(out.cells_computed - stripe_cells_before);
@@ -419,7 +403,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     if constexpr (!kScoreOnly) {
         if (best_i != 0 || best_j != 0)
             out.cigar =
-                detail::trace_from(grid, target, query, best_i, best_j);
+                detail::trace_from(store, target, query, best_i, best_j);
     }
     return out;
 }

@@ -404,8 +404,9 @@ ungapped_avx2(std::span<const std::uint8_t> target,
  * a lane-reversed 8-byte load, and the per-column best fold hits
  * colmax[dd-r-7 .. dd-r] with the value vector reversed (strict
  * compare keeps the smallest-row winner the column walk demands).
- * Pointer nibbles alternate parity lane to lane, so the packed codes
- * are spilled once and stored with eight scalar byte ops.
+ * The block's eight pointer codes are contiguous in the diagonal-major
+ * store, so they are narrowed to bytes and written with one 8-byte
+ * store.
  */
 template <bool kScoreOnly>
 struct GactXAvx2Policy {
@@ -486,9 +487,8 @@ struct GactXAvx2Policy {
                     _mm256_blendv_epi8(cb, rrev, upd));
             }
 
-            // Pointer nibbles only exist on the traceback path; the
-            // score-only instantiation elides the packed-code blend and
-            // the scalar spill entirely.
+            // Pointer codes only exist on the traceback path; the
+            // score-only instantiation elides the code blend and store.
             if constexpr (!kScoreOnly) {
                 const __m256i not_hopen =
                     _mm256_cmpgt_epi32(h_ext, h_open);
@@ -503,23 +503,11 @@ struct GactXAvx2Policy {
                 code = _mm256_or_si256(
                     code, _mm256_andnot_si256(not_vopen, kvopen_));
 
-                alignas(32) std::int32_t codes[8];
-                _mm256_store_si256(reinterpret_cast<__m256i*>(codes),
-                                   code);
-                std::size_t nib = c.base + dd - r;
-                std::uint8_t* row = c.ptr_rows + r * c.stride;
-                for (int k = 0; k < 8; ++k) {
-                    std::uint8_t* byte = row + (nib >> 1);
-                    const std::uint8_t cd =
-                        static_cast<std::uint8_t>(codes[k]);
-                    if ((nib & 1) != 0)
-                        *byte =
-                            static_cast<std::uint8_t>(*byte | (cd << 4));
-                    else
-                        *byte = cd;
-                    --nib;
-                    row += c.stride;
-                }
+                const __m128i words = _mm_packs_epi32(
+                    _mm256_castsi256_si128(code),
+                    _mm256_extracti128_si256(code, 1));
+                _mm_storel_epi64(reinterpret_cast<__m128i*>(c.ptr + r),
+                                 _mm_packus_epi16(words, words));
             }
         }
         for (; r <= rhi; ++r) {

@@ -187,8 +187,9 @@ bsw_sse42(std::span<const std::uint8_t> target,
 /**
  * GACT-X stripe diagonals in 4-lane blocks — the AVX2 policy's layout
  * (see kernels_avx2.cpp and gactx_wavefront.h) at half width, with the
- * substitution scores gathered scalar-wise (SSE has no gather). All
- * integer ops are exact, so results are bit-identical to scalar.
+ * substitution scores gathered scalar-wise (SSE has no gather) and
+ * the four pointer codes written with one 4-byte store. All integer ops
+ * are exact, so results are bit-identical to scalar.
  */
 template <bool kScoreOnly>
 struct GactXSse42Policy {
@@ -273,9 +274,8 @@ struct GactXSse42Policy {
                     _mm_blendv_epi8(cb, rrev, upd));
             }
 
-            // Pointer nibbles only exist on the traceback path; the
-            // score-only instantiation elides the packed-code blend and
-            // the scalar spill entirely.
+            // Pointer codes only exist on the traceback path; the
+            // score-only instantiation elides the code blend and store.
             if constexpr (!kScoreOnly) {
                 const __m128i not_hopen = _mm_cmpgt_epi32(h_ext, h_open);
                 const __m128i not_vopen = _mm_cmpgt_epi32(g_ext, g_open);
@@ -288,22 +288,10 @@ struct GactXSse42Policy {
                 code = _mm_or_si128(code,
                                     _mm_andnot_si128(not_vopen, kvopen_));
 
-                alignas(16) std::int32_t codes[4];
-                _mm_store_si128(reinterpret_cast<__m128i*>(codes), code);
-                std::size_t nib = c.base + dd - r;
-                std::uint8_t* row = c.ptr_rows + r * c.stride;
-                for (int k = 0; k < 4; ++k) {
-                    std::uint8_t* byte = row + (nib >> 1);
-                    const std::uint8_t cd =
-                        static_cast<std::uint8_t>(codes[k]);
-                    if ((nib & 1) != 0)
-                        *byte =
-                            static_cast<std::uint8_t>(*byte | (cd << 4));
-                    else
-                        *byte = cd;
-                    --nib;
-                    row += c.stride;
-                }
+                const __m128i words = _mm_packs_epi32(code, code);
+                const std::int32_t bytes =
+                    _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+                std::memcpy(c.ptr + r, &bytes, sizeof bytes);
             }
         }
         for (; r <= rhi; ++r) {

@@ -2,12 +2,13 @@
  * @file
  * Cross-validation of the heuristic kernels against the full references:
  * banded SW vs full SW, GACT-X (stripe) vs the row-granular X-drop
- * reference vs full NW-extension, GACT vs GACT-X, ungapped X-drop, and
- * the tiled extension driver.
+ * reference vs full NW-extension, GACT vs GACT-X, ungapped X-drop, the
+ * tiled extension driver, and the bounds of both traceback stores.
  */
 #include <gtest/gtest.h>
 
 #include "align/banded_sw.h"
+#include "align/detail/pointer_grid.h"
 #include "align/extension.h"
 #include "align/gact.h"
 #include "align/gactx.h"
@@ -414,6 +415,72 @@ TEST(GactX, StripeColumnsReported)
         total += c;
     // Stripe columns x Npe bounds the computed cells from above.
     EXPECT_GE(total * 32, tile.cells_computed);
+}
+
+TEST(PointerStore, StripeStoreReadsBackAndFailsLikePointerGrid)
+{
+    using detail::kDiag;
+    using detail::kHGap;
+    using detail::pack_pointer;
+    // Codes vary from cell to cell, so a mis-indexed read shows.
+    const auto code_of = [](std::size_t i, std::size_t j) {
+        return pack_pointer(static_cast<std::uint8_t>(kDiag + (i + j) % 3),
+                            i % 2 != 0, j % 2 != 0);
+    };
+    struct Stripe {
+        std::size_t rows, fdc, cols;
+    };
+    // num_pe = 4: a full stripe whose window starts at column 1, then a
+    // partial last stripe (rows 5-6) whose window starts at column 3.
+    const std::size_t npe = 4;
+    const Stripe stripes[] = {{4, 1, 5}, {2, 3, 4}};
+    std::vector<std::uint8_t> pool;  // empty: grows per stripe
+    detail::StripePointerStore store(pool, npe);
+    std::size_t i0 = 1;
+    for (const Stripe& s : stripes) {
+        std::uint8_t* base = store.open_stripe(s.cols + npe - 1);
+        for (std::size_t r = 0; r < s.rows; ++r)
+            for (std::size_t c = 0; c < s.cols; ++c)
+                base[(c + r) * npe + r] = code_of(i0 + r, s.fdc + c);
+        store.close_stripe(s.rows, s.fdc, s.cols);
+        i0 += s.rows;
+    }
+    i0 = 1;
+    for (const Stripe& s : stripes) {
+        for (std::size_t r = 0; r < s.rows; ++r) {
+            for (std::size_t c = 0; c < s.cols; ++c) {
+                const std::size_t i = i0 + r;
+                const std::size_t j = s.fdc + c;
+                const auto want = detail::unpack_pointer(code_of(i, j));
+                const auto got = store.at(i, j);
+                EXPECT_EQ(got.vdir, want.vdir) << i << "," << j;
+                EXPECT_EQ(got.hopen, want.hopen) << i << "," << j;
+                EXPECT_EQ(got.vopen, want.vopen) << i << "," << j;
+            }
+        }
+        i0 += s.rows;
+    }
+
+    // Rows past the last stored stripe, or past its lanes.
+    EXPECT_DEATH(store.at(0, 1), detail::kRowOutOfRange);
+    EXPECT_DEATH(store.at(7, 3), detail::kRowOutOfRange);
+    EXPECT_DEATH(store.at(9, 3), detail::kRowOutOfRange);
+    // Columns outside a stripe's stored window, on either side.
+    EXPECT_DEATH(store.at(1, 0), detail::kOutsideWindow);
+    EXPECT_DEATH(store.at(4, 6), detail::kOutsideWindow);
+    EXPECT_DEATH(store.at(5, 2), detail::kOutsideWindow);
+    EXPECT_DEATH(store.at(6, 7), detail::kOutsideWindow);
+
+    // The row-major grid the reference engines use fails the same way.
+    detail::PointerGrid grid;
+    const std::uint8_t codes[] = {pack_pointer(kDiag, false, false),
+                                  pack_pointer(kHGap, true, false),
+                                  pack_pointer(kDiag, false, true)};
+    grid.add_row_codes(2, codes, 3);
+    EXPECT_EQ(grid.at(1, 3).vdir, kHGap);
+    EXPECT_DEATH(grid.at(2, 2), detail::kRowOutOfRange);
+    EXPECT_DEATH(grid.at(1, 1), detail::kOutsideWindow);
+    EXPECT_DEATH(grid.at(1, 5), detail::kOutsideWindow);
 }
 
 TEST(Gact, TileSizeFromMemory)

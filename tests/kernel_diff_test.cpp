@@ -19,14 +19,16 @@
  * column-serial stripe engine survives as `gactx_reference_align`, and
  * thousands of seeded tiles (random, related, synth-evolved; num_pe in
  * {1, 7, 32, 64}; ydrop sweeps; degenerate/empty spans; traceback-OOM
- * budgets) are swept through every registered wavefront kernel,
- * asserting the *entire* TileResult — max score, the (target_max,
+ * budgets; full paper-size tiles run on fresh threads) are swept through
+ * every registered wavefront kernel, asserting the *entire* TileResult — max score, the (target_max,
  * query_max) tie-break, cells_computed, stripe_columns,
  * traceback_bytes, and the CIGAR — matches the seed engine exactly.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "align/banded_sw.h"
@@ -327,6 +329,30 @@ gactx_contenders()
     return out;
 }
 
+/** Field-for-field TileResult equality; true when score and CIGAR agree. */
+bool
+expect_tile_equal(const TileResult& got, const TileResult& ref,
+                  const std::string& what)
+{
+    EXPECT_EQ(got.max_score, ref.max_score) << what;
+    EXPECT_EQ(got.target_max, ref.target_max) << what;
+    EXPECT_EQ(got.query_max, ref.query_max) << what;
+    EXPECT_EQ(got.cells_computed, ref.cells_computed) << what;
+    EXPECT_EQ(got.traceback_bytes, ref.traceback_bytes) << what;
+    EXPECT_EQ(got.stripe_columns, ref.stripe_columns) << what;
+    EXPECT_EQ(got.cigar.to_string(), ref.cigar.to_string()) << what;
+    return got.max_score == ref.max_score &&
+           got.cigar.to_string() == ref.cigar.to_string();
+}
+
+std::string
+describe(const std::string& name, const std::string& context,
+         const GactXParams& params)
+{
+    return name + " " + context + " npe=" + std::to_string(params.num_pe) +
+           " ydrop=" + std::to_string(params.ydrop);
+}
+
 int
 expect_gactx_identical(std::span<const std::uint8_t> t,
                        std::span<const std::uint8_t> q,
@@ -336,20 +362,9 @@ expect_gactx_identical(std::span<const std::uint8_t> t,
     const TileResult ref = kernels::gactx_reference_align(t, q, params);
     int checked = 0;
     for (const auto& [name, fn] : gactx_contenders()) {
-        const TileResult got = fn(t, q, params);
-        const std::string what = name + " " + context +
-                                 " npe=" + std::to_string(params.num_pe) +
-                                 " ydrop=" + std::to_string(params.ydrop);
-        EXPECT_EQ(got.max_score, ref.max_score) << what;
-        EXPECT_EQ(got.target_max, ref.target_max) << what;
-        EXPECT_EQ(got.query_max, ref.query_max) << what;
-        EXPECT_EQ(got.cells_computed, ref.cells_computed) << what;
-        EXPECT_EQ(got.traceback_bytes, ref.traceback_bytes) << what;
-        EXPECT_EQ(got.stripe_columns, ref.stripe_columns) << what;
-        EXPECT_EQ(got.cigar.to_string(), ref.cigar.to_string()) << what;
         ++checked;
-        if (got.max_score != ref.max_score ||
-            got.cigar.to_string() != ref.cigar.to_string())
+        if (!expect_tile_equal(fn(t, q, params), ref,
+                               describe(name, context, params)))
             return checked;  // one detailed failure is enough
     }
     return checked;
@@ -529,6 +544,62 @@ TEST(GactXKernelDiff, SynthEvolvedTileSweep)
         }
     }
     EXPECT_GT(checked, 0);
+}
+
+TEST(GactXKernelDiff, FullTilesWithPlantedIndelOnFreshThreads)
+{
+    // Full 1920-base tiles at paper defaults, each with one planted
+    // indel: the traceback crosses the gap and the stripes after it,
+    // whose windows start at jstart > 0. Every kernel first runs on a
+    // fresh thread, whose empty pointer pool then grows stripe by
+    // stripe mid-tile, and again on this thread with the pool reused.
+    // Y = 9430 admits gaps of up to 300 bases (430 + 299 * 30 = 9400).
+    const GactXParams params;
+    const std::size_t tile = params.tile_size;
+    const std::size_t pos = 700;
+    Rng rng(1212);
+    for (const std::size_t len : {200u, 250u, 300u}) {
+        for (const bool deletion : {true, false}) {
+            // `full` keeps all 1920 bases; `gapped` drops [pos, pos+len)
+            // of the same source and refills to 1920 from beyond it.
+            const auto src = random_codes(tile + len, 4, rng);
+            const std::vector<std::uint8_t> full(src.begin(),
+                                                 src.begin() + tile);
+            std::vector<std::uint8_t> gapped(src.begin(), src.begin() + pos);
+            gapped.insert(gapped.end(), src.begin() + pos + len, src.end());
+            const auto mutated = mutated_copy(gapped, 0.05, 0.0, rng);
+            const auto& t = deletion ? full : mutated;
+            const auto& q = deletion ? mutated : full;
+            const std::string context = std::string(deletion ? "del" : "ins") +
+                                        std::to_string(len);
+
+            const TileResult ref =
+                kernels::gactx_reference_align(sp(t), sp(q), params);
+            std::uint32_t longest_gap = 0;
+            for (const CigarRun& run : ref.cigar.runs())
+                if (run.op == EditOp::Insert || run.op == EditOp::Delete)
+                    longest_gap = std::max(longest_gap, run.length);
+            EXPECT_GE(longest_gap, len) << context;
+            // The best cell's stripe stores fewer columns than its
+            // column index, so that stripe's window starts past column 0.
+            ASSERT_GT(ref.query_max, 0u) << context;
+            EXPECT_LE(ref.stripe_columns[(ref.query_max - 1) / params.num_pe],
+                      ref.target_max)
+                << context;
+
+            for (const auto& [name, fn] : gactx_contenders()) {
+                TileResult fresh;
+                std::thread([&, fn = fn] {
+                    fresh = fn(sp(t), sp(q), params);
+                }).join();
+                expect_tile_equal(fresh, ref,
+                                  describe(name, context + " fresh thread",
+                                           params));
+                expect_tile_equal(fn(sp(t), sp(q), params), ref,
+                                  describe(name, context, params));
+            }
+        }
+    }
 }
 
 TEST(GactXKernelDiff, DegenerateSpans)
