@@ -1,19 +1,19 @@
 /**
  * @file
  * Batch-engine throughput: serial per-pair WgaPipeline::run vs the
- * pipeline-parallel batch engine on a multi-pair manifest.
+ * batch engine on a multi-pair manifest.
  *
  * The manifest defaults to the paper's four species pairs at two seeds
  * each (8 pairs). The serial baseline runs each pair to completion with
  * no thread pool — exactly what `darwin-wga align` does per invocation —
- * and the batch engine runs the same manifest with --threads workers
- * sharing one dataflow. Emits a JSON report (stdout or --json FILE) with
- * both wall-clock times, the speedup, and the engine's per-stage
- * metrics dump; results are asserted bit-identical before timing is
- * reported. Wall-clock speedup is bounded by the host's core count
- * (the JSON carries "host_cores" so the figure is interpretable):
- * roughly min(threads, cores, pairs) when extension dominates, since
- * each pair's extension is one task.
+ * and the batch engine runs the same manifest with --threads workers,
+ * each pair one task on one worker. Emits a JSON report (stdout or
+ * --json FILE) with both wall-clock times, the speedup, and the
+ * engine's metrics dump; results are asserted bit-identical before
+ * timing is reported. Wall-clock speedup is bounded by the host's core
+ * count (the JSON carries "host_cores" so the figure is
+ * interpretable): roughly min(threads, cores, pairs), less the tail of
+ * the longest pair.
  *
  *   batch_throughput --threads 4 --size 60000
  *
@@ -71,12 +71,11 @@ int
 main(int argc, char** argv)
 {
     ArgParser args("Batch-engine throughput: serial per-pair pipeline vs "
-                   "the streaming batch engine.");
+                   "the batch engine.");
     bench::add_workload_options(args);
     args.add_option("threads", "4", "batch engine worker threads");
     args.add_option("seeds-per-pair", "2",
                     "manifest entries per species pair");
-    args.add_option("shard-bp", "16384", "query bp per batch work unit");
     args.add_option("pairs", "0",
                     "species pairs from the paper manifest (0 = all)");
     args.add_flag("streaming",
@@ -150,7 +149,6 @@ main(int argc, char** argv)
     batch::BatchOptions options;
     options.params = params;
     options.num_threads = threads;
-    options.shard_length = static_cast<std::size_t>(args.get_int("shard-bp"));
     const auto budget_heap_mb =
         static_cast<std::uint64_t>(args.get_int("budget-heap"));
     options.pair_budget.max_heap_bytes = budget_heap_mb * (1ull << 20);
@@ -180,8 +178,9 @@ main(int argc, char** argv)
 
     const double speedup =
         batch_seconds > 0.0 ? serial_seconds / batch_seconds : 0.0;
-    // Per-stage breakdown: summed task seconds from the engine's latency
-    // histograms (CPU-time-like across workers, not wall-clock).
+    // Per-stage breakdown: summed stage seconds from the pipeline's
+    // wga.*.seconds histograms (CPU-time-like across workers, not
+    // wall-clock; seed includes the index builds).
     const auto stage_seconds = [&metrics](const char* name) {
         const auto* hist = metrics.find_histogram(name);
         return hist != nullptr ? hist->sum() : 0.0;
@@ -201,7 +200,6 @@ main(int argc, char** argv)
          << "  \"threads\": " << threads << ",\n"
          << "  \"host_cores\": " << host_cores << ",\n"
          << "  \"genome_bp\": " << shape.chromosome_length << ",\n"
-         << "  \"shard_bp\": " << options.shard_length << ",\n"
          << "  \"streaming\": " << (streaming ? "true" : "false") << ",\n"
          << "  \"budget_heap_mb\": " << budget_heap_mb << ",\n"
          << "  \"heap\": {"
@@ -222,13 +220,13 @@ main(int argc, char** argv)
          << ",\n"
          << "  \"speedup\": " << strprintf("%.3f", speedup) << ",\n"
          << "  \"stage_seconds\": {"
-         << "\"seed\": " << strprintf("%.4f", stage_seconds("batch.seed.seconds"))
+         << "\"seed\": " << strprintf("%.4f", stage_seconds("wga.seed.seconds"))
          << ", \"filter\": "
-         << strprintf("%.4f", stage_seconds("batch.filter.seconds"))
+         << strprintf("%.4f", stage_seconds("wga.filter.seconds"))
          << ", \"extend\": "
-         << strprintf("%.4f", stage_seconds("batch.extend.seconds"))
+         << strprintf("%.4f", stage_seconds("wga.extend.seconds"))
          << ", \"chain\": "
-         << strprintf("%.4f", stage_seconds("batch.chain.seconds")) << "},\n"
+         << strprintf("%.4f", stage_seconds("wga.chain.seconds")) << "},\n"
          << "  \"metrics\": " << metrics.to_json() << "\n"
          << "}\n";
     std::fputs(json.str().c_str(), stdout);

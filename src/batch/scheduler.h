@@ -1,37 +1,29 @@
 /**
  * @file
- * Streaming batch-alignment engine: many (target, query) pairs driven
- * through seed -> filter -> extend -> chain as a *dataflow* rather than
- * a barrier pipeline.
+ * Batch-alignment engine: many (target, query) pairs aligned
+ * concurrently, one task per pair.
  *
- * Each pair's query strand is cut into chunk-aligned shards (see
- * batch/shard.h). Work units flow through bounded WorkQueues between
- * stages, so filter candidates from shard i are being extended while
- * shard i+1 is still seeding, and the forward and reverse strands of a
- * pair are two independent streams instead of serial phases. A fixed
- * set of stage-agnostic workers drains the queues downstream-first,
- * which keeps the deepest pipeline stages hot and gives natural
- * backpressure end to end.
+ * `num_threads` workers each take the next pair of the manifest and run
+ * it whole through WgaPipeline on their own thread, without an inner
+ * pool: seed -> filter -> extend -> chain is straight-line code inside
+ * the pair, and the parallelism is across pairs. A strand's extension
+ * (~85% of a pair's time) is one pass over the strand's canonical anchor
+ * order, so the pair is the only stage boundary worth materializing.
  *
- * Determinism: results are bit-identical to running each pair through
- * the serial WgaPipeline. Three structural properties guarantee this —
- * shard boundaries are D-SOFT-chunk aligned (seeding is chunk-local, so
- * the union of per-shard hits equals the serial hit set); per-shard
- * filter candidates are merged and re-sorted with the same canonical
- * order filter_all() uses; and each strand's extension runs as a single
- * task over that canonical order, preserving the anchor-absorption
- * semantics of the serial extension stage.
+ * Determinism: every pair's result is bit-identical to the serial
+ * WgaPipeline::run — it is that pipeline, seeded from a shared index
+ * when pairs share a target.
  *
  * Fault tolerance (see DESIGN.md "Fault tolerance & degradation"):
  * every pair runs under its own fault::CancelToken. An exception or
- * budget overrun in any stage fails only that pair — its remaining
- * tasks drain and are dropped while the rest of the batch proceeds. A
- * budget overrun earns one *degraded* retry (apply_degrade'd
- * parameters) before the pair is quarantined with a machine-readable
- * QuarantineRecord; a FatalError anywhere aborts the whole run, and
- * run() rethrows it with the pair id and stage attached. A
- * fault::request_shutdown() cancels every in-flight pair (status
- * Interrupted) so the CLI can checkpoint and exit.
+ * budget overrun fails only that pair. A budget overrun earns one
+ * *degraded* retry (apply_degrade'd parameters), run in the same task,
+ * before the pair is quarantined with a machine-readable
+ * QuarantineRecord naming the stage that failed. A FatalError anywhere
+ * aborts the whole run, and run() rethrows it with the pair id and
+ * stage attached. A fault::request_shutdown() cancels every running
+ * pair and marks every unstarted one Interrupted, so the CLI can
+ * checkpoint and exit.
  */
 #ifndef DARWIN_BATCH_SCHEDULER_H
 #define DARWIN_BATCH_SCHEDULER_H
@@ -84,17 +76,12 @@ struct BatchOptions {
     wga::WgaParams params;
     chain::ChainParams chain_params;
 
-    /** Worker threads; 0 means hardware_concurrency(). */
+    /** Worker threads, each running one pair at a time; 0 means
+     *  hardware_concurrency(). */
     std::size_t num_threads = 0;
 
-    /** Query bp per shard (rounded up to the D-SOFT chunk size). */
-    std::size_t shard_length = 1 << 18;
-
-    /** Capacity of each inter-stage queue (backpressure bound). */
-    std::size_t queue_capacity = 128;
-
     /** Per-pair budgets; default unlimited. The wall clock starts when
-     *  the pair's first task begins executing, not when it is queued. */
+     *  a worker starts the pair's attempt, not when the run starts. */
     fault::Budget pair_budget;
 
     /** Give a budget-overrun pair one degraded retry before
@@ -106,11 +93,11 @@ struct BatchOptions {
      * Bounded-memory mode: run each pair whole through
      * WgaPipeline::run_streaming — 2-bit packed storage, the seed
      * table built one band shard at a time, hits and candidates
-     * through spill-or-backpressure channels — instead of the sharded
-     * byte dataflow above. Results stay bit-identical (both modes
-     * reproduce the serial pipeline exactly); what changes is the
+     * through spill-or-backpressure channels — instead of the in-RAM
+     * WgaPipeline::run_with_index. Results stay bit-identical (both
+     * modes reproduce the serial pipeline exactly); what changes is the
      * residency envelope: no whole-target seed table and no
-     * materialized per-shard candidate vectors, so the per-pair
+     * materialized hit or candidate vectors, so the per-pair
      * footprint is bounded by `streaming_params` regardless of genome
      * size. Pair isolation, budgets, degraded retries and quarantine
      * work unchanged. The shared index cache is bypassed — shard
@@ -145,8 +132,9 @@ struct BatchOptions {
 class BatchScheduler {
   public:
     /**
-     * @param metrics Optional registry for per-stage counters, queue
-     *        depths, and latency histograms ("batch.*" names); pass
+     * @param metrics Optional registry for the engine's "batch.*" pair
+     *        and fault counters and the "wga.*" stage counters and
+     *        latency histograms every pair's pipeline publishes; pass
      *        nullptr to run unmetered (an internal registry is used).
      */
     explicit BatchScheduler(BatchOptions options,
@@ -160,7 +148,7 @@ class BatchScheduler {
      * forms are materialized up front, before workers start). Per-pair
      * failures never throw — they surface as PairStatus in the results;
      * only a FatalError (annotated with pair and stage when one was
-     * active) propagates, after the pipeline shuts down cleanly.
+     * active) propagates, after every worker has stopped.
      */
     std::vector<BatchPairResult> run(const std::vector<BatchJob>& jobs);
 

@@ -9,6 +9,7 @@ namespace {
 
 thread_local CancelToken* t_token = nullptr;
 thread_local std::size_t t_pair = kNoPair;
+thread_local const char* t_stage = nullptr;
 
 std::atomic<bool> g_shutdown{false};
 
@@ -107,16 +108,18 @@ CancelToken::poll(const char* probe) const
 }
 
 ContextScope::ContextScope(CancelToken* token, std::size_t pair_index)
-    : prev_token_(t_token), prev_pair_(t_pair)
+    : prev_token_(t_token), prev_pair_(t_pair), prev_stage_(t_stage)
 {
     t_token = token;
     t_pair = pair_index;
+    t_stage = nullptr;
 }
 
 ContextScope::~ContextScope()
 {
     t_token = prev_token_;
     t_pair = prev_pair_;
+    t_stage = prev_stage_;
 }
 
 CancelToken*
@@ -129,6 +132,25 @@ std::size_t
 current_pair()
 {
     return t_pair;
+}
+
+void
+set_stage(const char* stage)
+{
+    t_stage = stage;
+}
+
+void
+enter_stage(const char* stage, const char* probe)
+{
+    set_stage(stage);
+    poll(probe);
+}
+
+const char*
+current_stage()
+{
+    return t_stage;
 }
 
 void

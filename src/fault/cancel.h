@@ -40,7 +40,7 @@ enum class CancelReason : int {
     WallTime,   ///< wall-clock deadline passed
     Cells,      ///< DP cell budget exhausted
     HeapBytes,  ///< estimated heap budget exhausted
-    External,   ///< cancel() — shutdown or the pair failed elsewhere
+    External,   ///< cancel() — shutdown or a fatal abort of the run
 };
 
 /** Lowercase stable name ("walltime", "cells", ...). */
@@ -82,7 +82,7 @@ class CancelledError : public std::runtime_error {
 /**
  * One unit of work's budgets plus its accumulated charges. All methods
  * are thread-safe; arm() must not race with charges (the batch engine
- * arms a pair's token only while no task of that pair is running).
+ * arms a pair's token only between the pair's attempts).
  */
 class CancelToken {
   public:
@@ -146,7 +146,8 @@ inline constexpr std::size_t kNoPair =
 
 /**
  * RAII installation of the calling thread's (token, pair index) context.
- * Nests: the previous context is restored on destruction.
+ * The scope starts with no current stage. Nests: the previous context,
+ * stage included, is restored on destruction.
  */
 class ContextScope {
   public:
@@ -159,6 +160,7 @@ class ContextScope {
   private:
     CancelToken* prev_token_;
     std::size_t prev_pair_;
+    const char* prev_stage_;
 };
 
 /** The calling thread's installed token (nullptr outside any scope). */
@@ -166,6 +168,22 @@ CancelToken* current_token();
 
 /** The calling thread's pair index (kNoPair outside any scope). */
 std::size_t current_pair();
+
+/**
+ * Mark the calling thread as inside pipeline stage `stage` (a string
+ * with static storage, e.g. "seed"). The marker stays set until the
+ * next set_stage or the end of the enclosing ContextScope, so a handler
+ * catching a stage's exception inside the scope can still name the
+ * stage that threw.
+ */
+void set_stage(const char* stage);
+
+/** set_stage(stage), then poll(probe): how a pipeline stage starts. */
+void enter_stage(const char* stage, const char* probe);
+
+/** The last stage entered in the calling thread's scope (nullptr when
+ *  none). */
+const char* current_stage();
 
 /**
  * The probe call sites use. In order: fires the installed FaultPlan's
@@ -181,8 +199,8 @@ void charge_heap_bytes(std::uint64_t n);
 
 /**
  * Process-wide shutdown flag. request_shutdown() is async-signal-safe;
- * the batch engine observes it between tasks and cancels every pair's
- * token, and the CLIs flush observability state before exiting.
+ * the batch engine watches it while pairs run and cancels every running
+ * pair's token, and the CLIs flush observability state before exiting.
  */
 void request_shutdown();
 void clear_shutdown();

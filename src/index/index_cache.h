@@ -6,15 +6,16 @@
  *
  * acquire() is single-flight: when several threads ask for the same
  * missing key at once, one runs the builder and the rest block on its
- * shared_future — the batch engine's shard-group pairs and the serve
- * daemon's concurrent requests both hit this path. Entries are
+ * shared_future — batch pairs sharing a target and the serve daemon's
+ * concurrent requests both hit this path. Entries are
  * shared_ptrs, so eviction never invalidates an index a pair is still
  * seeding with; the bytes go away when the last borrower drops.
  *
  * Metrics (optional): `<prefix>.cache_hits`, `<prefix>.cache_misses`,
  * `<prefix>.cache_evictions` counters plus a `<prefix>.cache_size`
- * gauge, e.g. prefix "batch.index" in the batch engine and
- * "serve.index" in the daemon.
+ * gauge, e.g. prefix "serve.index" in the daemon (the batch engine's
+ * run-local cache is unmetered; it counts batch.index.cache_hits
+ * itself).
  */
 #ifndef DARWIN_INDEX_INDEX_CACHE_H
 #define DARWIN_INDEX_INDEX_CACHE_H

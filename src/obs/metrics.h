@@ -5,11 +5,10 @@
  * renderable as Prometheus text exposition (obs/exposition.h).
  *
  * Promoted out of src/batch/ so every layer shares one vocabulary: the
- * batch engine exposes per-stage queue depths and task latencies
- * ("batch.*"), the serial WgaPipeline publishes its stage workload
- * counters ("wga.*"), the hw models publish modeled cycles and DRAM
- * traffic ("hw.*"), and the serve daemon publishes request/cache
- * telemetry ("serve.*"). See DESIGN.md "Observability" for the full
+ * batch engine counts pair outcomes ("batch.*"), every WgaPipeline run
+ * publishes its stage workload counters and latencies ("wga.*"), the
+ * hw models publish modeled cycles and DRAM traffic ("hw.*"), and the
+ * serve daemon publishes request/cache telemetry ("serve.*"). See DESIGN.md "Observability" for the full
  * metric name catalogue.
  *
  * All mutation paths are thread-safe. Metric handles returned by the

@@ -99,16 +99,6 @@ ProgressReporter::report(double elapsed_seconds, std::uint64_t last_done,
              strprintf("%.2f", static_cast<double>(done - last_done) /
                                    since_last_seconds)});
     }
-    if (!options_.queue_gauge_prefix.empty()) {
-        for (const auto& [name, value] :
-             registry_.gauge_snapshot(options_.queue_gauge_prefix)) {
-            // Report under the leaf name: "batch.queue.seed.depth" with
-            // prefix "batch.queue." logs as queue field "seed.depth".
-            fields.push_back(
-                {name.substr(options_.queue_gauge_prefix.size()),
-                 std::to_string(value)});
-        }
-    }
     inform(headline, std::move(fields));
 }
 

@@ -2,13 +2,13 @@
  * @file
  * Heartbeat progress reporting for long runs: a background thread wakes
  * every interval, reads the metrics registry, and logs one structured
- * line — work done / total, instantaneous throughput, and current queue
- * depths — so an operator watching a multi-hour batch sees movement
- * without attaching a tracer.
+ * line — work done / total and instantaneous throughput — so an
+ * operator watching a multi-hour batch sees movement without attaching
+ * a tracer.
  *
- * The reporter only *reads* (via the registry's find/snapshot
- * accessors), so it never creates metrics and never perturbs what the
- * final dump contains.
+ * The reporter only *reads* (via the registry's find accessors), so
+ * it never creates metrics and never perturbs what the final dump
+ * contains.
  */
 #ifndef DARWIN_OBS_PROGRESS_H
 #define DARWIN_OBS_PROGRESS_H
@@ -33,9 +33,6 @@ struct ProgressOptions {
 
     /** Counter of total expected units ("batch.pairs"); may be empty. */
     std::string total_counter;
-
-    /** Gauges with this prefix are printed as queue depths. */
-    std::string queue_gauge_prefix;
 
     /** Label for the log line, e.g. "batch" or "align". */
     std::string label = "progress";

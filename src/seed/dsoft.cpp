@@ -238,15 +238,6 @@ DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
 }
 
 std::vector<SeedHit>
-DsoftSeeder::seed_chunk(std::span<const std::uint8_t> query,
-                        std::size_t chunk_begin, std::size_t chunk_end,
-                        SeedingStats* stats, bool charge_heap) const
-{
-    return seed_chunk_impl(query, chunk_begin, chunk_end, stats,
-                           charge_heap);
-}
-
-std::vector<SeedHit>
 DsoftSeeder::seed_chunk(const seq::PackedSequence& query,
                         std::size_t chunk_begin, std::size_t chunk_end,
                         SeedingStats* stats, bool charge_heap) const

@@ -90,7 +90,9 @@ class DsoftSeeder {
                 std::uint64_t band_lo_bp, std::uint64_t band_hi_bp);
 
     /**
-     * Seed one query chunk [chunk_begin, chunk_end) of `query`.
+     * Seed one query chunk [chunk_begin, chunk_end) of a packed
+     * `query`; seed_all runs the same chunk loop over whole sequences
+     * of either storage, with identical hits for equal bases.
      * Emits at most one SeedHit per qualifying diagonal band.
      *
      * `charge_heap` controls whether the returned vector is charged
@@ -101,13 +103,6 @@ class DsoftSeeder {
      * drained into a fixed-capacity channel and freed, so it charges
      * the high-water of one chunk itself.
      */
-    std::vector<SeedHit> seed_chunk(std::span<const std::uint8_t> query,
-                                    std::size_t chunk_begin,
-                                    std::size_t chunk_end,
-                                    SeedingStats* stats = nullptr,
-                                    bool charge_heap = true) const;
-
-    /** Packed-query chunk seeding; identical output for equal bases. */
     std::vector<SeedHit> seed_chunk(const seq::PackedSequence& query,
                                     std::size_t chunk_begin,
                                     std::size_t chunk_end,

@@ -47,9 +47,10 @@ struct FilterStats {
 
 /**
  * Canonical extension order: descending filter score, ties broken by
- * anchor position. filter_all and the batch engine's shard merge share
- * this sort, so sharded filtering reproduces the serial candidate order
- * (and therefore the extension stage's output) exactly.
+ * anchor position. filter_all sorts with it and the streaming runner's
+ * sort-spill drain reproduces it, so streamed filtering yields the
+ * serial candidate order (and therefore the extension stage's output)
+ * exactly.
  */
 void sort_candidates(std::vector<FilterCandidate>& candidates);
 
@@ -80,8 +81,8 @@ class FilterStage {
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
      * (nullopt when it failed). Hits are filtered one at a time, across
-     * the pool when one is given. Both filter_all and the batch
-     * scheduler route through this.
+     * the pool when one is given. Both filter_all and the streaming
+     * runner route through this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(
         const std::vector<seed::SeedHit>& hits, FilterStats* stats = nullptr,

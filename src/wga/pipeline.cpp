@@ -1,6 +1,7 @@
 #include "wga/pipeline.h"
 
 #include "align/kernels/kernel_registry.h"
+#include "fault/cancel.h"
 #include "obs/trace.h"
 #include "seed/seed_index.h"
 #include "util/logging.h"
@@ -90,9 +91,10 @@ base_view(const seq::PackedSequence& sequence)
  *  `Sequence` is seq::Sequence or seq::PackedSequence: seeding reads
  *  the query in that storage, and the filter and extension stages read
  *  both sequences through seq::BaseView, so byte and packed runs give
- *  bit-identical results. Each stage merges its stats fragment into
- *  *stats as it completes and (when a registry is given) publishes it,
- *  so a progress reporter watching the registry sees per-stage
+ *  bit-identical results. Each stage starts with fault::enter_stage
+ *  (marker plus its "wga.<stage>" probe), and merges its stats fragment
+ *  into *stats as it completes and (when a registry is given) publishes
+ *  it, so a progress reporter watching the registry sees per-stage
  *  movement mid-run. */
 template <class Sequence>
 std::vector<align::Alignment>
@@ -108,6 +110,7 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
 
     std::vector<seed::SeedHit> hits;
     {
+        fault::enter_stage("seed", "wga.seed");
         obs::ScopedSpan span("seed", "wga");
         span.arg("strand", strand_arg);
         PipelineStats stage;
@@ -126,6 +129,7 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
     timer.reset();
     std::vector<FilterCandidate> candidates;
     {
+        fault::enter_stage("filter", "wga.filter");
         obs::ScopedSpan span("filter", "wga");
         span.arg("strand", strand_arg);
         PipelineStats stage;
@@ -141,6 +145,7 @@ run_one_strand(const WgaParams& params, const seed::SeedIndex& index,
     timer.reset();
     std::vector<align::Alignment> alignments;
     {
+        fault::enter_stage("extend", "wga.extend");
         obs::ScopedSpan span("extend", "wga");
         span.arg("strand", strand_arg);
         PipelineStats stage;
@@ -252,15 +257,8 @@ WgaPipeline::run_impl(const seed::SeedIndex& index, const Sequence& target,
     pipeline_span.arg("query_bases",
                       static_cast<std::int64_t>(query.size()));
 
-    if (metrics != nullptr) {
-        // Which kernel implementation the filter and extension stages
-        // dispatch to (id: 0 scalar, 1 sse42, 2 avx2). All kernels are
-        // bit-identical, so every other wga.* value is kernel-invariant.
-        const int kernel_id =
-            align::kernels::KernelRegistry::instance().active().id;
-        metrics->gauge("wga.filter.kernel").set(kernel_id);
-        metrics->gauge("wga.extend.kernel").set(kernel_id);
-    }
+    if (metrics != nullptr)
+        publish_kernel_gauges(*metrics);
 
     // Coordinates of the reverse pass stay in reverse-complement space
     // (the MAF '-' strand convention).
@@ -299,9 +297,22 @@ WgaPipeline::run_impl(const seed::SeedIndex& index, const Sequence& target,
 }
 
 void
+WgaPipeline::publish_kernel_gauges(obs::MetricsRegistry& metrics)
+{
+    // Which kernel implementation the filter and extension stages
+    // dispatch to (id: 0 scalar, 1 sse42, 2 avx2). All kernels are
+    // bit-identical, so every other wga.* value is kernel-invariant.
+    const int kernel_id =
+        align::kernels::KernelRegistry::instance().active().id;
+    metrics.gauge("wga.filter.kernel").set(kernel_id);
+    metrics.gauge("wga.extend.kernel").set(kernel_id);
+}
+
+void
 WgaPipeline::run_chain(WgaResult& result, obs::MetricsRegistry* metrics) const
 {
     Timer timer;
+    fault::enter_stage("chain", "wga.chain");
     obs::ScopedSpan span("chain", "wga");
     result.chains = chain::chain_alignments(result.alignments, chain_params_);
     PipelineStats stage;

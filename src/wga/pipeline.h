@@ -211,6 +211,10 @@ class WgaPipeline {
      *  shared by run_impl and run_streaming. */
     void run_chain(WgaResult& result, obs::MetricsRegistry* metrics) const;
 
+    /** Publish the wga.{filter,extend}.kernel gauges, shared by
+     *  run_impl and run_streaming. */
+    static void publish_kernel_gauges(obs::MetricsRegistry& metrics);
+
     WgaParams params_;
     chain::ChainParams chain_params_;
 };

@@ -99,6 +99,7 @@ run_one_strand_streaming(const WgaParams& params, const StreamingParams& sp,
         const fault::ContextScope scope(token, pair_index);
         Timer seed_timer;
         try {
+            fault::enter_stage("seed", "wga.seed");
             const std::size_t query_size = query.size();
             const std::size_t chunk = params.dsoft.chunk_size;
             bool open = true;
@@ -151,6 +152,7 @@ run_one_strand_streaming(const WgaParams& params, const StreamingParams& sp,
 
     Timer filter_timer;
     try {
+        fault::enter_stage("filter", "wga.filter");
         std::vector<seed::SeedHit> batch;
         batch.reserve(sp.filter_batch);
         bool drained = false;
@@ -181,8 +183,11 @@ run_one_strand_streaming(const WgaParams& params, const StreamingParams& sp,
     }
     stage.filter_seconds = filter_timer.seconds();
     producer.join();
-    if (producer_error)
+    if (producer_error) {
+        // The producer's stage marker lives on its own thread.
+        fault::set_stage("seed");
         std::rethrow_exception(producer_error);
+    }
     stage.seed_seconds = seed_wall;
 
     telemetry->hit_stream_bytes += hits.resident_bytes();
@@ -202,6 +207,7 @@ run_one_strand_streaming(const WgaParams& params, const StreamingParams& sp,
     Timer extend_timer;
     std::vector<align::Alignment> alignments;
     {
+        fault::enter_stage("extend", "wga.extend");
         obs::ScopedSpan span("extend", "wga");
         span.arg("strand", strand_arg);
         const align::GactXTileAligner aligner(params.gactx);
@@ -295,6 +301,7 @@ WgaPipeline::run_streaming(const seq::Genome& target,
     }
 
     if (metrics) {
+        publish_kernel_gauges(*metrics);
         // wga.heap.*: fixed residency of the streaming dataflow plus
         // what overflowed to disk. The *_bytes gauges are the fixed
         // capacities charged against the heap budget; spilled bytes

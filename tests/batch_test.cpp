@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the streaming batch-alignment engine (src/batch/): shard
- * planning, the metrics registry, and — the load-bearing property — that
- * batch-engine output is bit-identical to running each pair through the
- * serial WgaPipeline, for 1, 2, and 8 worker threads, on a 6-pair
- * synthetic manifest.
+ * Tests for the batch-alignment engine (src/batch/): the metrics
+ * registry, and — the load-bearing property — that batch-engine output
+ * is bit-identical to running each pair through the serial WgaPipeline,
+ * for 1, 2, and 8 worker threads, on a 6-pair synthetic manifest.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 
 #include "batch/metrics.h"
 #include "batch/scheduler.h"
-#include "batch/shard.h"
 #include "index/index_cache.h"
 #include "fault/fault_plan.h"
 #include "synth/species.h"
@@ -22,50 +20,6 @@
 
 namespace darwin::batch {
 namespace {
-
-TEST(Shard, PartitionsSequenceExactly)
-{
-    const auto shards = make_shards(10'000, 2'048, 64, 100);
-    ASSERT_FALSE(shards.empty());
-    EXPECT_EQ(shards.front().begin, 0u);
-    EXPECT_EQ(shards.back().end, 10'000u);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        EXPECT_EQ(shards[i].index, i);
-        if (i > 0) {
-            EXPECT_EQ(shards[i].begin, shards[i - 1].end);
-        }
-        // Boundaries are aligned to the seeding chunk size.
-        EXPECT_EQ(shards[i].begin % 64, 0u);
-    }
-}
-
-TEST(Shard, RoundsShardLengthUpToAlignment)
-{
-    // 1000 is not a multiple of 64: the step must round up to 1024.
-    const auto shards = make_shards(4'096, 1'000, 64, 0);
-    ASSERT_GE(shards.size(), 2u);
-    EXPECT_EQ(shards[0].end, 1'024u);
-    EXPECT_EQ(shards[1].begin, 1'024u);
-}
-
-TEST(Shard, MarginsClampToSequence)
-{
-    const auto shards = make_shards(1'000, 256, 64, 400);
-    ASSERT_GE(shards.size(), 2u);
-    EXPECT_EQ(shards.front().margin_begin, 0u);
-    EXPECT_EQ(shards.front().margin_end, 256u + 400u);
-    EXPECT_EQ(shards.back().margin_end, 1'000u);
-    for (const Shard& shard : shards) {
-        EXPECT_LE(shard.margin_begin, shard.begin);
-        EXPECT_GE(shard.margin_end, shard.end);
-        EXPECT_GE(shard.fetch_size(), shard.size());
-    }
-}
-
-TEST(Shard, EmptySequenceYieldsEmptyPlan)
-{
-    EXPECT_TRUE(make_shards(0, 1'024, 64, 100).empty());
-}
 
 TEST(Metrics, CountersAccumulateConcurrently)
 {
@@ -127,7 +81,7 @@ TEST(Metrics, JsonDumpContainsAllSections)
 /**
  * The shared 6-pair manifest: the paper's four species pairs plus two
  * re-seeded variants, small enough for test time but large enough that
- * every pair produces multiple shards, alignments, and chains.
+ * every pair produces multiple alignments and chains.
  */
 struct ManifestFixture {
     std::vector<synth::SpeciesPair> pairs;
@@ -250,10 +204,6 @@ run_and_compare(const ManifestFixture& fixture, bool both_strands,
     options.params = wga::WgaParams::darwin_defaults();
     options.params.align_both_strands = both_strands;
     options.num_threads = threads;
-    // Small shards/queues so every pair splits into multiple work units
-    // and the queues actually exercise backpressure.
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
 
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
@@ -266,9 +216,6 @@ run_and_compare(const ManifestFixture& fixture, bool both_strands,
                          fixture.jobs[i].name + " @" +
                              std::to_string(threads) + " threads");
     }
-    // The engine actually sharded the work.
-    EXPECT_GT(metrics.counter("batch.shards").value(),
-              fixture.jobs.size() * (both_strands ? 2u : 1u));
     EXPECT_EQ(metrics.counter("batch.pairs_completed").value(),
               fixture.jobs.size());
 }
@@ -301,14 +248,12 @@ TEST(BatchEngine, MatchesSerialWithFaultLayerArmed)
     // fault plan installed, probes firing in every kernel — must not
     // perturb a single bit of a healthy run.
     const auto plan =
-        fault::FaultPlan::parse("batch.chain:stall:ms=1:count=0");
+        fault::FaultPlan::parse("wga.chain:stall:ms=1:count=0");
     fault::install_fault_plan(&plan);
     const auto& fixture = forward_fixture();
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
     options.pair_budget = {3'600.0, 1ull << 40, 1ull << 40};
 
     MetricsRegistry metrics;
@@ -339,7 +284,6 @@ TEST(BatchEngine, StageCountersReconcile)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
     scheduler.run(fixture.jobs);
@@ -347,22 +291,31 @@ TEST(BatchEngine, StageCountersReconcile)
     const auto count = [&metrics](const char* name) {
         return metrics.counter(name).value();
     };
-    // Every seed hit enters the filter, where it is either kept as a
-    // candidate anchor or dropped.
-    EXPECT_GT(count("batch.seed.hits"), 0u);
-    EXPECT_EQ(count("batch.seed.hits"), count("batch.filter.hits_in"));
-    EXPECT_EQ(count("batch.filter.hits_in"),
-              count("batch.filter.candidates") +
-                  count("batch.filter.dropped"));
+    // Every pair's pipeline publishes into the engine's registry, so the
+    // wga.* counters are the serial stats summed over the manifest.
+    wga::PipelineStats serial;
+    for (const wga::WgaResult& result : fixture.serial)
+        serial.merge(result.stats);
+    EXPECT_EQ(count("wga.seed.hits"), serial.seeding.seed_hits);
+    EXPECT_EQ(count("wga.filter.tiles"), serial.filter.tiles);
+    EXPECT_EQ(count("wga.filter.passed"), serial.filter.passed);
+    EXPECT_EQ(count("wga.extend.anchors_in"), serial.extend.anchors_in);
+    EXPECT_EQ(count("wga.extend.absorbed"), serial.extend.absorbed);
+    EXPECT_EQ(count("wga.extend.extended"), serial.extend.extended);
+    EXPECT_EQ(count("wga.extend.matched_bases"),
+              serial.extend.matched_bases);
+    // Every filter tile either passes as a candidate anchor or is
+    // dropped.
+    EXPECT_GT(count("wga.filter.tiles"), 0u);
+    EXPECT_EQ(count("wga.filter.tiles"),
+              count("wga.filter.passed") + count("wga.filter.dropped"));
     // Every surviving candidate reaches extension as an anchor, where it
     // is either absorbed by an existing alignment or extended.
-    EXPECT_GT(count("batch.filter.candidates"), 0u);
-    EXPECT_EQ(count("batch.filter.candidates"),
-              count("batch.extend.anchors_in"));
-    EXPECT_EQ(count("batch.extend.anchors_in"),
-              count("batch.extend.absorbed") +
-                  count("batch.extend.extended"));
-    EXPECT_GT(count("batch.extend.matched_bases"), 0u);
+    EXPECT_GT(count("wga.filter.passed"), 0u);
+    EXPECT_EQ(count("wga.filter.passed"), count("wga.extend.anchors_in"));
+    EXPECT_EQ(count("wga.extend.anchors_in"),
+              count("wga.extend.absorbed") + count("wga.extend.extended"));
+    EXPECT_GT(count("wga.extend.matched_bases"), 0u);
 }
 
 /** N jobs aligning different queries against one shared target. */
@@ -410,7 +363,6 @@ TEST(BatchEngine, SharedTargetBuildsIndexOnce)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 1;
-    options.shard_length = 2'048;
 
     index::IndexCache cache(4);
     options.index_cache = &cache;
@@ -439,7 +391,6 @@ TEST(BatchEngine, SharedTargetIdenticalUnderConcurrentPrepare)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
 
     index::IndexCache cache(4);
     options.index_cache = &cache;
@@ -462,19 +413,21 @@ TEST(BatchEngine, MetricsExposeStageLatenciesAndDepths)
     BatchOptions options;
     options.params = wga::WgaParams::darwin_defaults();
     options.num_threads = 4;
-    options.shard_length = 2'048;
     MetricsRegistry metrics;
     BatchScheduler scheduler(options, &metrics);
     scheduler.run(fixture.jobs);
 
-    EXPECT_GT(metrics.histogram("batch.seed.seconds").count(), 0u);
-    EXPECT_GT(metrics.histogram("batch.filter.seconds").count(), 0u);
-    EXPECT_GT(metrics.histogram("batch.extend.seconds").count(), 0u);
-    EXPECT_GT(metrics.histogram("batch.chain.seconds").count(), 0u);
-    EXPECT_GE(metrics.gauge("batch.queue.seed.depth").high_water(), 1);
+    // One observation per pair (one strand each) for the filter, extend
+    // and chain stages; seeding also observes each pair's index acquire.
+    const std::size_t pairs = fixture.jobs.size();
+    EXPECT_EQ(metrics.histogram("wga.seed.seconds").count(), 2 * pairs);
+    EXPECT_EQ(metrics.histogram("wga.filter.seconds").count(), pairs);
+    EXPECT_EQ(metrics.histogram("wga.extend.seconds").count(), pairs);
+    EXPECT_EQ(metrics.histogram("wga.chain.seconds").count(), pairs);
+    EXPECT_GT(metrics.histogram("wga.extend.seconds").sum(), 0.0);
     const std::string json = metrics.to_json();
-    EXPECT_NE(json.find("batch.queue.filter.depth"), std::string::npos);
-    EXPECT_NE(json.find("batch.extend.seconds"), std::string::npos);
+    EXPECT_NE(json.find("wga.extend.seconds"), std::string::npos);
+    EXPECT_NE(json.find("batch.pairs_completed"), std::string::npos);
 }
 
 }  // namespace

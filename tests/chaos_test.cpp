@@ -24,7 +24,6 @@
 #include "fault/quarantine.h"
 #include "synth/species.h"
 #include "util/logging.h"
-#include "util/strings.h"
 #include "wga/pipeline.h"
 
 namespace darwin::batch {
@@ -121,9 +120,6 @@ chaos_options(const ChaosFixture& fixture)
     BatchOptions options;
     options.params = fixture.params;
     options.num_threads = 4;
-    // Small shards/queues so pairs interleave and faults land mid-flight.
-    options.shard_length = 2'048;
-    options.queue_capacity = 4;
     return options;
 }
 
@@ -139,20 +135,13 @@ expect_fault_counters_reconcile(MetricsRegistry& metrics,
                   count("batch.fault.interrupted"),
               pairs_in);
     EXPECT_EQ(count("batch.pairs_completed"), pairs_in);
-    // The run is over: every stage queue drained back to empty.
-    for (const char* stage : {"prepare", "seed", "filter", "extend",
-                              "chain"}) {
-        EXPECT_EQ(metrics.gauge(strprintf("batch.queue.%s.depth", stage))
-                      .value(),
-                  0)
-            << stage;
-    }
 }
 
 /**
  * The tentpole acceptance test: seven pairs are killed at seven
- * different probe points — task wrappers, the D-SOFT chunk loop, the
- * filter kernels, the GACT-X stripe loop, plus one simulated OOM — and
+ * different probe points — the engine's prepare probe, the pipeline's
+ * stage-entry probes, the D-SOFT chunk loop, the filter kernels, the
+ * GACT-X stripe loop, plus one simulated OOM — and
  * the other 25 pairs must come out bit-identical to the serial
  * pipeline, with the books balanced.
  */
@@ -164,9 +153,9 @@ TEST(ChaosIsolation, FaultsAcrossProbePointsQuarantineOnlyTheirPair)
         "seed.chunk:throw:pair=3;"
         "filter.tile:throw:pair=5;"
         "extend.stripe:throw:pair=9;"
-        "batch.chain:throw:pair=12;"
+        "wga.chain:throw:pair=12;"
         "filter.hit:oom:pair=15;"
-        "batch.extend:throw:pair=18");
+        "wga.extend:throw:pair=18");
     PlanGuard guard(plan);
 
     // expected stage and reason per quarantined pair index
@@ -380,10 +369,10 @@ TEST(ChaosBudgets, StalledPairTripsWallBudget)
 TEST(ChaosShutdown, RequestedShutdownInterruptsInFlightPairs)
 {
     const auto& fixture = chaos_fixture();
-    // Slow every batch task so the run is still mid-flight when the
-    // shutdown flag lands.
-    const auto plan =
-        fault::FaultPlan::parse("batch.*:stall:ms=30:count=0");
+    // Slow every pair's prepare and stage entries so the run is still
+    // mid-flight when the shutdown flag lands.
+    const auto plan = fault::FaultPlan::parse(
+        "batch.*:stall:ms=30:count=0;wga.*:stall:ms=30:count=0");
     PlanGuard guard(plan);
     fault::clear_shutdown();
 

@@ -9,8 +9,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -34,15 +32,17 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "wga/params.h"
+#include "scratch_dir.h"
 
 namespace darwin::index {
 namespace {
 
+/** A file in this process's scratch directory, removed at exit. */
 std::string
 temp_path(const std::string& name)
 {
-    return ::testing::TempDir() + "/integrity_" +
-           std::to_string(::getpid()) + "_" + name;
+    static const test::ScratchDir dir("integrity");
+    return dir.file(name);
 }
 
 seq::Sequence
@@ -322,7 +322,7 @@ TEST(Fsck, CleanArtifactsOfEveryKindReportNoFindings)
     {
         auto j = batch::CheckpointJournal::create(
             journal, batch::config_fingerprint("fsck-test"));
-        batch::write_file_atomic(::testing::TempDir() + "/fsck_p0.maf",
+        batch::write_file_atomic(temp_path("fsck_p0.maf"),
                                  "a\n");
         j.record({"p0", fault::PairStatus::Clean, "",
                   "fsck_p0.maf"});

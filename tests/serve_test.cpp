@@ -30,9 +30,18 @@
 #include "util/strings.h"
 #include "wga/maf.h"
 #include "wga/pipeline.h"
+#include "scratch_dir.h"
 
 namespace darwin::serve {
 namespace {
+
+/** A file in this process's scratch directory, removed at exit. */
+std::string
+temp_path(const std::string& name)
+{
+    static const test::ScratchDir dir("serve");
+    return dir.file(name);
+}
 
 TEST(Protocol, ParsesPing)
 {
@@ -146,14 +155,12 @@ struct ServeFixture {
             synth::paper_species_pairs().front(), shape, 4242);
 
         // ctest runs each test as its own process, possibly in
-        // parallel; key the paths by pid so concurrent Server tests
-        // never race on one another's index/FASTA files.
-        const std::string dir = ::testing::TempDir();
-        const std::string tag = "serve_" + std::to_string(::getpid());
-        target_path = dir + "/" + tag + "_target.fa";
-        query_path = dir + "/" + tag + "_query.fa";
-        index_path = dir + "/" + tag + "_target.dwi";
-        reference_maf = dir + "/" + tag + "_reference.maf";
+        // parallel; the scratch directory is per pid, so concurrent
+        // Server tests never race on one another's index/FASTA files.
+        target_path = temp_path("target.fa");
+        query_path = temp_path("query.fa");
+        index_path = temp_path("target.dwi");
+        reference_maf = temp_path("reference.maf");
         seq::write_genome_file(target_path, pair.target.genome);
         seq::write_genome_file(query_path, pair.query.genome);
 
@@ -227,7 +234,7 @@ TEST(Server, MalformedLineAnswersBadRequest)
 TEST(Server, AlignFromPersistedIndexIsByteIdenticalToOneShot)
 {
     const auto& f = fixture();
-    const std::string out = ::testing::TempDir() + "/serve_indexed.maf";
+    const std::string out = temp_path("serve_indexed.maf");
     Server server(ServerOptions{});
     const std::string resp = server.handle_line(align_line(
         "i1", out,
@@ -238,7 +245,7 @@ TEST(Server, AlignFromPersistedIndexIsByteIdenticalToOneShot)
 
     // Second align of the same target hits the resident index and still
     // produces the same bytes.
-    const std::string out2 = ::testing::TempDir() + "/serve_cached.maf";
+    const std::string out2 = temp_path("serve_cached.maf");
     const std::string resp2 = server.handle_line(align_line("i2", out2));
     ASSERT_NE(resp2.find("\"status\": \"ok\""), std::string::npos)
         << resp2;
@@ -249,7 +256,7 @@ TEST(Server, AlignFromPersistedIndexIsByteIdenticalToOneShot)
 TEST(Server, AlignRebuildingIndexIsByteIdenticalToOneShot)
 {
     const auto& f = fixture();
-    const std::string out = ::testing::TempDir() + "/serve_rebuilt.maf";
+    const std::string out = temp_path("serve_rebuilt.maf");
     Server server(ServerOptions{});
     const std::string resp = server.handle_line(align_line("r1", out));
     ASSERT_NE(resp.find("\"status\": \"ok\""), std::string::npos) << resp;
@@ -261,8 +268,7 @@ TEST(Server, MismatchedIndexIsRejectedNotServed)
     // An index built from the query sequence must be refused for the
     // target (digest mismatch), not silently produce garbage.
     const auto& f = fixture();
-    const std::string wrong_index =
-        ::testing::TempDir() + "/serve_wrong.dwi";
+    const std::string wrong_index = temp_path("serve_wrong.dwi");
     const auto query = seq::read_genome(f.query_path);
     const seq::Sequence& flat = query.flattened();
     const wga::WgaParams params = wga::WgaParams::darwin_defaults();
@@ -272,7 +278,7 @@ TEST(Server, MismatchedIndexIsRejectedNotServed)
                       flat.size());
 
     Server server(ServerOptions{});
-    const std::string out = ::testing::TempDir() + "/serve_never.maf";
+    const std::string out = temp_path("serve_never.maf");
     const std::string resp = server.handle_line(align_line(
         "w1", out,
         strprintf(", \"index\": %s", json_quote(wrong_index).c_str())));
@@ -283,7 +289,7 @@ TEST(Server, MismatchedIndexIsRejectedNotServed)
 TEST(Server, CellBudgetTripsWithTaggedReason)
 {
     Server server(ServerOptions{});
-    const std::string out = ::testing::TempDir() + "/serve_budget.maf";
+    const std::string out = temp_path("serve_budget.maf");
     const std::string resp = server.handle_line(align_line(
         "b1", out, ", \"budget\": {\"max_cells\": 1}"));
     EXPECT_NE(resp.find("\"status\": \"error\""), std::string::npos);
@@ -301,7 +307,7 @@ TEST(Server, DefaultBudgetAppliesWhenRequestHasNone)
     ServerOptions options;
     options.default_budget.max_cells = 1;
     Server server(options);
-    const std::string out = ::testing::TempDir() + "/serve_default.maf";
+    const std::string out = temp_path("serve_default.maf");
     const std::string resp = server.handle_line(align_line("d1", out));
     EXPECT_NE(resp.find("\"reason\": \"cells\""), std::string::npos)
         << resp;
@@ -389,14 +395,13 @@ TEST(Server, DumpTraceWritesAParseableChromeTraceWithRequestTags)
 
     Server server(ServerOptions{});
     server.set_trace_session(&flight);
-    const std::string out = ::testing::TempDir() + "/serve_tagged.maf";
+    const std::string out = temp_path("serve_tagged.maf");
     const std::string align_resp =
         server.handle_line(align_line("a1", out));
     ASSERT_NE(align_resp.find("\"status\": \"ok\""), std::string::npos)
         << align_resp;
 
-    const std::string trace_path =
-        ::testing::TempDir() + "/serve_flight.trace.json";
+    const std::string trace_path = temp_path("serve_flight.trace.json");
     const std::string resp = server.handle_line(strprintf(
         "{\"op\": \"dump_trace\", \"id\": \"t\", \"out\": %s}",
         json_quote(trace_path).c_str()));
@@ -436,7 +441,7 @@ TEST(Server, MafIsByteIdenticalWithAllTelemetryEnabled)
     Server server(options);
     server.set_trace_session(&flight);
 
-    const std::string out = ::testing::TempDir() + "/serve_telemetry.maf";
+    const std::string out = temp_path("serve_telemetry.maf");
     server.handle_line("{\"op\": \"stats\", \"id\": \"s0\"}");
     const std::string resp = server.handle_line(align_line(
         "t1", out,

@@ -1,13 +1,12 @@
 /**
  * @file
- * `darwin-wga-batch` — streaming many-pair whole-genome alignment.
+ * `darwin-wga-batch` — many-pair whole-genome alignment.
  *
  * Runs a manifest of (target, query) genome pairs through the batch
- * engine (src/batch/): each pair's query is sharded and driven through
- * seed -> filter -> extend -> chain as a pipeline-parallel dataflow, so
- * a handful of threads keeps every stage busy across the whole
- * manifest. Per-pair results are bit-identical to the serial
- * `darwin-wga align` pipeline.
+ * engine (src/batch/): --threads workers each align one whole pair at
+ * a time (seed -> filter -> extend -> chain), and pairs sharing a
+ * target share one seed index. Per-pair results are bit-identical to
+ * the serial `darwin-wga align` pipeline.
  *
  * Manifest file: one pair per line, `name target.fa query.fa`
  * (whitespace-separated; '#' starts a comment). Alternatively,
@@ -203,8 +202,8 @@ status_tag(fault::PairStatus status)
 int
 main(int argc, char** argv)
 {
-    ArgParser args("darwin-wga-batch: streaming batch whole-genome "
-                   "alignment over a manifest of genome pairs.");
+    ArgParser args("darwin-wga-batch: batch whole-genome alignment over "
+                   "a manifest of genome pairs.");
     args.add_option("manifest", "",
                     "manifest file: one 'name target.fa query.fa' per line");
     args.add_option("pairs", "",
@@ -215,9 +214,8 @@ main(int argc, char** argv)
     args.add_option("exon-every", "2500", "one planted exon per N bp");
     args.add_option("seed", "1", "synthetic generator seed");
     args.add_option("outdir", "batch_out", "output directory");
-    args.add_option("threads", "0", "worker threads (0 = all cores)");
-    args.add_option("shard-bp", "262144", "query bp per work unit");
-    args.add_option("queue-cap", "128", "inter-stage queue capacity");
+    args.add_option("threads", "0",
+                    "worker threads, one pair each (0 = all cores)");
     args.add_flag("streaming",
                   "bounded-memory mode: run each pair whole through "
                   "the streaming pipeline (2-bit packed storage, seed "
@@ -302,10 +300,6 @@ main(int argc, char** argv)
             options.params.dsoft.transitions = false;
         options.num_threads =
             static_cast<std::size_t>(args.get_int("threads"));
-        options.shard_length =
-            static_cast<std::size_t>(args.get_int("shard-bp"));
-        options.queue_capacity =
-            static_cast<std::size_t>(args.get_int("queue-cap"));
         options.pair_budget.wall_seconds = args.get_double("pair-timeout");
         options.pair_budget.max_cells =
             static_cast<std::uint64_t>(args.get_int("pair-max-cells"));
@@ -325,15 +319,13 @@ main(int argc, char** argv)
             jobs.push_back({entry.name, &entry.target, &entry.query});
             by_name[entry.name] = &entry;
         }
-        inform(strprintf("batch: %zu pairs, %zu bp shards",
-                         jobs.size(), options.shard_length));
+        inform(strprintf("batch: %zu pairs", jobs.size()));
 
         batch::MetricsRegistry metrics;
         tools::ObsSetup obs_setup(args, metrics);
         obs::ProgressOptions progress;
         progress.done_counter = "batch.pairs_completed";
         progress.total_counter = "batch.pairs";
-        progress.queue_gauge_prefix = "batch.queue.";
         progress.label = "batch";
         obs_setup.start_progress(progress);
 
