@@ -1,15 +1,37 @@
 /**
  * @file
- * On-disk format of a persistent reference index (`.dwi`).
+ * On-disk format of a persistent reference index (`.dwi`), version 3.
  *
- * A `.dwi` file is the bucketed spaced-seed position table of one target
- * sequence, laid out so a reader can mmap the file and hand the sections
- * to SeedIndex::attach() without copying a byte:
+ * A `.dwi` file is the key-sorted spaced-seed position table of one
+ * target sequence (seed/seed_index.h), laid out so a reader can mmap
+ * the file and hand the sections to SeedIndex::attach() without copying
+ * a byte. The monolithic layout:
  *
- *     [IndexHeader]            192 bytes, at offset 0
- *     [bucket offsets]         (num_buckets + 1) x u32, 64-byte aligned
- *     [positions]              num_positions x u32,     64-byte aligned
- *     [over-represented bits]  ceil(num_buckets/64) x u64, 64-byte aligned
+ *     [IndexHeader]       256 bytes, at offset 0
+ *     [directory]         (2^dir_bits + 1) x u32, 64-byte aligned
+ *     [key suffixes]      num_positions x u8 (none when dir_bits equals
+ *                         the key width), 64-byte aligned
+ *     [positions]         num_positions x u32, 64-byte aligned
+ *     [repeat keys]       truncated_buckets x u32, sorted, aligned
+ *     [checksum area]     see ChecksumTrailer
+ *
+ * The directory indexes the top dir_bits bits of the seed key: slice s
+ * of the positions holds every key whose top bits are s, sorted by key
+ * (the suffix bytes hold the remaining low bits) and ascending within a
+ * key. dir_bits is sized to the target at build time, so a 120 kbp
+ * target's file is ~1 MB, not the 67 MB a dense 4^12 directory costs.
+ *
+ * The sharded layout serves bounded-memory loading
+ * (seed/sharded_index.h): instead of one global table, the file
+ * carries the global repeat keys, a shard directory and one (directory,
+ * suffixes, positions) section triple per band shard, so a reader can
+ * map the file once and page in one shard's table at a time:
+ *
+ *     [IndexHeader]       256 bytes, at offset 0
+ *     [repeat keys]       global, 64-byte aligned
+ *     [shard directory]   num_shards x ShardDirEntry, aligned
+ *     [shard 0 directory][shard 0 suffixes][shard 0 positions] ...
+ *     [checksum area]
  *
  * All integers are little-endian (the header carries an endian tag and
  * readers refuse a mismatch rather than byte-swap); all sections start
@@ -20,25 +42,12 @@
  * the seed shape + repeat cap, so a cache can key on exactly the inputs
  * that determine the table bytes.
  *
- * Version 2 adds an *optional sharded layout* for bounded-memory
- * loading (seed/sharded_index.h): instead of one global table, the file
- * carries a shard directory plus one (bucket offsets, positions)
- * section pair per band shard, so a reader can map the file once and
- * page in one shard's table at a time:
- *
- *     [IndexHeader]            192 bytes, at offset 0
- *     [over-represented bits]  global, 64-byte aligned
- *     [shard directory]        num_shards x ShardDirEntry, aligned
- *     [shard 0 offsets][shard 0 positions] ... each aligned
- *
- * Monolithic files keep writing version 1 (the layouts are identical,
- * so older readers still load them); sharded files write version 2.
- * Readers here accept both.
- *
- * Versioning policy: `version` bumps on any layout or semantic change;
- * readers accept only versions they were built for (no in-place
- * migration — an index is a cache artifact, cheap to rebuild with
- * `darwin-wga-index build`).
+ * Versioning policy: an index is a rebuildable cache artifact. One
+ * version is written and read; `version` bumps on any layout or
+ * semantic change, and readers refuse every other version with a
+ * "rebuild with darwin-wga-index" error (no in-place migration).
+ * Versions 1 and 2 (a dense 4^weight bucket-offset array per table) are
+ * refused.
  */
 #ifndef DARWIN_INDEX_FORMAT_H
 #define DARWIN_INDEX_FORMAT_H
@@ -52,11 +61,8 @@ namespace darwin::index {
 inline constexpr char kIndexMagic[8] = {'D', 'W', 'G', 'A',
                                         'I', 'D', 'X', '\0'};
 
-/** Version written for monolithic (single-table) files. */
-inline constexpr std::uint32_t kIndexFormatVersion = 1;
-
-/** Version written for sharded files (shard directory present). */
-inline constexpr std::uint32_t kIndexShardedFormatVersion = 2;
+/** The one format version written and read (monolithic and sharded). */
+inline constexpr std::uint32_t kIndexFormatVersion = 3;
 
 /** Written natively; a reader seeing any other value is on a host with
  *  a different byte order than the writer. */
@@ -80,41 +86,44 @@ struct IndexHeader {
     std::uint64_t num_buckets;       ///< pattern key space (4^weight)
     std::uint64_t num_positions;     ///< total indexed positions
     std::uint64_t skipped_windows;   ///< windows skipped for N bases
-    std::uint64_t truncated_buckets; ///< buckets clamped at max_bucket
-    std::uint64_t offsets_offset;    ///< byte offset of bucket offsets
-    std::uint64_t positions_offset;  ///< byte offset of positions
-    std::uint64_t over_words_offset; ///< byte offset of the bitset
+    std::uint64_t truncated_buckets; ///< keys clamped at max_bucket
+    std::uint64_t directory_offset;  ///< monolithic: byte offset of the directory
+    std::uint64_t suffixes_offset;   ///< monolithic: byte offset of the suffixes
+    std::uint64_t positions_offset;  ///< monolithic: byte offset of positions
+    std::uint64_t repeats_offset;    ///< byte offset of the repeat keys
     std::uint64_t total_bytes;       ///< exact file size
     char pattern[kIndexMaxPatternLength + 1];  ///< '1'/'0' seed shape
-    // Sharded layout (version >= 2); all zero in version-1 files, which
-    // is how the fields stay backward compatible: a v1 header's reserved
-    // tail reads as "no shards".
     std::uint64_t shard_bp;          ///< band-start bp per shard (0 = n/a)
     std::uint32_t num_shards;        ///< 0 = monolithic layout
-    std::uint32_t reserved32;        ///< zero; future use
-    std::uint64_t shard_dir_offset;  ///< byte offset of the directory
+    /** Monolithic: the directory width b. Sharded: the widest shard
+     *  directory (each shard records its own). */
+    std::uint32_t dir_bits;
+    std::uint64_t shard_dir_offset;  ///< sharded: byte offset of the shard directory
+    char reserved[56];               ///< zero; future use
 };
 
-static_assert(sizeof(IndexHeader) == 192,
+static_assert(sizeof(IndexHeader) == 256,
               "IndexHeader layout is part of the on-disk format");
 static_assert(std::is_trivially_copyable_v<IndexHeader>,
               "IndexHeader must be memcpy-safe");
 static_assert(sizeof(IndexHeader) % kIndexSectionAlign == 0,
               "sections start 64-byte aligned right after the header");
 
-/** One shard's directory entry (version >= 2). Band/slice semantics
- *  are exactly seed::ShardPlan's; offsets are absolute file offsets of
- *  the shard's (num_buckets + 1) x u32 bucket-offset array and
- *  num_positions x u32 position array. */
+/** One shard's directory entry. Band/slice semantics are exactly
+ *  seed::ShardPlan's; offsets are absolute file offsets of the shard's
+ *  (2^dir_bits + 1) x u32 directory, num_positions x u8 key suffixes
+ *  (none when dir_bits is the key width) and num_positions x u32
+ *  positions. */
 struct ShardDirEntry {
     std::uint64_t band_lo;
     std::uint64_t band_hi;
     std::uint64_t slice_lo;
     std::uint64_t slice_hi;
-    std::uint64_t offsets_offset;
+    std::uint64_t directory_offset;
+    std::uint64_t suffixes_offset;
     std::uint64_t positions_offset;
-    std::uint64_t num_positions;
-    std::uint64_t reserved;  ///< zero; future use
+    std::uint32_t num_positions;
+    std::uint32_t dir_bits;
 };
 
 static_assert(sizeof(ShardDirEntry) == 64,
@@ -136,22 +145,18 @@ inline constexpr char kIndexChecksumMagic[8] = {'D', 'W', 'C', 'S',
 inline constexpr std::uint32_t kIndexChecksumVersion = 1;
 
 /**
- * Crash-safety checksums, appended after the last section (so legacy
- * files — whose total_bytes equals the end of their sections — stay
- * loadable unchanged):
+ * Crash-safety checksums, appended after the last section. Every file
+ * carries them; a reader refuses a file without a trailer.
  *
  *     [sections ...]
  *     [digest array]     num_digests x u64 (fnv1a64), 64-byte aligned
  *     [ChecksumTrailer]  last 64 bytes of the file
  *
  * The digest array covers each section's *content* bytes in layout
- * order — monolithic: bucket offsets, positions, over-words; sharded:
- * over-words, shard directory, then (offsets, positions) per shard —
- * and header_digest covers the 192 header bytes as written. Readers
- * find the trailer at total_bytes - 64; a file whose total_bytes is
- * exactly its sections' end simply has no checksums (legacy), which
- * keeps versions 1 and 2 readable by older builds that ignore the
- * tail.
+ * order — monolithic: directory, suffixes, positions, repeat keys;
+ * sharded: repeat keys, shard directory, then (directory, suffixes,
+ * positions) per shard — and header_digest covers the header bytes as
+ * written. Readers find the trailer at total_bytes - 64.
  */
 struct ChecksumTrailer {
     char magic[8];                 ///< kIndexChecksumMagic

@@ -1,12 +1,10 @@
 #include "index/fsck.h"
 
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "fault/cancel.h"
-#include "index/format.h"
 #include "index/index_io.h"
 #include "seq/packed_io.h"
 #include "util/logging.h"
@@ -32,30 +30,69 @@ json_field(const std::string& line, const std::string& key)
     return line.substr(begin, end - begin);
 }
 
-/** Peek the format version from a `.dwi` header without validating. */
-std::uint32_t
-peek_index_version(const std::string& path)
+/**
+ * The O(positions) table checks the loaders leave out: within each
+ * directory slice the key suffixes ascend and a key's positions
+ * ascend, every window lies inside the sequence, and the repeat keys
+ * ascend inside the key space. Fatal, tagged with `path`, on the first
+ * violation.
+ */
+void
+check_table(const std::string& path, const std::string& what,
+            const seed::SeedIndex& index, std::uint64_t sequence_length)
 {
-    std::ifstream in(path, std::ios::binary);
-    IndexHeader header = {};
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    if (in.gcount() != sizeof(header))
-        return 0;
-    return header.version;
+    const auto fail = [&](const std::string& detail) {
+        fatal(strprintf("%s: %s%s", path.c_str(), what.c_str(),
+                        detail.c_str()));
+    };
+    const auto directory = index.directory();
+    const auto suffixes = index.suffixes();
+    const auto positions = index.positions();
+    const std::uint64_t span = index.pattern().span();
+    for (std::size_t s = 0; s + 1 < directory.size(); ++s) {
+        for (std::uint32_t i = directory[s]; i < directory[s + 1]; ++i) {
+            if (positions[i] + span > sequence_length)
+                fail(strprintf("position %u lies outside the %llu bp "
+                               "sequence",
+                               positions[i],
+                               static_cast<unsigned long long>(
+                                   sequence_length)));
+            if (i == directory[s])
+                continue;
+            const bool same_key =
+                suffixes.empty() || suffixes[i] == suffixes[i - 1];
+            if (!suffixes.empty() && suffixes[i] < suffixes[i - 1])
+                fail(strprintf("key suffixes out of order in directory "
+                               "slice %zu",
+                               s));
+            if (same_key && positions[i] <= positions[i - 1])
+                fail(strprintf("positions out of order in directory "
+                               "slice %zu",
+                               s));
+        }
+    }
+    const auto repeats = index.repeat_keys();
+    for (std::size_t i = 0; i < repeats.size(); ++i) {
+        if (repeats[i] >= index.pattern().key_space() ||
+            (i > 0 && repeats[i] <= repeats[i - 1]))
+            fail("repeat keys are not ascending inside the key space");
+    }
 }
 
 void
 check_index(const std::string& path, std::vector<FsckFinding>* findings)
 {
     try {
-        if (peek_index_version(path) == kIndexShardedFormatVersion) {
+        const IndexInfo info = read_index_info(path);
+        if (info.num_shards > 0) {
             // The constructor runs full validation: header geometry,
             // directory partition, checksum trailer + digests.
             ShardedIndexReader reader(path);
             for (std::size_t s = 0; s < reader.num_shards(); ++s)
-                reader.open_shard(s);
+                check_table(path, strprintf("shard %zu: ", s),
+                            *reader.open_shard(s), info.sequence_length);
         } else {
-            load_index(path);
+            check_table(path, "", *load_index(path), info.sequence_length);
         }
     } catch (const FatalError& e) {
         findings->push_back({path, "bad-index", e.what()});

@@ -5,8 +5,11 @@
  * `darwin-wga-index fsck FILE...` runs every artifact a crashed or
  * SIGKILLed run may have left behind through the same validation the
  * loaders apply — header geometry, checksum trailers, digest
- * verification — plus journal-specific line checks, and reports
- * machine-readable findings instead of dying on the first bad file.
+ * verification, the `.dwi` directory check — plus the O(positions)
+ * `.dwi` table checks the loaders leave out (key suffixes sorted within
+ * each directory slice, positions inside the sequence) and
+ * journal-specific line checks, and reports machine-readable findings
+ * instead of dying on the first bad file.
  *
  * Supported artifact kinds (detected from content, not extension):
  *   - `.dwi` reference indexes (monolithic and sharded),

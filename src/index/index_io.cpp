@@ -55,7 +55,45 @@ bad_index(const std::string& path, const std::string& what)
     fatal(strprintf("%s: %s", path.c_str(), what.c_str()));
 }
 
-/** Validate everything decodable from the 192 header bytes alone. */
+/** Key width (2 bits per match position) of a header's seed shape. */
+std::uint32_t
+key_bits_of(const IndexHeader& header)
+{
+    return 2 * static_cast<std::uint32_t>(
+                   std::count(header.pattern,
+                              header.pattern + header.pattern_length, '1'));
+}
+
+/** A directory over the top `dir_bits` of a `key_bits`-bit key leaves at
+ *  most 8 suffix bits (one byte per position). */
+bool
+dir_bits_valid(std::uint32_t dir_bits, std::uint32_t key_bits)
+{
+    return dir_bits <= key_bits && dir_bits + 8 >= key_bits;
+}
+
+std::uint64_t
+directory_bytes(std::uint32_t dir_bits)
+{
+    return ((std::uint64_t{1} << dir_bits) + 1) * 4;
+}
+
+std::uint64_t
+suffix_bytes(std::uint32_t dir_bits, std::uint32_t key_bits,
+             std::uint64_t num_positions)
+{
+    return dir_bits < key_bits ? num_positions : 0;
+}
+
+/** True when [offset, offset + bytes) lies below `limit`, without
+ *  overflowing on crafted offsets. */
+bool
+fits(std::uint64_t offset, std::uint64_t bytes, std::uint64_t limit)
+{
+    return offset <= limit && bytes <= limit - offset;
+}
+
+/** Validate everything decodable from the header bytes alone. */
 IndexHeader
 validate_header(const std::string& path, const std::uint8_t* bytes,
                 std::uint64_t file_size)
@@ -71,14 +109,12 @@ validate_header(const std::string& path, const std::uint8_t* bytes,
         bad_index(path, "not a darwin-wga index file (bad magic)");
     if (header.endian_tag != kIndexEndianTag)
         bad_index(path, "index was written with a different byte order");
-    if (header.version != kIndexFormatVersion &&
-        header.version != kIndexShardedFormatVersion)
+    if (header.version != kIndexFormatVersion)
         bad_index(path,
                   strprintf("unsupported index format version %u "
-                            "(this build reads versions %u and %u; "
-                            "rebuild with darwin-wga-index)",
-                            header.version, kIndexFormatVersion,
-                            kIndexShardedFormatVersion));
+                            "(this build reads version %u; rebuild with "
+                            "darwin-wga-index)",
+                            header.version, kIndexFormatVersion));
     if (header.total_bytes != file_size)
         bad_index(path, strprintf("truncated or padded index file "
                                   "(header records %llu bytes, file has "
@@ -99,51 +135,60 @@ validate_header(const std::string& path, const std::uint8_t* bytes,
     }
     if (header.max_bucket == 0)
         bad_index(path, "max_bucket of zero");
+    // Bound every count before section sizes are computed from it.
+    const std::uint32_t key_bits = key_bits_of(header);
+    if (key_bits == 0 || key_bits > 30 ||
+        header.num_buckets != std::uint64_t{1} << key_bits)
+        bad_index(path, "bucket count disagrees with the seed shape");
+    if (header.num_positions > UINT32_MAX ||
+        header.truncated_buckets > header.num_buckets)
+        bad_index(path, "position or repeat-key count out of range");
+    if (!dir_bits_valid(header.dir_bits, key_bits))
+        bad_index(path, strprintf("directory width %u out of range for a "
+                                  "%u-bit key",
+                                  header.dir_bits, key_bits));
 
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
-    const std::uint64_t positions_bytes = header.num_positions * 4;
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    if (header.version == kIndexFormatVersion) {
-        // Monolithic layout. A version-1 writer left the shard fields
-        // (the old reserved tail) zeroed; anything else is corruption.
-        if (header.num_shards != 0 || header.shard_bp != 0 ||
-            header.shard_dir_offset != 0)
-            bad_index(path, "version-1 file carries shard fields");
-        // Section geometry: in order, aligned, inside the file. The
-        // file may end exactly at the last section (legacy) or carry a
-        // checksum area after it (validated by the full loaders; this
-        // function sees the header bytes only).
-        const std::uint64_t sections_end =
-            align_section(header.over_words_offset + over_bytes);
-        if (header.offsets_offset != sizeof(IndexHeader) ||
+    const std::uint64_t repeats_bytes = header.truncated_buckets * 4;
+    std::uint64_t sections_end = 0;
+    if (header.num_shards == 0) {
+        // Monolithic layout: four sections, in order, aligned.
+        if (header.shard_bp != 0 || header.shard_dir_offset != 0)
+            bad_index(path, "monolithic index carries shard fields");
+        if (header.directory_offset != sizeof(IndexHeader) ||
+            header.suffixes_offset !=
+                align_section(header.directory_offset +
+                              directory_bytes(header.dir_bits)) ||
             header.positions_offset !=
-                align_section(header.offsets_offset + offsets_bytes) ||
-            header.over_words_offset !=
-                align_section(header.positions_offset + positions_bytes) ||
-            (header.total_bytes != sections_end &&
-             header.total_bytes <
-                 sections_end + sizeof(ChecksumTrailer)))
+                align_section(header.suffixes_offset +
+                              suffix_bytes(header.dir_bits, key_bits,
+                                           header.num_positions)) ||
+            header.repeats_offset !=
+                align_section(header.positions_offset +
+                              header.num_positions * 4))
             bad_index(path, "section offsets disagree with section sizes");
+        sections_end = align_section(header.repeats_offset + repeats_bytes);
     } else {
-        // Sharded layout: global bitset, then the shard directory, then
-        // per-shard sections (validated as each shard is opened).
-        if (header.num_shards == 0)
-            bad_index(path, "sharded index with zero shards");
+        // Sharded layout: global repeat keys, then the shard directory,
+        // then per-shard sections (validated by ShardedIndexReader).
         if (header.shard_bp == 0)
             bad_index(path, "sharded index with zero shard-bp");
-        if (header.offsets_offset != 0 || header.positions_offset != 0)
+        if (header.directory_offset != 0 || header.suffixes_offset != 0 ||
+            header.positions_offset != 0)
             bad_index(path, "sharded index carries monolithic sections");
-        const std::uint64_t dir_bytes =
-            static_cast<std::uint64_t>(header.num_shards) *
-            sizeof(ShardDirEntry);
-        if (header.over_words_offset !=
-                align_section(sizeof(IndexHeader)) ||
+        if (header.repeats_offset != sizeof(IndexHeader) ||
             header.shard_dir_offset !=
-                align_section(header.over_words_offset + over_bytes) ||
-            header.shard_dir_offset + dir_bytes > header.total_bytes)
+                align_section(header.repeats_offset + repeats_bytes))
             bad_index(path, "shard directory offsets disagree with "
                             "section sizes");
+        sections_end = header.shard_dir_offset +
+                       std::uint64_t{header.num_shards} *
+                           sizeof(ShardDirEntry);
     }
+    if (header.total_bytes < sections_end)
+        bad_index(path, "sections extend past the end of the file");
+    if (header.total_bytes < sections_end + sizeof(ChecksumTrailer))
+        bad_index(path, "index carries no checksum trailer (rebuild with "
+                        "darwin-wga-index)");
     return header;
 }
 
@@ -153,46 +198,34 @@ struct SectionSpan {
     std::uint64_t bytes;
 };
 
-/**
- * Locate and validate the checksum trailer of a fully-mapped file.
- * Returns false when the file ends exactly at its sections (legacy —
- * no checksums to verify); fatal when a trailer area exists but is
- * malformed.
- */
-bool
-read_checksum_trailer(const std::string& path, const std::uint8_t* base,
-                      std::uint64_t file_size, std::uint64_t sections_end,
-                      ChecksumTrailer* trailer)
+/** Locate the checksum trailer of a fully-mapped file whose sections
+ *  end at `sections_end` and verify the header and per-section digests
+ *  against it; fatal on a missing or malformed trailer or any mismatch
+ *  (tagged "checksum"). */
+void
+verify_checksums(const std::string& path, const std::uint8_t* base,
+                 std::uint64_t file_size, std::uint64_t sections_end,
+                 const std::vector<SectionSpan>& sections)
 {
-    if (file_size == sections_end)
-        return false;
     if (file_size < sections_end + sizeof(ChecksumTrailer))
-        bad_index(path, "checksum area is smaller than its trailer");
-    std::memcpy(trailer, base + file_size - sizeof(ChecksumTrailer),
-                sizeof(*trailer));
-    if (std::memcmp(trailer->magic, kIndexChecksumMagic,
+        bad_index(path, "index carries no checksum trailer (rebuild with "
+                        "darwin-wga-index)");
+    ChecksumTrailer trailer;
+    std::memcpy(&trailer, base + file_size - sizeof(ChecksumTrailer),
+                sizeof(trailer));
+    if (std::memcmp(trailer.magic, kIndexChecksumMagic,
                     sizeof(kIndexChecksumMagic)) != 0)
         bad_index(path, "file tail is not a checksum trailer (corrupt "
                         "or truncated checksum area)");
-    if (trailer->version != kIndexChecksumVersion)
+    if (trailer.version != kIndexChecksumVersion)
         bad_index(path, strprintf("unsupported checksum version %u",
-                                  trailer->version));
-    if (trailer->digests_offset < sections_end ||
-        trailer->digests_offset % kIndexSectionAlign != 0 ||
-        trailer->digests_offset +
-                static_cast<std::uint64_t>(trailer->num_digests) * 8 >
-            file_size - sizeof(ChecksumTrailer))
+                                  trailer.version));
+    if (trailer.digests_offset < sections_end ||
+        trailer.digests_offset % kIndexSectionAlign != 0 ||
+        !fits(trailer.digests_offset,
+              static_cast<std::uint64_t>(trailer.num_digests) * 8,
+              file_size - sizeof(ChecksumTrailer)))
         bad_index(path, "checksum digest array falls outside the file");
-    return true;
-}
-
-/** Verify header + per-section digests against the trailer; fatal on
- *  any mismatch (tagged "checksum mismatch"). */
-void
-verify_checksums(const std::string& path, const std::uint8_t* base,
-                 const std::vector<SectionSpan>& sections,
-                 const ChecksumTrailer& trailer)
-{
     if (trailer.header_digest !=
         fnv1a64_bytes({base, sizeof(IndexHeader)}))
         bad_index(path, "header checksum mismatch (corrupt index?)");
@@ -213,37 +246,44 @@ verify_checksums(const std::string& path, const std::uint8_t* base,
     }
 }
 
-/** Append the digest array + trailer; returns the new end offset. */
-std::uint64_t
-write_checksum_area(std::ofstream& out, std::uint64_t sections_end,
-                    const std::vector<std::uint64_t>& digests,
-                    std::uint64_t header_digest)
+/**
+ * The O(2^b) directory check every loader runs before attach(): the
+ * offsets start at 0, never decrease, and end at the position count,
+ * so every lookup() slice lies inside the position (and suffix)
+ * sections. `what` prefixes the message ("" or "shard N: ").
+ */
+void
+check_directory(const std::string& path, const std::string& what,
+                std::span<const std::uint32_t> directory,
+                std::uint64_t num_positions)
 {
-    ChecksumTrailer trailer = {};
-    std::memcpy(trailer.magic, kIndexChecksumMagic,
-                sizeof(kIndexChecksumMagic));
-    trailer.version = kIndexChecksumVersion;
-    trailer.num_digests = static_cast<std::uint32_t>(digests.size());
-    trailer.digests_offset = sections_end;
-    trailer.header_digest = header_digest;
-    out.write(reinterpret_cast<const char*>(digests.data()),
-              static_cast<std::streamsize>(digests.size() * 8));
-    const std::uint64_t array_end = sections_end + digests.size() * 8;
-    const std::uint64_t trailer_offset = align_section(array_end);
-    static const char zeros[kIndexSectionAlign] = {};
-    out.write(zeros,
-              static_cast<std::streamsize>(trailer_offset - array_end));
-    out.write(reinterpret_cast<const char*>(&trailer), sizeof(trailer));
-    return trailer_offset + sizeof(trailer);
+    if (directory.front() != 0)
+        bad_index(path, what + "directory does not start at 0");
+    for (std::size_t s = 1; s < directory.size(); ++s) {
+        if (directory[s] < directory[s - 1])
+            bad_index(path, strprintf("%sdirectory decreases at slice "
+                                      "%zu (%u > %u)",
+                                      what.c_str(), s - 1,
+                                      directory[s - 1], directory[s]));
+    }
+    if (directory.back() != num_positions)
+        bad_index(path, what + "directory does not end at the position "
+                               "count");
 }
 
-/** The checksum-inclusive total size for a file whose sections end at
- *  `sections_end` and carry `num_digests` section digests. */
-constexpr std::uint64_t
-checksummed_total(std::uint64_t sections_end, std::size_t num_digests)
+template <class T>
+std::span<const T>
+section(const std::uint8_t* base, std::uint64_t offset, std::uint64_t count)
 {
-    return align_section(sections_end + num_digests * 8) +
-           sizeof(ChecksumTrailer);
+    return {reinterpret_cast<const T*>(base + offset),
+            static_cast<std::size_t>(count)};
+}
+
+template <class T>
+SectionSpan
+checksummed(std::span<const T> s)
+{
+    return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size_bytes()};
 }
 
 void
@@ -256,6 +296,135 @@ write_padding(std::ofstream& out, std::uint64_t current,
             std::min<std::uint64_t>(target - current, sizeof(zeros));
         out.write(zeros, static_cast<std::streamsize>(n));
         current += n;
+    }
+}
+
+/** Appends 64-byte-aligned sections to an index file being written and
+ *  records each one's content digest, in layout order. */
+class SectionWriter {
+  public:
+    explicit SectionWriter(std::ofstream& out)
+        : out_(out), cursor_(sizeof(IndexHeader))
+    {
+    }
+
+    /** Pad to the next section boundary, write `s`, and return the
+     *  section's file offset. */
+    template <class T>
+    std::uint64_t
+    put(std::span<const T> s)
+    {
+        const std::uint64_t offset = align_section(cursor_);
+        write_padding(out_, cursor_, offset);
+        out_.write(reinterpret_cast<const char*>(s.data()),
+                   static_cast<std::streamsize>(s.size_bytes()));
+        digests_.push_back(fnv1a64_bytes(
+            {reinterpret_cast<const std::uint8_t*>(s.data()),
+             s.size_bytes()}));
+        cursor_ = offset + s.size_bytes();
+        return offset;
+    }
+
+    /** Overwrite section `index` (written earlier at `offset` as a
+     *  placeholder of the same size) with its final bytes. */
+    template <class T>
+    void
+    rewrite(std::size_t index, std::uint64_t offset, std::span<const T> s)
+    {
+        out_.seekp(static_cast<std::streamoff>(offset));
+        out_.write(reinterpret_cast<const char*>(s.data()),
+                   static_cast<std::streamsize>(s.size_bytes()));
+        out_.seekp(static_cast<std::streamoff>(cursor_));
+        digests_[index] = fnv1a64_bytes(
+            {reinterpret_cast<const std::uint8_t*>(s.data()),
+             s.size_bytes()});
+    }
+
+    /** Pad to a boundary and append the digest array + trailer, after
+     *  setting header.total_bytes and digesting the final header. */
+    void
+    finish(IndexHeader& header)
+    {
+        const std::uint64_t sections_end = align_section(cursor_);
+        write_padding(out_, cursor_, sections_end);
+        const std::uint64_t array_end = sections_end + digests_.size() * 8;
+        const std::uint64_t trailer_offset = align_section(array_end);
+        header.total_bytes = trailer_offset + sizeof(ChecksumTrailer);
+        ChecksumTrailer trailer = {};
+        std::memcpy(trailer.magic, kIndexChecksumMagic,
+                    sizeof(kIndexChecksumMagic));
+        trailer.version = kIndexChecksumVersion;
+        trailer.num_digests = static_cast<std::uint32_t>(digests_.size());
+        trailer.digests_offset = sections_end;
+        trailer.header_digest = fnv1a64_bytes(
+            {reinterpret_cast<const std::uint8_t*>(&header),
+             sizeof(header)});
+        out_.write(reinterpret_cast<const char*>(digests_.data()),
+                   static_cast<std::streamsize>(digests_.size() * 8));
+        write_padding(out_, array_end, trailer_offset);
+        out_.write(reinterpret_cast<const char*>(&trailer), sizeof(trailer));
+    }
+
+  private:
+    std::ofstream& out_;
+    std::uint64_t cursor_;
+    std::vector<std::uint64_t> digests_;
+};
+
+/** Header fields shared by both layouts. */
+IndexHeader
+make_header(const std::string& path, const seed::SeedPattern& pattern,
+            std::uint32_t max_bucket, std::uint64_t digest,
+            std::uint64_t length)
+{
+    const std::string& shape = pattern.pattern();
+    if (shape.size() > kIndexMaxPatternLength)
+        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
+                        "format's %u bp limit",
+                        path.c_str(), shape.size(), kIndexMaxPatternLength));
+    IndexHeader header = {};
+    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
+    header.version = kIndexFormatVersion;
+    header.endian_tag = kIndexEndianTag;
+    header.sequence_digest = digest;
+    header.sequence_length = length;
+    header.max_bucket = max_bucket;
+    header.pattern_length = static_cast<std::uint32_t>(shape.size());
+    std::memcpy(header.pattern, shape.data(), shape.size());
+    header.num_buckets = pattern.key_space();
+    return header;
+}
+
+/**
+ * Write an index file atomically (same-directory tmp + rename): a
+ * placeholder header, the sections `body` emits through the writer
+ * (filling in `header` as it goes), the checksum area, then the final
+ * header patched in at offset 0.
+ */
+template <class Body>
+void
+write_index_file(const std::string& path, IndexHeader& header, Body body)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
+        if (!out)
+            fatal(strprintf("cannot write %s", tmp.c_str()));
+        write_padding(out, 0, sizeof(IndexHeader));
+        SectionWriter writer(out);
+        body(writer);
+        writer.finish(header);
+        out.seekp(0);
+        out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+        out.flush();
+        if (!out)
+            fatal(strprintf("error writing %s", tmp.c_str()));
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
+                        path.c_str(), ec.message().c_str()));
     }
 }
 
@@ -285,102 +454,6 @@ sequence_digest(const seq::PackedSequence& sequence)
         hash = fnv1a64_bytes({window.data(), len}, hash);
     }
     return hash;
-}
-
-void
-save_index(const std::string& path, const seed::SeedIndex& index,
-           std::uint64_t digest, std::uint64_t length)
-{
-    const std::string& pattern = index.pattern().pattern();
-    if (pattern.size() > kIndexMaxPatternLength)
-        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
-                        "format's %u bp limit",
-                        path.c_str(), pattern.size(),
-                        kIndexMaxPatternLength));
-
-    IndexHeader header = {};
-    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-    header.version = kIndexFormatVersion;
-    header.endian_tag = kIndexEndianTag;
-    header.sequence_digest = digest;
-    header.sequence_length = length;
-    header.max_bucket = index.max_bucket();
-    header.pattern_length = static_cast<std::uint32_t>(pattern.size());
-    std::memcpy(header.pattern, pattern.data(), pattern.size());
-    header.num_buckets = index.pattern().key_space();
-    header.num_positions = index.positions().size();
-    header.skipped_windows = index.skipped_windows();
-    header.truncated_buckets = index.truncated_buckets();
-    header.offsets_offset = sizeof(IndexHeader);
-    header.positions_offset = align_section(
-        header.offsets_offset + index.bucket_offsets().size_bytes());
-    header.over_words_offset = align_section(
-        header.positions_offset + index.positions().size_bytes());
-    const std::uint64_t sections_end = align_section(
-        header.over_words_offset + index.over_represented_words()
-                                       .size_bytes());
-
-    // Per-section digests, in layout order, plus the header digest —
-    // appended after the sections so legacy readers (which stop at
-    // sections_end) would still understand the geometry.
-    const std::vector<std::uint64_t> digests = {
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.bucket_offsets().data()),
-                       index.bucket_offsets().size_bytes()}),
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.positions().data()),
-                       index.positions().size_bytes()}),
-        fnv1a64_bytes({reinterpret_cast<const std::uint8_t*>(
-                           index.over_represented_words().data()),
-                       index.over_represented_words().size_bytes()}),
-    };
-    header.total_bytes = checksummed_total(sections_end, digests.size());
-    const std::uint64_t header_digest = fnv1a64_bytes(
-        {reinterpret_cast<const std::uint8_t*>(&header), sizeof(header)});
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        const auto write_bytes = [&out](const void* data,
-                                        std::uint64_t bytes) {
-            out.write(static_cast<const char*>(data),
-                      static_cast<std::streamsize>(bytes));
-        };
-        write_bytes(&header, sizeof(header));
-        write_bytes(index.bucket_offsets().data(),
-                    index.bucket_offsets().size_bytes());
-        write_padding(out,
-                      header.offsets_offset +
-                          index.bucket_offsets().size_bytes(),
-                      header.positions_offset);
-        write_bytes(index.positions().data(),
-                    index.positions().size_bytes());
-        write_padding(out,
-                      header.positions_offset +
-                          index.positions().size_bytes(),
-                      header.over_words_offset);
-        write_bytes(index.over_represented_words().data(),
-                    index.over_represented_words().size_bytes());
-        write_padding(out,
-                      header.over_words_offset +
-                          index.over_represented_words().size_bytes(),
-                      sections_end);
-        const std::uint64_t written =
-            write_checksum_area(out, sections_end, digests, header_digest);
-        require(written == header.total_bytes,
-                "index checksum area size mismatch");
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
 }
 
 namespace {
@@ -424,6 +497,7 @@ fill_info(IndexInfo* info, const IndexHeader& header)
     info->max_bucket = header.max_bucket;
     info->pattern.assign(header.pattern, header.pattern_length);
     info->num_buckets = header.num_buckets;
+    info->dir_bits = header.dir_bits;
     info->num_positions = header.num_positions;
     info->skipped_windows = header.skipped_windows;
     info->truncated_buckets = header.truncated_buckets;
@@ -432,76 +506,79 @@ fill_info(IndexInfo* info, const IndexHeader& header)
     info->num_shards = header.num_shards;
 }
 
+seed::SeedPattern
+parse_pattern(const std::string& path, const std::string& shape)
+{
+    try {
+        return seed::SeedPattern{shape};
+    } catch (const FatalError& e) {
+        bad_index(path, strprintf("invalid seed shape: %s", e.what()));
+    }
+}
+
 }  // namespace
+
+void
+save_index(const std::string& path, const seed::SeedIndex& index,
+           std::uint64_t digest, std::uint64_t length)
+{
+    IndexHeader header = make_header(path, index.pattern(),
+                                     index.max_bucket(), digest, length);
+    header.dir_bits = index.dir_bits();
+    header.num_positions = index.num_positions();
+    header.skipped_windows = index.skipped_windows();
+    header.truncated_buckets = index.truncated_buckets();
+    write_index_file(path, header, [&](SectionWriter& writer) {
+        header.directory_offset = writer.put(index.directory());
+        header.suffixes_offset = writer.put(index.suffixes());
+        header.positions_offset = writer.put(index.positions());
+        header.repeats_offset = writer.put(index.repeat_keys());
+    });
+}
 
 std::shared_ptr<const seed::SeedIndex>
 load_index(const std::string& path, IndexInfo* info)
 {
     auto mapping = map_index_file(path);
     const std::uint64_t file_size = mapping->size();
-
-    const IndexHeader header =
-        validate_header(path, mapping->bytes(), file_size);
-    if (header.version == kIndexShardedFormatVersion)
-        bad_index(path, "sharded index; open with ShardedIndexReader "
-                        "(or rebuild without --shard-bp)");
-
-    seed::SeedPattern pattern = [&] {
-        try {
-            return seed::SeedPattern{
-                std::string(header.pattern, header.pattern_length)};
-        } catch (const FatalError& e) {
-            bad_index(path, strprintf("invalid seed shape: %s", e.what()));
-        }
-    }();
-    if (pattern.key_space() != header.num_buckets)
-        bad_index(path, "bucket count disagrees with the seed shape");
-
     const std::uint8_t* base = mapping->bytes();
 
-    // Verify the checksum area (absent only in legacy files) before a
-    // single section byte is trusted: a torn write or bit flip fails
-    // loudly here instead of corrupting alignments downstream.
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
-    const std::uint64_t positions_bytes = header.num_positions * 4;
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    const std::uint64_t sections_end =
-        align_section(header.over_words_offset + over_bytes);
-    ChecksumTrailer trailer;
-    if (read_checksum_trailer(path, base, file_size, sections_end,
-                              &trailer)) {
-        verify_checksums(path, base,
-                         {{base + header.offsets_offset, offsets_bytes},
-                          {base + header.positions_offset,
-                           positions_bytes},
-                          {base + header.over_words_offset, over_bytes}},
-                         trailer);
-    }
+    const IndexHeader header = validate_header(path, base, file_size);
+    if (header.num_shards != 0)
+        bad_index(path, "sharded index; open with ShardedIndexReader "
+                        "(or rebuild without --shard-bp)");
+    seed::SeedPattern pattern = parse_pattern(
+        path, std::string(header.pattern, header.pattern_length));
 
-    const std::span<const std::uint32_t> offsets{
-        reinterpret_cast<const std::uint32_t*>(base +
-                                               header.offsets_offset),
-        static_cast<std::size_t>(header.num_buckets + 1)};
-    const std::span<const std::uint32_t> positions{
-        reinterpret_cast<const std::uint32_t*>(base +
-                                               header.positions_offset),
-        static_cast<std::size_t>(header.num_positions)};
-    const std::span<const std::uint64_t> over_words{
-        reinterpret_cast<const std::uint64_t*>(base +
-                                               header.over_words_offset),
-        static_cast<std::size_t>((header.num_buckets + 63) / 64)};
-    if (offsets.back() != header.num_positions)
-        bad_index(path, "final bucket offset disagrees with the "
-                        "position count");
+    const std::uint32_t key_bits = key_bits_of(header);
+    const auto directory = section<std::uint32_t>(
+        base, header.directory_offset,
+        (std::uint64_t{1} << header.dir_bits) + 1);
+    const auto suffixes = section<std::uint8_t>(
+        base, header.suffixes_offset,
+        suffix_bytes(header.dir_bits, key_bits, header.num_positions));
+    const auto positions = section<std::uint32_t>(
+        base, header.positions_offset, header.num_positions);
+    const auto repeats = section<std::uint32_t>(
+        base, header.repeats_offset, header.truncated_buckets);
+
+    // Verify the checksums before a single section byte is trusted: a
+    // torn write or bit flip fails loudly here instead of corrupting
+    // alignments downstream. Then the directory, so a crafted file with
+    // valid checksums still cannot steer lookup() out of bounds.
+    verify_checksums(path, base, file_size,
+                     align_section(header.repeats_offset +
+                                   repeats.size_bytes()),
+                     {checksummed(directory), checksummed(suffixes),
+                      checksummed(positions), checksummed(repeats)});
+    check_directory(path, "", directory, header.num_positions);
 
     if (info != nullptr)
         fill_info(info, header);
-
-    auto index = std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
-        std::move(pattern), header.max_bucket, offsets, positions,
-        over_words, header.skipped_windows, header.truncated_buckets,
+    return std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
+        std::move(pattern), header.max_bucket, header.dir_bits, directory,
+        suffixes, positions, repeats, header.skipped_windows,
         std::move(mapping)));
-    return index;
 }
 
 IndexInfo
@@ -529,131 +606,41 @@ save_sharded_index(const std::string& path,
                    std::uint64_t shard_bp, std::uint64_t digest,
                    std::uint64_t length)
 {
-    const std::string& pattern = builder.pattern().pattern();
-    if (pattern.size() > kIndexMaxPatternLength)
-        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
-                        "format's %u bp limit",
-                        path.c_str(), pattern.size(),
-                        kIndexMaxPatternLength));
-    const std::uint64_t num_buckets = builder.pattern().key_space();
-    const auto over = builder.over_represented_words();
-    const std::uint64_t over_bytes = over.size_bytes();
-
-    IndexHeader header = {};
-    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-    header.version = kIndexShardedFormatVersion;
-    header.endian_tag = kIndexEndianTag;
-    header.sequence_digest = digest;
-    header.sequence_length = length;
-    header.max_bucket = builder.max_bucket();
-    header.pattern_length = static_cast<std::uint32_t>(pattern.size());
-    std::memcpy(header.pattern, pattern.data(), pattern.size());
-    header.num_buckets = num_buckets;
+    IndexHeader header = make_header(path, builder.pattern(),
+                                     builder.max_bucket(), digest, length);
     header.skipped_windows = builder.skipped_windows();
     header.truncated_buckets = builder.truncated_buckets();
     header.shard_bp = shard_bp;
-    header.num_shards =
-        static_cast<std::uint32_t>(builder.num_shards());
-    header.over_words_offset = align_section(sizeof(IndexHeader));
-    header.shard_dir_offset =
-        align_section(header.over_words_offset + over_bytes);
-
+    header.num_shards = static_cast<std::uint32_t>(builder.num_shards());
     std::vector<ShardDirEntry> dir(builder.num_shards());
-    const std::uint64_t dir_bytes = dir.size() * sizeof(ShardDirEntry);
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        const auto write_bytes = [&out](const void* data,
-                                        std::uint64_t bytes) {
-            out.write(static_cast<const char*>(data),
-                      static_cast<std::streamsize>(bytes));
-        };
-        // Header and directory go out as placeholders first (the
-        // per-shard section sizes are only known after each build) and
-        // are patched in place before the rename publishes the file.
-        write_bytes(&header, sizeof(header));
-        write_padding(out, sizeof(header), header.over_words_offset);
-        write_bytes(over.data(), over_bytes);
-        write_padding(out, header.over_words_offset + over_bytes,
-                      header.shard_dir_offset);
-        write_bytes(dir.data(), dir_bytes);
-
+    const std::span<const ShardDirEntry> dir_span{dir.data(), dir.size()};
+    write_index_file(path, header, [&](SectionWriter& writer) {
+        header.repeats_offset = writer.put(builder.repeat_keys());
+        // The directory goes out as a placeholder first (each shard's
+        // section offsets are only known once it is written) and is
+        // patched in place before the rename publishes the file.
+        header.shard_dir_offset = writer.put(dir_span);
         // One shard's table resident at a time — the writer honors the
         // same bound the sharded layout exists to provide.
-        std::uint64_t cursor = header.shard_dir_offset + dir_bytes;
-        std::uint64_t total_positions = 0;
-        std::vector<std::uint64_t> digests;
-        digests.push_back(fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(over.data()),
-             over_bytes}));
-        digests.push_back(0);  // directory digest, patched after the loop
         for (std::size_t s = 0; s < builder.num_shards(); ++s) {
             const seed::ShardPlan& plan = builder.plan()[s];
             const auto shard = builder.build_shard(s);
-            dir[s].band_lo = plan.band_lo;
-            dir[s].band_hi = plan.band_hi;
-            dir[s].slice_lo = plan.slice_lo;
-            dir[s].slice_hi = plan.slice_hi;
-            dir[s].num_positions = shard->positions().size();
-            total_positions += dir[s].num_positions;
-
-            dir[s].offsets_offset = align_section(cursor);
-            write_padding(out, cursor, dir[s].offsets_offset);
-            write_bytes(shard->bucket_offsets().data(),
-                        shard->bucket_offsets().size_bytes());
-            digests.push_back(fnv1a64_bytes(
-                {reinterpret_cast<const std::uint8_t*>(
-                     shard->bucket_offsets().data()),
-                 shard->bucket_offsets().size_bytes()}));
-            cursor = dir[s].offsets_offset +
-                     shard->bucket_offsets().size_bytes();
-
-            dir[s].positions_offset = align_section(cursor);
-            write_padding(out, cursor, dir[s].positions_offset);
-            write_bytes(shard->positions().data(),
-                        shard->positions().size_bytes());
-            digests.push_back(fnv1a64_bytes(
-                {reinterpret_cast<const std::uint8_t*>(
-                     shard->positions().data()),
-                 shard->positions().size_bytes()}));
-            cursor = dir[s].positions_offset +
-                     shard->positions().size_bytes();
+            ShardDirEntry& entry = dir[s];
+            entry.band_lo = plan.band_lo;
+            entry.band_hi = plan.band_hi;
+            entry.slice_lo = plan.slice_lo;
+            entry.slice_hi = plan.slice_hi;
+            entry.directory_offset = writer.put(shard->directory());
+            entry.suffixes_offset = writer.put(shard->suffixes());
+            entry.positions_offset = writer.put(shard->positions());
+            entry.num_positions =
+                static_cast<std::uint32_t>(shard->num_positions());
+            entry.dir_bits = shard->dir_bits();
+            header.num_positions += entry.num_positions;
+            header.dir_bits = std::max(header.dir_bits, entry.dir_bits);
         }
-        header.num_positions = total_positions;
-        const std::uint64_t sections_end = align_section(cursor);
-        write_padding(out, cursor, sections_end);
-        // The directory digest covers the final (patched) entries; the
-        // header digest covers the final header including total_bytes.
-        digests[1] = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(dir.data()),
-             dir_bytes});
-        header.total_bytes = checksummed_total(sections_end,
-                                               digests.size());
-        const std::uint64_t header_digest = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(&header),
-             sizeof(header)});
-        const std::uint64_t written = write_checksum_area(
-            out, sections_end, digests, header_digest);
-        require(written == header.total_bytes,
-                "index checksum area size mismatch");
-
-        out.seekp(0);
-        write_bytes(&header, sizeof(header));
-        out.seekp(static_cast<std::streamoff>(header.shard_dir_offset));
-        write_bytes(dir.data(), dir_bytes);
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
+        writer.rewrite(1, header.shard_dir_offset, dir_span);
+    });
 }
 
 ShardedIndexReader::ShardedIndexReader(const std::string& path)
@@ -665,23 +652,28 @@ ShardedIndexReader::ShardedIndexReader(const std::string& path)
     mapping_ = std::move(mapping);
 
     const IndexHeader header = validate_header(path, base_, file_size);
-    if (header.version != kIndexShardedFormatVersion)
+    if (header.num_shards == 0)
         bad_index(path, "monolithic index; open with load_index "
                         "(or rebuild with --shard-bp)");
     fill_info(&info_, header);
+    key_bits_ = key_bits_of(header);
+    repeats_ = section<std::uint32_t>(base_, header.repeats_offset,
+                                      header.truncated_buckets);
 
-    over_words_ = {reinterpret_cast<const std::uint64_t*>(
-                       base_ + header.over_words_offset),
-                   static_cast<std::size_t>((header.num_buckets + 63) / 64)};
-
-    const std::uint64_t offsets_bytes = (header.num_buckets + 1) * 4;
+    // Every shard's sections must lie before the checksum area.
+    const std::uint64_t limit = file_size - sizeof(ChecksumTrailer);
     std::uint64_t total_positions = 0;
+    std::uint64_t sections_end =
+        header.shard_dir_offset +
+        std::uint64_t{header.num_shards} * sizeof(ShardDirEntry);
+    std::vector<SectionSpan> sections = {
+        checksummed(repeats_),
+        {base_ + header.shard_dir_offset,
+         sections_end - header.shard_dir_offset}};
+    shards_.resize(header.num_shards);
     plan_.resize(header.num_shards);
-    shard_offsets_.resize(header.num_shards);
-    shard_positions_.resize(header.num_shards);
-    shard_counts_.resize(header.num_shards);
     for (std::uint32_t s = 0; s < header.num_shards; ++s) {
-        ShardDirEntry entry;
+        ShardDirEntry& entry = shards_[s];
         std::memcpy(&entry,
                     base_ + header.shard_dir_offset +
                         s * sizeof(ShardDirEntry),
@@ -690,75 +682,63 @@ ShardedIndexReader::ShardedIndexReader(const std::string& path)
             (s > 0 && entry.band_lo != plan_[s - 1].band_hi))
             bad_index(path, strprintf("shard %u: band range is not a "
                                       "partition", s));
-        if (entry.offsets_offset % kIndexSectionAlign != 0 ||
+        if (!dir_bits_valid(entry.dir_bits, key_bits_))
+            bad_index(path, strprintf("shard %u: directory width %u out "
+                                      "of range",
+                                      s, entry.dir_bits));
+        const std::uint64_t dir_size = directory_bytes(entry.dir_bits);
+        const std::uint64_t suffix_size =
+            suffix_bytes(entry.dir_bits, key_bits_, entry.num_positions);
+        const std::uint64_t positions_size =
+            std::uint64_t{entry.num_positions} * 4;
+        if (entry.directory_offset % kIndexSectionAlign != 0 ||
+            entry.suffixes_offset % kIndexSectionAlign != 0 ||
             entry.positions_offset % kIndexSectionAlign != 0 ||
-            entry.offsets_offset + offsets_bytes > header.total_bytes ||
-            entry.positions_offset + entry.num_positions * 4 >
-                header.total_bytes)
+            !fits(entry.directory_offset, dir_size, limit) ||
+            !fits(entry.suffixes_offset, suffix_size, limit) ||
+            !fits(entry.positions_offset, positions_size, limit))
             bad_index(path, strprintf("shard %u: sections fall outside "
                                       "the file", s));
         plan_[s] = {entry.band_lo, entry.band_hi, entry.slice_lo,
                     entry.slice_hi};
-        shard_offsets_[s] = entry.offsets_offset;
-        shard_positions_[s] = entry.positions_offset;
-        shard_counts_[s] = entry.num_positions;
         total_positions += entry.num_positions;
+        sections.push_back({base_ + entry.directory_offset, dir_size});
+        sections.push_back({base_ + entry.suffixes_offset, suffix_size});
+        sections.push_back({base_ + entry.positions_offset, positions_size});
+        sections_end = std::max({sections_end,
+                                 entry.directory_offset + dir_size,
+                                 entry.suffixes_offset + suffix_size,
+                                 entry.positions_offset + positions_size});
     }
     if (total_positions != header.num_positions)
         bad_index(path, "shard position counts disagree with the header");
 
     // Verify the checksum area before any shard is handed out. The
-    // digest order mirrors save_sharded_index: over-words, directory,
-    // then (offsets, positions) per shard.
-    const std::uint64_t dir_bytes =
-        static_cast<std::uint64_t>(header.num_shards) *
-        sizeof(ShardDirEntry);
-    std::uint64_t sections_end = header.shard_dir_offset + dir_bytes;
-    std::vector<SectionSpan> sections;
-    sections.push_back({base_ + header.over_words_offset,
-                        ((header.num_buckets + 63) / 64) * 8});
-    sections.push_back({base_ + header.shard_dir_offset, dir_bytes});
-    for (std::uint32_t s = 0; s < header.num_shards; ++s) {
-        sections.push_back({base_ + shard_offsets_[s], offsets_bytes});
-        sections.push_back(
-            {base_ + shard_positions_[s], shard_counts_[s] * 4});
-        sections_end = std::max(
-            sections_end, shard_positions_[s] + shard_counts_[s] * 4);
-    }
-    sections_end = align_section(sections_end);
-    ChecksumTrailer trailer;
-    if (read_checksum_trailer(path, base_, file_size, sections_end,
-                              &trailer))
-        verify_checksums(path, base_, sections, trailer);
+    // digest order mirrors save_sharded_index: repeat keys, directory,
+    // then (directory, suffixes, positions) per shard.
+    verify_checksums(path, base_, file_size, align_section(sections_end),
+                     sections);
 }
 
 std::shared_ptr<const seed::SeedIndex>
 ShardedIndexReader::open_shard(std::size_t s) const
 {
     require(s < plan_.size(), "ShardedIndexReader: shard out of range");
-    seed::SeedPattern pattern = [&] {
-        try {
-            return seed::SeedPattern{info_.pattern};
-        } catch (const FatalError& e) {
-            bad_index(path_,
-                      strprintf("invalid seed shape: %s", e.what()));
-        }
-    }();
-    const std::span<const std::uint32_t> offsets{
-        reinterpret_cast<const std::uint32_t*>(base_ + shard_offsets_[s]),
-        static_cast<std::size_t>(info_.num_buckets + 1)};
-    const std::span<const std::uint32_t> positions{
-        reinterpret_cast<const std::uint32_t*>(base_ +
-                                               shard_positions_[s]),
-        static_cast<std::size_t>(shard_counts_[s])};
-    if (offsets.back() != shard_counts_[s])
-        bad_index(path_, strprintf("shard %zu: final bucket offset "
-                                   "disagrees with the position count",
-                                   s));
+    const ShardDirEntry& entry = shards_[s];
+    const auto directory = section<std::uint32_t>(
+        base_, entry.directory_offset,
+        (std::uint64_t{1} << entry.dir_bits) + 1);
+    check_directory(path_, strprintf("shard %zu: ", s), directory,
+                    entry.num_positions);
     return std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
-        std::move(pattern), info_.max_bucket, offsets, positions,
-        over_words_, info_.skipped_windows, info_.truncated_buckets,
-        mapping_));
+        parse_pattern(path_, info_.pattern), info_.max_bucket,
+        entry.dir_bits, directory,
+        section<std::uint8_t>(
+            base_, entry.suffixes_offset,
+            suffix_bytes(entry.dir_bits, key_bits_, entry.num_positions)),
+        section<std::uint32_t>(base_, entry.positions_offset,
+                               entry.num_positions),
+        repeats_, info_.skipped_windows, mapping_));
 }
 
 bool

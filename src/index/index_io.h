@@ -6,8 +6,10 @@
  * save_index writes tmp + rename so readers never observe a partial
  * file. load_index mmaps the file read-only, validates the header and
  * section geometry (magic, endianness, version, truncation, seed
- * shape), and returns a SeedIndex attached to the mapping — the mapping
- * is unmapped when the last shared_ptr drops. Every validation failure
+ * shape), the checksum trailer, and the directory (non-decreasing from
+ * 0 to the position count, so no lookup can leave the sections), and
+ * returns a SeedIndex attached to the mapping — the mapping is unmapped
+ * when the last shared_ptr drops. Every validation failure
  * is a FatalError tagged with the file path and the offending field.
  */
 #ifndef DARWIN_INDEX_INDEX_IO_H
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "index/format.h"
 #include "seed/seed_index.h"
 #include "seed/sharded_index.h"
 #include "seq/sequence.h"
@@ -32,11 +35,13 @@ struct IndexInfo {
     std::uint32_t max_bucket = 0;
     std::string pattern;
     std::uint64_t num_buckets = 0;
+    /** Directory width b (monolithic); the widest shard's when sharded. */
+    std::uint32_t dir_bits = 0;
     std::uint64_t num_positions = 0;
     std::uint64_t skipped_windows = 0;
     std::uint64_t truncated_buckets = 0;
     std::uint64_t total_bytes = 0;
-    /** Sharded layout (version >= 2); zero for monolithic files. */
+    /** Sharded layout; zero for monolithic files. */
     std::uint64_t shard_bp = 0;
     std::uint32_t num_shards = 0;
 };
@@ -73,7 +78,7 @@ std::shared_ptr<const seed::SeedIndex> load_index(const std::string& path,
 IndexInfo read_index_info(const std::string& path);
 
 /**
- * Serialize a *sharded* index (format version 2): each shard's table is
+ * Serialize a *sharded* index: each shard's table is
  * built with `builder` and streamed to disk in turn, so peak memory is
  * one shard's table — the same bound the streaming pipeline honors at
  * seeding time. Atomic (tmp + rename) like save_index. `shard_bp` is
@@ -86,7 +91,7 @@ void save_sharded_index(const std::string& path,
                         std::uint64_t length);
 
 /**
- * Reader over a sharded (version-2) `.dwi`: maps the file once and
+ * Reader over a sharded `.dwi`: maps the file once and
  * attaches one shard's SeedIndex at a time on demand. Pages of a
  * shard's table enter memory only while something holds the returned
  * index, so at most one shard's table need be resident. Fatal on a
@@ -116,10 +121,9 @@ class ShardedIndexReader {
     const std::uint8_t* base_ = nullptr;
     IndexInfo info_;
     std::vector<seed::ShardPlan> plan_;
-    std::vector<std::uint64_t> shard_offsets_;   ///< per-shard file offsets
-    std::vector<std::uint64_t> shard_positions_; ///< per-shard file offsets
-    std::vector<std::uint64_t> shard_counts_;    ///< per-shard positions
-    std::span<const std::uint64_t> over_words_;
+    std::vector<ShardDirEntry> shards_;  ///< validated directory entries
+    std::uint32_t key_bits_ = 0;
+    std::span<const std::uint32_t> repeats_;
 };
 
 /** True when `path` exists and starts with the index magic — how tools

@@ -76,13 +76,10 @@ ShardedSeedIndexBuilder::ShardedSeedIndexBuilder(
             ++counts[k];
     }
 
-    over_words_ =
-        std::make_shared<std::vector<std::uint64_t>>((buckets + 63) / 64, 0);
+    repeat_keys_ = std::make_shared<std::vector<std::uint32_t>>();
     for (std::uint64_t k = 0; k < buckets; ++k) {
-        if (cutoff_[k] != kNoCutoff) {
-            (*over_words_)[k / 64] |= 1ULL << (k % 64);
-            ++truncated_;
-        }
+        if (cutoff_[k] != kNoCutoff)
+            repeat_keys_->push_back(static_cast<std::uint32_t>(k));
     }
 }
 
@@ -91,67 +88,19 @@ ShardedSeedIndexBuilder::build_shard(std::size_t s) const
 {
     require(s < plan_.size(), "ShardedSeedIndexBuilder: bad shard index");
     const ShardPlan& shard = plan_[s];
-    const std::uint64_t buckets = pattern_.key_space();
-
-    const std::size_t last = target_.size() >= pattern_.span()
-                                 ? target_.size() - pattern_.span() + 1
-                                 : 0;
-    const std::size_t lo =
-        std::min<std::size_t>(shard.slice_lo, last);
-    const std::size_t hi = std::min<std::size_t>(shard.slice_hi, last);
-
-    /** Holder the attached SeedIndex keeps alive: the shard's own
-     *  sections plus a reference to the shared global bitset. */
-    struct ShardSections {
-        std::vector<std::uint32_t> offsets;
-        std::vector<std::uint32_t> positions;
-        std::shared_ptr<std::vector<std::uint64_t>> over_words;
-    };
-    auto sections = std::make_shared<ShardSections>();
-    sections->over_words = over_words_;
-
-    // Pass 1 over the slice: surviving-position counts per bucket.
-    std::vector<std::uint32_t> counts(buckets, 0);
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-        const auto key = pattern_.key_at(target_, pos);
-        if (!key)
-            continue;
-        if (static_cast<std::uint32_t>(pos) < cutoff_[*key])
-            ++counts[*key];
-    }
-
-    sections->offsets.assign(buckets + 1, 0);
-    std::uint64_t running = 0;
-    for (std::uint64_t k = 0; k < buckets; ++k) {
-        sections->offsets[k] = static_cast<std::uint32_t>(running);
-        running += counts[k];
-    }
-    sections->offsets[buckets] = static_cast<std::uint32_t>(running);
-
-    // Pass 2: fill positions, ascending within each bucket.
-    sections->positions.assign(running, 0);
-    std::vector<std::uint32_t> cursor(buckets, 0);
-    for (std::size_t pos = lo; pos < hi; ++pos) {
-        const auto key = pattern_.key_at(target_, pos);
-        if (!key)
-            continue;
-        const std::uint64_t k = *key;
-        if (static_cast<std::uint32_t>(pos) >= cutoff_[k])
-            continue;
-        sections->positions[sections->offsets[k] + cursor[k]] =
-            static_cast<std::uint32_t>(pos);
-        ++cursor[k];
-    }
-
-    const std::span<const std::uint32_t> offsets{
-        sections->offsets.data(), sections->offsets.size()};
-    const std::span<const std::uint32_t> positions{
-        sections->positions.data(), sections->positions.size()};
-    const std::span<const std::uint64_t> over{
-        sections->over_words->data(), sections->over_words->size()};
-    return std::make_shared<const SeedIndex>(SeedIndex::attach(
-        pattern_, max_bucket_, offsets, positions, over, skipped_,
-        truncated_, std::move(sections)));
+    SeedIndex table(pattern_, max_bucket_);
+    const std::size_t last = table.num_windows(target_.size());
+    table.build_from(target_, std::min<std::size_t>(shard.slice_lo, last),
+                     std::min<std::size_t>(shard.slice_hi, last), cutoff_);
+    // The cutoffs already kept every key's first max_bucket positions
+    // target-wide, so the slice build truncates nothing; the repeat
+    // list and skipped-window count are the global ones.
+    require(table.owned_repeats_.empty(),
+            "ShardedSeedIndexBuilder: shard build truncated a key");
+    table.skipped_ = skipped_;
+    table.repeats_view_ = {repeat_keys_->data(), repeat_keys_->size()};
+    table.storage_ = repeat_keys_;
+    return std::make_shared<const SeedIndex>(std::move(table));
 }
 
 }  // namespace darwin::seed

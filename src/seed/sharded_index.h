@@ -3,8 +3,8 @@
  * Target-chunked (sharded) seed indexing for bounded-memory seeding.
  *
  * A monolithic seed table over a 100 Mbp target holds ~10^8 positions
- * plus a key-space-sized offset array; holding several of them is what
- * breaks large-genome runs. Sharding cuts the *diagonal band space*
+ * plus a dense key directory; holding several of them is what breaks
+ * large-genome runs. Sharding cuts the *diagonal band space*
  * into contiguous ranges of `shard_bp` band-start basepairs, so the
  * pipeline can build (or load) one shard's table at a time, seed the
  * whole query against it, and release it before the next.
@@ -24,12 +24,12 @@
  *     the cutoff position of the (max_bucket+1)-th occurrence; shard
  *     builds keep a position iff it falls below that cutoff, making
  *     every shard bucket exactly (global truncated bucket ∩ slice).
- *  2. Order preservation. Bucket positions are ascending in both the
- *     monolithic and the shard build (counting-sort scan order), so a
- *     shard bucket is a subsequence of the global bucket and D-SOFT's
+ *  2. Order preservation. A key's positions are ascending in both the
+ *     monolithic and the shard build (one stable build routine), so a
+ *     shard's lookup() is a subsequence of the global one and D-SOFT's
  *     first-hit-per-band selection sees the same first hit.
  *
- * Over-represented flags and skipped-window counts are global too, so
+ * Over-represented keys and skipped-window counts are global too, so
  * shard tables report the same telemetry the monolithic table would.
  */
 #ifndef DARWIN_SEED_SHARDED_INDEX_H
@@ -87,23 +87,24 @@ class ShardedSeedIndexBuilder {
 
     /** Global telemetry (identical to the monolithic build's). */
     std::uint64_t skipped_windows() const { return skipped_; }
-    std::uint64_t truncated_buckets() const { return truncated_; }
+    std::uint64_t truncated_buckets() const { return repeat_keys_->size(); }
 
     const SeedPattern& pattern() const { return pattern_; }
     std::uint32_t max_bucket() const { return max_bucket_; }
 
-    /** Global over-represented bitset (one bit per bucket, LSB-first);
-     *  identical across shards and to the monolithic build's. */
-    std::span<const std::uint64_t>
-    over_represented_words() const
+    /** Global sorted list of truncated keys; identical across shards
+     *  and to the monolithic build's. */
+    std::span<const std::uint32_t>
+    repeat_keys() const
     {
-        return {over_words_->data(), over_words_->size()};
+        return {repeat_keys_->data(), repeat_keys_->size()};
     }
 
     /**
-     * Build shard `s`'s position table. Positions are global target
-     * coordinates restricted to the shard's slice and filtered by the
-     * global truncation cutoffs.
+     * Build shard `s`'s position table through SeedIndex's own build,
+     * with the global truncation cutoffs as the window predicate.
+     * Positions are global target coordinates restricted to the shard's
+     * slice; the directory is sized to the slice.
      */
     std::shared_ptr<const SeedIndex> build_shard(std::size_t s) const;
 
@@ -116,9 +117,8 @@ class ShardedSeedIndexBuilder {
      *  UINT32_MAX when the bucket never overflows. A position survives
      *  truncation iff it is strictly below the cutoff. */
     std::vector<std::uint32_t> cutoff_;
-    std::shared_ptr<std::vector<std::uint64_t>> over_words_;
+    std::shared_ptr<std::vector<std::uint32_t>> repeat_keys_;
     std::uint64_t skipped_ = 0;
-    std::uint64_t truncated_ = 0;
 };
 
 }  // namespace darwin::seed

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -106,26 +107,20 @@ TEST(IndexIo, RoundTripPreservesEverySection)
     EXPECT_EQ(loaded->skipped_windows(), built.skipped_windows());
     EXPECT_EQ(loaded->truncated_buckets(), built.truncated_buckets());
 
-    const auto equal_u32 = [](std::span<const std::uint32_t> a,
-                              std::span<const std::uint32_t> b) {
+    const auto equal = [](auto a, auto b) {
         return a.size() == b.size() &&
-               std::memcmp(a.data(), b.data(),
-                           a.size() * sizeof(std::uint32_t)) == 0;
+               std::equal(a.begin(), a.end(), b.begin());
     };
-    EXPECT_TRUE(
-        equal_u32(loaded->bucket_offsets(), built.bucket_offsets()));
-    EXPECT_TRUE(equal_u32(loaded->positions(), built.positions()));
-    ASSERT_EQ(loaded->over_represented_words().size(),
-              built.over_represented_words().size());
-    EXPECT_EQ(std::memcmp(loaded->over_represented_words().data(),
-                          built.over_represented_words().data(),
-                          built.over_represented_words().size() *
-                              sizeof(std::uint64_t)),
-              0);
+    EXPECT_EQ(loaded->dir_bits(), built.dir_bits());
+    EXPECT_TRUE(equal(loaded->directory(), built.directory()));
+    EXPECT_TRUE(equal(loaded->suffixes(), built.suffixes()));
+    EXPECT_TRUE(equal(loaded->positions(), built.positions()));
+    EXPECT_TRUE(equal(loaded->repeat_keys(), built.repeat_keys()));
 
     EXPECT_EQ(info.sequence_digest, sequence_digest(sequence));
     EXPECT_EQ(info.sequence_length, sequence.size());
     EXPECT_EQ(info.num_positions, built.num_positions());
+    EXPECT_EQ(info.dir_bits, built.dir_bits());
     EXPECT_EQ(info.pattern, pattern.pattern());
     EXPECT_EQ(info.total_bytes, std::filesystem::file_size(path));
 }
@@ -223,9 +218,15 @@ TEST(IndexIo, RejectsWrongVersion)
         "good_ver.dwi", sequence, seed::SeedPattern("1111"));
     const std::string bad =
         corrupt_header(good, "bad_ver.dwi", [](IndexHeader& h) {
-            h.version = kIndexShardedFormatVersion + 1;
+            h.version = kIndexFormatVersion + 1;
         });
     expect_rejected(bad, "version");
+    // Versions 1 and 2 (the dense bucket-offset layout) are refused too.
+    for (const std::uint32_t old : {1u, 2u}) {
+        const std::string stale = corrupt_header(
+            good, "old_ver.dwi", [old](IndexHeader& h) { h.version = old; });
+        expect_rejected(stale, "rebuild");
+    }
 }
 
 TEST(IndexIo, RejectsForeignEndianness)
@@ -371,7 +372,7 @@ TEST(IndexCache, EvictionDoesNotInvalidateBorrowedIndex)
     EXPECT_FALSE(cache.contains(key_for(1)));
     // The evicted index must stay fully usable while borrowed.
     EXPECT_GT(borrowed->num_positions(), 0u);
-    EXPECT_GT(borrowed->bucket_offsets().size(), 0u);
+    EXPECT_GT(borrowed->directory().size(), 0u);
 }
 
 TEST(IndexCache, ConcurrentAcquireRunsBuilderOnce)

@@ -1,9 +1,11 @@
 /**
  * @file
  * Crash-safety artifact integrity tests: the checksum area appended to
- * `.dwi` files (monolithic and sharded), the digest pair embedded in
- * `.2bit` headers, legacy (pre-checksum) file acceptance, the
- * `darwin-wga-index fsck` validator over every artifact kind, and the
+ * `.dwi` files (monolithic and sharded) and required by their loaders,
+ * crafted `.dwi` tables with valid checksums but inconsistent sections,
+ * the digest pair embedded in `.2bit` headers, legacy (pre-checksum)
+ * sidecar acceptance, the `darwin-wga-index fsck` validator over every
+ * artifact kind, and the
  * stream.spill_* fault probes (a spill I/O fault quarantines the pair,
  * it does not kill the process).
  */
@@ -28,6 +30,7 @@
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
 #include "synth/species.h"
+#include "util/digest.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -110,7 +113,7 @@ TEST(Checksums, FreshIndexCarriesATrailerAndLoads)
     EXPECT_EQ(std::memcmp(trailer.magic, kIndexChecksumMagic,
                           sizeof(kIndexChecksumMagic)),
               0);
-    EXPECT_EQ(trailer.num_digests, 3u);
+    EXPECT_EQ(trailer.num_digests, 4u);
 
     const auto index = load_index(path);
     EXPECT_GT(index->positions().size(), 0u);
@@ -158,7 +161,27 @@ TEST(Checksums, CorruptHeaderByteIsRejected)
     }
 }
 
-TEST(Checksums, LegacyIndexWithoutTrailerStillLoads)
+/** Expect both load_index and fsck to refuse `path` with a message
+ *  containing `fragment`. */
+void
+expect_load_and_fsck_reject(const std::string& path,
+                            const std::string& fragment)
+{
+    try {
+        load_index(path);
+        ADD_FAILURE() << "load_index accepted " << path;
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+            << e.what();
+    }
+    const auto findings = fsck_file(path);
+    ASSERT_EQ(findings.size(), 1u) << path;
+    EXPECT_EQ(findings[0].code, "bad-index");
+    EXPECT_NE(findings[0].detail.find(fragment), std::string::npos)
+        << findings[0].detail;
+}
+
+TEST(Checksums, TrailerlessAndOldVersionIndexesAreRefused)
 {
     const auto sequence = random_sequence(4096, 14);
     const std::string path = write_index("legacy_src.dwi", sequence);
@@ -166,26 +189,142 @@ TEST(Checksums, LegacyIndexWithoutTrailerStillLoads)
     IndexHeader header;
     std::memcpy(&header, with.data(), sizeof(header));
 
-    // Reconstruct the pre-checksum format: truncate the file at its
-    // sections' end and patch total_bytes back to that size.
-    const std::uint64_t over_bytes = ((header.num_buckets + 63) / 64) * 8;
-    const std::uint64_t sections_end =
-        align_section(header.over_words_offset + over_bytes);
-    std::vector<char> legacy(with.begin(),
-                             with.begin() +
-                                 static_cast<std::ptrdiff_t>(sections_end));
+    // A file that ends at its sections (no checksum area): the loaders
+    // verify every section, so a file that cannot be verified is refused.
+    const std::uint64_t sections_end = align_section(
+        header.repeats_offset + header.truncated_buckets * 4);
+    std::vector<char> bare(with.begin(),
+                           with.begin() +
+                               static_cast<std::ptrdiff_t>(sections_end));
     header.total_bytes = sections_end;
-    std::memcpy(legacy.data(), &header, sizeof(header));
-    const std::string legacy_path = temp_path("legacy.dwi");
-    spit(legacy_path, legacy);
+    std::memcpy(bare.data(), &header, sizeof(header));
+    const std::string bare_path = temp_path("trailerless.dwi");
+    spit(bare_path, bare);
+    expect_load_and_fsck_reject(bare_path, "no checksum trailer");
 
-    // Loads cleanly (no checksums to verify), identical table.
-    const auto fresh = load_index(path);
-    const auto old = load_index(legacy_path);
-    ASSERT_EQ(old->positions().size(), fresh->positions().size());
-    EXPECT_TRUE(std::equal(old->positions().begin(),
-                           old->positions().end(),
-                           fresh->positions().begin()));
+    // A version-1 header (the dense bucket-offset layout).
+    std::vector<char> v1 = with;
+    IndexHeader old = {};
+    std::memcpy(&old, v1.data(), sizeof(old));
+    old.version = 1;
+    std::memcpy(v1.data(), &old, sizeof(old));
+    const std::string v1_path = temp_path("v1.dwi");
+    spit(v1_path, v1);
+    expect_load_and_fsck_reject(v1_path, "unsupported index format version 1");
+}
+
+/**
+ * Copy a monolithic index with `mutate` applied to its bytes, then
+ * recompute every section digest so the checksums hold: the crafted
+ * file is exactly what a hostile writer (not a bit flip) produces.
+ */
+template <typename Mutator>
+std::string
+craft_index(const std::string& src, const std::string& name,
+            Mutator mutate)
+{
+    std::vector<char> bytes = slurp(src);
+    IndexHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    mutate(header, bytes.data());
+    ChecksumTrailer trailer;
+    std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof(trailer),
+                sizeof(trailer));
+    const std::uint64_t starts[] = {header.directory_offset,
+                                    header.suffixes_offset,
+                                    header.positions_offset,
+                                    header.repeats_offset};
+    const std::uint64_t sizes[] = {
+        ((std::uint64_t{1} << header.dir_bits) + 1) * 4,
+        header.num_positions, header.num_positions * 4,
+        header.truncated_buckets * 4};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const std::uint64_t digest = fnv1a64_bytes(
+            {reinterpret_cast<const std::uint8_t*>(bytes.data()) + starts[i],
+             sizes[i]});
+        std::memcpy(bytes.data() + trailer.digests_offset + i * 8, &digest,
+                    8);
+    }
+    const std::string path = temp_path(name);
+    spit(path, bytes);
+    return path;
+}
+
+template <typename T>
+T*
+section_at(char* bytes, std::uint64_t offset)
+{
+    return reinterpret_cast<T*>(bytes + offset);
+}
+
+TEST(Checksums, CraftedDirectoryIsRejectedBeforeAttach)
+{
+    // Directory entry 5 above entry 6: a lookup of key slice 5 would
+    // read a negative-length span. The checksums hold, so only the
+    // directory check stands between the file and an out-of-bounds read.
+    const auto sequence = random_sequence(4096, 16);
+    const std::string path = write_index("craft_src.dwi", sequence);
+    const std::string crafted = craft_index(
+        path, "craft_dir.dwi", [](const IndexHeader& h, char* bytes) {
+            auto* dir = section_at<std::uint32_t>(bytes, h.directory_offset);
+            dir[5] = dir[6] + 1000;
+        });
+    expect_load_and_fsck_reject(crafted, "directory decreases at slice 5");
+
+    const std::string unterminated = craft_index(
+        path, "craft_dir_end.dwi", [](const IndexHeader& h, char* bytes) {
+            auto* dir = section_at<std::uint32_t>(bytes, h.directory_offset);
+            dir[std::size_t{1} << h.dir_bits] += 1;
+        });
+    expect_load_and_fsck_reject(unterminated,
+                                "directory does not end at the position "
+                                "count");
+}
+
+TEST(Fsck, CraftedTableOrderIsRejected)
+{
+    // Memory-safe but wrong tables load (their checksums hold and the
+    // directory is sound); fsck's O(positions) pass refuses them.
+    const auto sequence = random_sequence(4096, 17);
+    const std::string path = write_index("craft_order_src.dwi", sequence);
+    const auto index = load_index(path);
+    ASSERT_FALSE(index->suffixes().empty());
+
+    const std::string outside = craft_index(
+        path, "craft_pos.dwi",
+        [&](const IndexHeader& h, char* bytes) {
+            section_at<std::uint32_t>(bytes, h.positions_offset)[0] =
+                static_cast<std::uint32_t>(sequence.size());
+        });
+    EXPECT_NE(load_index(outside), nullptr);
+    auto findings = fsck_file(outside);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].code, "bad-index");
+    EXPECT_NE(findings[0].detail.find("outside"), std::string::npos)
+        << findings[0].detail;
+
+    // Swap the suffixes of the first slice holding two distinct keys.
+    const auto dir = index->directory();
+    std::size_t slice = 0;
+    while (slice + 1 < dir.size() &&
+           !(dir[slice + 1] - dir[slice] >= 2 &&
+             index->suffixes()[dir[slice]] !=
+                 index->suffixes()[dir[slice] + 1]))
+        ++slice;
+    ASSERT_LT(slice + 1, dir.size());
+    const std::string unsorted = craft_index(
+        path, "craft_suffix.dwi",
+        [&](const IndexHeader& h, char* bytes) {
+            auto* suffixes =
+                section_at<std::uint8_t>(bytes, h.suffixes_offset);
+            std::swap(suffixes[dir[slice]], suffixes[dir[slice] + 1]);
+        });
+    findings = fsck_file(unsorted);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].code, "bad-index");
+    EXPECT_NE(findings[0].detail.find("key suffixes out of order"),
+              std::string::npos)
+        << findings[0].detail;
 }
 
 TEST(Checksums, ShardedIndexRoundTripsAndRejectsCorruption)

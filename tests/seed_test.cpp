@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "seed/dsoft.h"
@@ -123,6 +124,162 @@ TEST(SeedIndex, TruncatesRepeatBuckets)
     EXPECT_EQ(index.lookup(key).size(), 16u);
     EXPECT_TRUE(index.over_represented(key));
     EXPECT_EQ(index.truncated_buckets(), 1u);
+}
+
+/**
+ * Differential check of a built index against a brute-force window
+ * scan: for every key that occurs, lookup() is the key's first
+ * max_bucket window positions in ascending order and over_represented()
+ * says whether more existed; random absent keys look up empty. The byte
+ * and packed builds of `target` must both pass and agree section for
+ * section.
+ */
+void
+expect_matches_window_scan(const seq::Sequence& target,
+                           const SeedPattern& pattern,
+                           std::uint32_t max_bucket = 256)
+{
+    std::map<SeedKey, std::vector<std::uint32_t>> scan;
+    std::uint64_t skipped = 0;
+    const std::span<const std::uint8_t> codes{target.codes().data(),
+                                              target.size()};
+    for (std::size_t pos = 0; pos + pattern.span() <= target.size();
+         ++pos) {
+        if (const auto key = pattern.key_at(codes, pos))
+            scan[*key].push_back(static_cast<std::uint32_t>(pos));
+        else
+            ++skipped;
+    }
+
+    const SeedIndex from_bytes(target, pattern, max_bucket);
+    const SeedIndex from_packed(seq::PackedSequence::pack(target), pattern,
+                                max_bucket);
+    for (const SeedIndex* index : {&from_bytes, &from_packed}) {
+        SCOPED_TRACE(index == &from_bytes ? "byte source" : "packed source");
+        std::uint64_t kept = 0;
+        std::uint64_t truncated = 0;
+        for (const auto& [key, all] : scan) {
+            const std::size_t n = std::min<std::size_t>(all.size(),
+                                                        max_bucket);
+            const auto got = index->lookup(key);
+            ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                      std::vector<std::uint32_t>(all.begin(),
+                                                 all.begin() + n))
+                << "key " << key;
+            ASSERT_EQ(index->over_represented(key), all.size() > max_bucket)
+                << "key " << key;
+            kept += n;
+            truncated += all.size() > max_bucket ? 1 : 0;
+        }
+        Rng rng(target.size() + pattern.weight());
+        for (int i = 0; i < 2000; ++i) {
+            const auto key =
+                static_cast<SeedKey>(rng.uniform(pattern.key_space()));
+            if (scan.count(key) != 0)
+                continue;
+            ASSERT_TRUE(index->lookup(key).empty()) << "key " << key;
+            ASSERT_FALSE(index->over_represented(key)) << "key " << key;
+        }
+        EXPECT_EQ(index->num_positions(), kept);
+        EXPECT_EQ(index->truncated_buckets(), truncated);
+        EXPECT_EQ(index->skipped_windows(), skipped);
+        EXPECT_EQ(index->directory().size(),
+                  (std::size_t{1} << index->dir_bits()) + 1);
+    }
+    EXPECT_EQ(from_packed.dir_bits(), from_bytes.dir_bits());
+    EXPECT_TRUE(std::ranges::equal(from_packed.directory(),
+                                   from_bytes.directory()));
+    EXPECT_TRUE(std::ranges::equal(from_packed.suffixes(),
+                                   from_bytes.suffixes()));
+    EXPECT_TRUE(std::ranges::equal(from_packed.positions(),
+                                   from_bytes.positions()));
+    EXPECT_TRUE(std::ranges::equal(from_packed.repeat_keys(),
+                                   from_bytes.repeat_keys()));
+}
+
+TEST(SeedIndexDiff, EmptyAndShorterThanTheSeedSpan)
+{
+    const auto pattern = SeedPattern::lastz_default();
+    for (const std::size_t len : {0u, 1u, 18u, 19u}) {
+        SCOPED_TRACE(len);
+        const auto target = random_sequence(len, 3);
+        expect_matches_window_scan(target, pattern);
+        const SeedIndex index(target, pattern);
+        EXPECT_EQ(index.dir_bits(), 16u);  // the floor: key_bits - 8
+        EXPECT_EQ(index.num_positions(), len == 19 ? 1u : 0u);
+    }
+}
+
+TEST(SeedIndexDiff, OneKbpTargetsAcrossSeedWeights)
+{
+    // Weights 4 (an 8-bit key: dense directory, no suffixes), 6, 9 and
+    // the default 12.
+    for (const char* shape : {"1111", "110111", "1101101101111",
+                              "1101011001100101111"}) {
+        SCOPED_TRACE(shape);
+        for (const std::uint64_t seed : {1u, 2u, 3u})
+            expect_matches_window_scan(random_sequence(1000, seed),
+                                       SeedPattern(shape));
+    }
+    EXPECT_TRUE(SeedIndex(random_sequence(1000, 1), SeedPattern("1111"))
+                    .suffixes()
+                    .empty());
+}
+
+TEST(SeedIndexDiff, DirectoryWidthAtTheWindowBoundaries)
+{
+    // The directory grows one bit each time the window count passes a
+    // power of two, from the 2^16 floor of a 24-bit key.
+    const auto pattern = SeedPattern::lastz_default();
+    const std::size_t span = pattern.span();
+    const struct {
+        std::size_t windows;
+        std::uint32_t dir_bits;
+    } cases[] = {{std::size_t{1} << 16, 16},
+                 {(std::size_t{1} << 16) + 1, 17},
+                 {std::size_t{1} << 17, 17},
+                 {(std::size_t{1} << 17) + 1, 18}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.windows);
+        const auto target = random_sequence(c.windows + span - 1, 5);
+        EXPECT_EQ(SeedIndex(target, pattern).dir_bits(), c.dir_bits);
+        expect_matches_window_scan(target, pattern);
+    }
+}
+
+TEST(SeedIndexDiff, NRunsAreSkipped)
+{
+    auto target = random_sequence(5000, 6);
+    for (std::size_t i = 0; i < 300; ++i) {
+        target.codes()[1000 + i] = seq::BaseN;
+        target.codes()[3100 + i % 7] = seq::BaseN;
+    }
+    target.codes()[4999] = seq::BaseN;
+    expect_matches_window_scan(target, SeedPattern::lastz_default());
+    expect_matches_window_scan(target, SeedPattern("1111"));
+}
+
+TEST(SeedIndexDiff, RepeatsForceTruncation)
+{
+    // Poly-A: one key over every window. A tandem repeat of period 7:
+    // seven keys interleaved across one long stretch. Both must keep
+    // exactly the first max_bucket positions per key.
+    const seq::Sequence poly_a("a", std::string(6000, 'A'));
+    std::string tandem;
+    while (tandem.size() < 6000)
+        tandem += "ACGTTGA";
+    const seq::Sequence repeat("r", tandem);
+    for (const std::uint32_t cap : {1u, 16u, 256u}) {
+        SCOPED_TRACE(cap);
+        expect_matches_window_scan(poly_a, SeedPattern::lastz_default(),
+                                   cap);
+        expect_matches_window_scan(repeat, SeedPattern::lastz_default(),
+                                   cap);
+        expect_matches_window_scan(repeat, SeedPattern("11011"), cap);
+    }
+    EXPECT_EQ(SeedIndex(poly_a, SeedPattern::lastz_default(), 16)
+                  .truncated_buckets(),
+              1u);
 }
 
 TEST(SeedIndex, SpacedPatternIndexesCorrectKey)

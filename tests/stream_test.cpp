@@ -3,12 +3,13 @@
  * Tests for the bounded-memory dataflow: spill primitives
  * (wga/spill.h), the spill-or-backpressure channel
  * (wga/bounded_stream.h), sharded seed indexing (seed/sharded_index.h)
- * and its `.dwi` v2 persistence, and the streaming pipeline's
+ * and its `.dwi` v3 persistence, and the streaming pipeline's
  * bit-identity with the classic materialized run — including the batch
  * engine's streaming mode.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -157,6 +158,21 @@ small_pair(const std::string& name, std::size_t chrom_len)
                                     4242);
 }
 
+/** Every distinct seed key among `target`'s windows, ascending. */
+std::vector<seed::SeedKey>
+window_keys(const seq::PackedSequence& target,
+            const seed::SeedPattern& pattern)
+{
+    std::vector<seed::SeedKey> keys;
+    for (std::size_t pos = 0; pos + pattern.span() <= target.size(); ++pos) {
+        if (const auto key = pattern.key_at(target, pos))
+            keys.push_back(*key);
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+}
+
 void
 expect_identical(const WgaResult& a, const WgaResult& b)
 {
@@ -193,32 +209,34 @@ TEST(ShardedSeeding, ShardTablesAreSlicesOfTheMonolithicIndex)
     EXPECT_EQ(builder.skipped_windows(), mono.skipped_windows());
     EXPECT_EQ(builder.truncated_buckets(), mono.truncated_buckets());
 
-    // Every monolithic position appears in every shard whose slice
-    // covers it, and shard buckets are subsequences of the monolithic
-    // bucket (same order, same truncation).
+    // For every key of the monolithic index, a shard's lookup is the
+    // monolithic lookup restricted to the shard's slice (same order,
+    // same truncation), and the shard holds nothing else.
+    const std::vector<seed::SeedKey> keys = window_keys(target, pattern);
     for (std::size_t s = 0; s < builder.num_shards(); ++s) {
         const auto shard = builder.build_shard(s);
         const auto& plan = builder.plan()[s];
-        const auto mono_offsets = mono.bucket_offsets();
-        const auto shard_offsets = shard->bucket_offsets();
-        ASSERT_EQ(mono_offsets.size(), shard_offsets.size());
-        for (std::size_t b = 0; b + 1 < mono_offsets.size(); ++b) {
+        EXPECT_EQ(shard->skipped_windows(), mono.skipped_windows());
+        EXPECT_TRUE(std::ranges::equal(shard->repeat_keys(),
+                                       mono.repeat_keys()));
+        std::size_t covered = 0;
+        for (const seed::SeedKey key : keys) {
             std::vector<std::uint32_t> expect;
-            for (std::uint32_t o = mono_offsets[b];
-                 o < mono_offsets[b + 1]; ++o) {
-                const std::uint32_t position = mono.positions()[o];
+            for (const std::uint32_t position : mono.lookup(key)) {
                 if (position >= plan.slice_lo && position < plan.slice_hi)
                     expect.push_back(position);
             }
-            const std::vector<std::uint32_t> got(
-                shard->positions().begin() + shard_offsets[b],
-                shard->positions().begin() + shard_offsets[b + 1]);
-            ASSERT_EQ(got, expect) << "shard " << s << " bucket " << b;
+            const auto got = shard->lookup(key);
+            ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                      expect)
+                << "shard " << s << " key " << key;
+            covered += expect.size();
         }
+        EXPECT_EQ(covered, shard->num_positions()) << "shard " << s;
     }
 }
 
-TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
+TEST(ShardedIndexIo, RoundTripsThroughDwiV3)
 {
     const auto pair = small_pair("dm6-droYak2", 12000);
     const seq::PackedSequence& target =
@@ -236,12 +254,12 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
     index::save_sharded_index(path, builder, 4000, 0x1234, target.size());
 
     const index::IndexInfo info = index::read_index_info(path);
-    EXPECT_EQ(info.version, index::kIndexShardedFormatVersion);
+    EXPECT_EQ(info.version, index::kIndexFormatVersion);
     EXPECT_EQ(info.shard_bp, 4000u);
     EXPECT_EQ(info.num_shards, builder.num_shards());
     EXPECT_EQ(info.sequence_digest, 0x1234u);
 
-    // The monolithic loader refuses v2 files with a pointed message.
+    // The monolithic loader refuses sharded files with a pointed message.
     try {
         (void)index::load_index(path);
         FAIL() << "load_index accepted a sharded file";
@@ -257,14 +275,15 @@ TEST(ShardedIndexIo, RoundTripsThroughDwiV2)
         EXPECT_EQ(reader.plan()[s].band_hi, builder.plan()[s].band_hi);
         const auto loaded = reader.open_shard(s);
         const auto built = builder.build_shard(s);
-        ASSERT_EQ(loaded->num_positions(), built->num_positions());
-        for (std::size_t i = 0; i < built->positions().size(); ++i)
-            ASSERT_EQ(loaded->positions()[i], built->positions()[i]);
-        const auto lo = loaded->bucket_offsets();
-        const auto bo = built->bucket_offsets();
-        ASSERT_EQ(lo.size(), bo.size());
-        for (std::size_t i = 0; i < bo.size(); i += 97)
-            ASSERT_EQ(lo[i], bo[i]);
+        EXPECT_EQ(loaded->dir_bits(), built->dir_bits());
+        EXPECT_TRUE(std::ranges::equal(loaded->directory(),
+                                       built->directory()));
+        EXPECT_TRUE(
+            std::ranges::equal(loaded->suffixes(), built->suffixes()));
+        EXPECT_TRUE(
+            std::ranges::equal(loaded->positions(), built->positions()));
+        EXPECT_TRUE(std::ranges::equal(loaded->repeat_keys(),
+                                       builder.repeat_keys()));
     }
     std::remove(path.c_str());
 }

@@ -49,7 +49,7 @@ cmd_build(int argc, char** argv)
                     "repeat-seed truncation cap (must match the "
                     "aligner's; the default is what it uses)");
     args.add_option("shard-bp", "",
-                    "write a sharded (version-2) index: band-start bp "
+                    "write a sharded index: band-start bp "
                     "owned per shard, e.g. 8388608. Shard slices use the "
                     "preset's D-SOFT chunk/bin margins. Omit for the "
                     "classic monolithic layout");
@@ -138,7 +138,8 @@ cmd_info(int argc, char** argv)
             "{\"version\": %u, \"sequence_digest\": \"%016llx\", "
             "\"sequence_length\": %llu, \"pattern\": %s, "
             "\"max_bucket\": %u, \"num_buckets\": %llu, "
-            "\"num_positions\": %llu, \"skipped_windows\": %llu, "
+            "\"dir_bits\": %u, \"num_positions\": %llu, "
+            "\"skipped_windows\": %llu, "
             "\"truncated_buckets\": %llu, \"total_bytes\": %llu, "
             "\"shard_bp\": %llu, \"num_shards\": %u}\n",
             info.version,
@@ -146,6 +147,7 @@ cmd_info(int argc, char** argv)
             static_cast<unsigned long long>(info.sequence_length),
             json_quote(info.pattern).c_str(), info.max_bucket,
             static_cast<unsigned long long>(info.num_buckets),
+            info.dir_bits,
             static_cast<unsigned long long>(info.num_positions),
             static_cast<unsigned long long>(info.skipped_windows),
             static_cast<unsigned long long>(info.truncated_buckets),
@@ -163,6 +165,9 @@ cmd_info(int argc, char** argv)
     std::printf("max bucket:        %u\n", info.max_bucket);
     std::printf("buckets:           %s\n",
                 with_commas(info.num_buckets).c_str());
+    std::printf("directory bits b:  %u (%s slices%s)\n", info.dir_bits,
+                with_commas(std::uint64_t{1} << info.dir_bits).c_str(),
+                info.num_shards > 0 ? ", widest shard" : "");
     std::printf("positions:         %s\n",
                 with_commas(info.num_positions).c_str());
     std::printf("skipped windows:   %s\n",
