@@ -18,13 +18,13 @@
  *   batch_throughput --threads 4 --size 60000
  *
  * --streaming switches the batch arm to the out-of-core dataflow
- * (2-bit packed genomes, sharded seeding, spill-or-backpressure hit
- * and candidate channels); --budget-heap M arms each pair's
+ * (sharded seeding, spill-to-disk hit and candidate channels);
+ * --budget-heap M arms each pair's
  * CancelToken with an M-MiB heap budget, so the run *proves* the
  * bounded-residency claim — a budget overrun cancels the pair and the
  * identity check fails the bench. The serial arm stays the in-RAM
- * byte path, so the streaming results are also asserted identical to
- * the unpacked reference:
+ * path, so the streaming results are also asserted identical to the
+ * in-RAM reference:
  *
  *   batch_throughput --streaming --budget-heap 64 --size 2000000 \
  *       --pairs 1 --seeds-per-pair 1
@@ -94,9 +94,8 @@ main(int argc, char** argv)
     if (!args.parse(argc, argv))
         return 1;
 
-    const auto threads = static_cast<std::size_t>(args.get_int("threads"));
-    const auto seeds_per_pair =
-        static_cast<std::size_t>(args.get_int("seeds-per-pair"));
+    const auto threads = args.get_uint("threads");
+    const auto seeds_per_pair = args.get_uint("seeds-per-pair");
     const std::size_t host_cores =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
     if (threads > host_cores) {
@@ -107,19 +106,17 @@ main(int argc, char** argv)
     }
 
     synth::AncestorConfig shape;
-    shape.num_chromosomes =
-        static_cast<std::size_t>(args.get_int("chromosomes"));
-    shape.chromosome_length = static_cast<std::size_t>(args.get_int("size"));
+    shape.num_chromosomes = args.get_uint("chromosomes");
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome =
         shape.chromosome_length /
-        static_cast<std::size_t>(args.get_int("exon-every"));
+        args.get_uint("exon-every");
 
     std::vector<synth::SpeciesPair> pairs;
     std::vector<batch::BatchJob> jobs;
-    auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    auto seed = args.get_uint("seed");
     auto species = synth::paper_species_pairs();
-    const auto max_species =
-        static_cast<std::size_t>(args.get_int("pairs"));
+    const auto max_species = args.get_uint("pairs");
     if (max_species > 0 && max_species < species.size())
         species.resize(max_species);
     for (const auto& spec : species)
@@ -149,13 +146,11 @@ main(int argc, char** argv)
     batch::BatchOptions options;
     options.params = params;
     options.num_threads = threads;
-    const auto budget_heap_mb =
-        static_cast<std::uint64_t>(args.get_int("budget-heap"));
+    const auto budget_heap_mb = args.get_uint("budget-heap");
     options.pair_budget.max_heap_bytes = budget_heap_mb * (1ull << 20);
     const bool streaming = args.get_flag("streaming");
     options.streaming = streaming;
-    options.streaming_params.shard_bp =
-        static_cast<std::uint64_t>(args.get_int("stream-shard-bp"));
+    options.streaming_params.shard_bp = args.get_uint("stream-shard-bp");
     options.streaming_params.spill_dir = args.get("spill-dir");
     batch::MetricsRegistry metrics;
     batch::BatchScheduler scheduler(options, &metrics);

@@ -44,17 +44,14 @@ inline synth::SpeciesPair
 make_bench_pair(const std::string& pair_name, const ArgParser& args)
 {
     synth::AncestorConfig shape;
-    shape.num_chromosomes =
-        static_cast<std::size_t>(args.get_int("chromosomes"));
-    shape.chromosome_length =
-        static_cast<std::size_t>(args.get_int("size"));
+    shape.num_chromosomes = args.get_uint("chromosomes");
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome =
         shape.chromosome_length /
-        static_cast<std::size_t>(args.get_int("exon-every"));
+        args.get_uint("exon-every");
     return synth::make_species_pair(synth::find_species_pair(pair_name),
                                     shape,
-                                    static_cast<std::uint64_t>(
-                                        args.get_int("seed")));
+                                    args.get_uint("seed"));
 }
 
 /** Translate one run's pipeline stats into the device workload model. */

@@ -91,13 +91,12 @@ main(int argc, char** argv)
     // distribution has a strong multi-kilobase tail, so that tile size
     // (i.e., traceback memory) limits which gaps an engine can bridge.
     synth::AncestorConfig shape;
-    shape.num_chromosomes =
-        static_cast<std::size_t>(args.get_int("chromosomes"));
-    shape.chromosome_length = static_cast<std::size_t>(args.get_int("size"));
+    shape.num_chromosomes = args.get_uint("chromosomes");
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome = shape.chromosome_length / 2500;
     shape.island_mean_length = 1500;  // long islands host long gaps
     const auto spec = synth::find_species_pair("ce11-cb4");
-    Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
+    Rng rng(args.get_uint("seed"));
     const auto ancestor = synth::make_ancestor(
         "fig10_anc", shape, synth::MarkovSource::genome_like(), rng);
     synth::BranchParams branch;
@@ -125,8 +124,7 @@ main(int argc, char** argv)
     const auto hits = seeder.seed_all(query, nullptr, &pool);
     const wga::FilterStage filter(params, ts, qs);
     auto candidates = filter.filter_all(hits, nullptr, &pool);
-    const auto max_anchors =
-        static_cast<std::size_t>(args.get_int("anchors"));
+    const auto max_anchors = args.get_uint("anchors");
     if (candidates.size() > max_anchors)
         candidates.resize(max_anchors);
     std::printf("Figure 10: GACT vs GACT-X on %zu shared anchors "

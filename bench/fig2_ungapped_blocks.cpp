@@ -23,7 +23,7 @@ run_pair(const char* pair_name, const char* role, const ArgParser& args,
     const auto pair = bench::make_bench_pair(pair_name, args);
     const wga::WgaPipeline pipeline(wga::WgaParams::darwin_defaults());
     const auto result =
-        pipeline.run(pair.target.genome, pair.query.genome, &pool);
+        pipeline.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     const auto stats = eval::collect_block_stats(result, 10);
 
     std::printf("%s (%s): %zu ungapped blocks in the top-10 chains\n",

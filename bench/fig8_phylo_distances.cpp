@@ -38,7 +38,8 @@ main(int argc, char** argv)
     for (const auto& spec : synth::paper_species_pairs()) {
         const auto pair = bench::make_bench_pair(spec.pair_name, args);
         const auto result =
-            pipeline.run(pair.target.genome, pair.query.genome, &pool);
+            pipeline.run(pair.target.genome, pair.query.genome,
+                         {.pool = &pool});
 
         synth::AlignedColumnCounts counts;
         const std::size_t top = std::min<std::size_t>(10,

@@ -45,9 +45,8 @@ main(int argc, char** argv)
 
     ThreadPool pool;
     const auto pair = bench::make_bench_pair("ce11-cb4", args);
-    const auto repeats =
-        static_cast<std::size_t>(args.get_int("repeats"));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    const auto repeats = args.get_uint("repeats");
+    const auto seed = args.get_uint("seed");
 
     std::printf("Noise analysis on ce11-cb4 analogue (size=%lld bp, %zu "
                 "shuffle repeats)\n\n",

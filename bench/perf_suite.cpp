@@ -398,7 +398,7 @@ struct BoundedMemoryReport {
 
 /**
  * The out-of-core claim, measured: the same pair aligned by the in-RAM
- * byte pipeline and by run_streaming with the shard size forced small
+ * byte pipeline and by a streaming run with the shard size forced small
  * enough that several shard tables come and go, under a CancelToken
  * armed with the heap budget. The budget is *enforced*, not observed —
  * an overrun cancels the run mid-flight and the section fails — and
@@ -452,9 +452,8 @@ run_bounded_memory(std::size_t pair_bp, std::uint64_t budget_mb,
         const fault::ContextScope scope(&token, 0);
         timer.reset();
         try {
-            streamed = pipeline.run_streaming(pair.target.genome,
-                                              pair.query.genome, sp,
-                                              nullptr, &metrics);
+            streamed = pipeline.run(pair.target.genome, pair.query.genome,
+                                    {.metrics = &metrics, .streaming = &sp});
             report.under_budget = true;
         } catch (const fault::CancelledError& error) {
             std::fprintf(stderr,
@@ -670,10 +669,8 @@ run_suite(const ArgParser& args, const char* argv0)
         static_cast<long long>(args.get_int("seed"))));
 
     const IndexReuseReport reuse = run_index_reuse(
-        static_cast<std::size_t>(args.get_int("reuse-bp")),
-        static_cast<std::size_t>(args.get_int("reuse-query-bp")),
-        static_cast<std::size_t>(args.get_int("reuse-queries")),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        args.get_uint("reuse-bp"), args.get_uint("reuse-query-bp"),
+        args.get_uint("reuse-queries"), args.get_uint("seed"));
     const double per_pair_rebuild =
         reuse.rebuild_total / static_cast<double>(reuse.queries);
     const double per_pair_cached =
@@ -685,9 +682,8 @@ run_suite(const ArgParser& args, const char* argv0)
                  reuse.queries, reuse.target_bp);
 
     const TelemetryOverheadReport telemetry = run_telemetry_overhead(
-        static_cast<std::size_t>(args.get_int("telemetry-bp")),
-        static_cast<std::size_t>(args.get_int("telemetry-requests")),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        args.get_uint("telemetry-bp"), args.get_uint("telemetry-requests"),
+        args.get_uint("seed"));
     std::fprintf(stderr,
                  "telemetry_overhead: best request off %.4fs, on %.4fs "
                  "(%+.2f%%)\n",
@@ -695,10 +691,8 @@ run_suite(const ArgParser& args, const char* argv0)
                  telemetry.overhead() * 100.0);
 
     const BoundedMemoryReport bounded = run_bounded_memory(
-        static_cast<std::size_t>(args.get_int("bounded-bp")),
-        static_cast<std::uint64_t>(args.get_int("bounded-budget-mb")),
-        static_cast<std::uint64_t>(args.get_int("bounded-shard-bp")),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        args.get_uint("bounded-bp"), args.get_uint("bounded-budget-mb"),
+        args.get_uint("bounded-shard-bp"), args.get_uint("seed"));
     std::fprintf(stderr,
                  "bounded_memory: in-RAM %.0f tiles/s, streaming %.0f "
                  "tiles/s (%.2fx) over %zu bp; %.1f MiB resident, "
@@ -715,9 +709,8 @@ run_suite(const ArgParser& args, const char* argv0)
                  static_cast<unsigned long long>(bounded.num_shards));
 
     const OverloadReport overload = run_overload(
-        static_cast<std::size_t>(args.get_int("overload-bp")),
-        static_cast<std::size_t>(args.get_int("overload-burst")),
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        args.get_uint("overload-bp"), args.get_uint("overload-burst"),
+        args.get_uint("seed"));
     std::fprintf(stderr,
                  "overload: burst %zu -> %zu served, %zu shed "
                  "(retry hint %lld ms), p99 accepted %.3fs; breaker "

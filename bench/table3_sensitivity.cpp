@@ -46,9 +46,11 @@ main(int argc, char** argv)
         const auto exons = eval::flatten_exons(pair.target, pair.query);
 
         const auto lastz_result =
-            lastz_like.run(pair.target.genome, pair.query.genome, &pool);
+            lastz_like.run(pair.target.genome, pair.query.genome,
+                           {.pool = &pool});
         const auto darwin_result =
-            darwin_wga.run(pair.target.genome, pair.query.genome, &pool);
+            darwin_wga.run(pair.target.genome, pair.query.genome,
+                           {.pool = &pool});
 
         const auto ls = eval::summarize(lastz_result);
         const auto ds = eval::summarize(darwin_result);

@@ -71,9 +71,11 @@ main(int argc, char** argv)
         const auto pair = bench::make_bench_pair(spec.pair_name, args);
 
         const auto lastz_result =
-            lastz_like.run(pair.target.genome, pair.query.genome, &pool);
+            lastz_like.run(pair.target.genome, pair.query.genome,
+                           {.pool = &pool});
         const auto darwin_result =
-            darwin_wga.run(pair.target.genome, pair.query.genome, &pool);
+            darwin_wga.run(pair.target.genome, pair.query.genome,
+                           {.pool = &pool});
 
         const double lastz_seconds = bench::as_baseline_host_seconds(
             lastz_result.stats.total_seconds());

@@ -43,7 +43,7 @@ main(int argc, char** argv)
     if (!args.parse(argc, argv))
         return 1;
 
-    ThreadPool pool(static_cast<std::size_t>(args.get_int("threads")));
+    ThreadPool pool(args.get_uint("threads"));
 
     seq::Genome target, query;
     std::vector<eval::FlatExon> exons;
@@ -52,14 +52,12 @@ main(int argc, char** argv)
         query = seq::read_genome(args.get("query"));
     } else {
         synth::AncestorConfig shape;
-        shape.num_chromosomes =
-            static_cast<std::size_t>(args.get_int("chromosomes"));
-        shape.chromosome_length =
-            static_cast<std::size_t>(args.get_int("size"));
+        shape.num_chromosomes = args.get_uint("chromosomes");
+        shape.chromosome_length = args.get_uint("size");
         shape.exons_per_chromosome = shape.chromosome_length / 2500;
         const auto pair = synth::make_species_pair(
             synth::find_species_pair(args.get("pair")), shape,
-            static_cast<std::uint64_t>(args.get_int("seed")));
+            args.get_uint("seed"));
         target = pair.target.genome;
         query = pair.query.genome;
         exons = eval::flatten_exons(pair.target, pair.query);
@@ -71,9 +69,9 @@ main(int argc, char** argv)
     const wga::WgaPipeline lastz_like(wga::WgaParams::lastz_defaults());
 
     std::printf("running Darwin-WGA (gapped filtering)...\n");
-    const auto darwin_result = darwin_wga.run(target, query, &pool);
+    const auto darwin_result = darwin_wga.run(target, query, {.pool = &pool});
     std::printf("running LASTZ-like baseline (ungapped filtering)...\n");
-    const auto lastz_result = lastz_like.run(target, query, &pool);
+    const auto lastz_result = lastz_like.run(target, query, {.pool = &pool});
 
     const auto ds = eval::summarize(darwin_result);
     const auto ls = eval::summarize(lastz_result);

@@ -88,19 +88,19 @@ main(int argc, char** argv)
 
     synth::AncestorConfig shape;
     shape.num_chromosomes = 1;
-    shape.chromosome_length = static_cast<std::size_t>(args.get_int("size"));
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome = shape.chromosome_length / 2000;
     const auto pair = synth::make_species_pair(
         synth::find_species_pair(args.get("pair")), shape,
-        static_cast<std::uint64_t>(args.get_int("seed")));
-    ThreadPool pool(static_cast<std::size_t>(args.get_int("threads")));
+        args.get_uint("seed"));
+    ThreadPool pool(args.get_uint("threads"));
 
     const wga::WgaPipeline darwin_wga(wga::WgaParams::darwin_defaults());
     const wga::WgaPipeline lastz_like(wga::WgaParams::lastz_defaults());
     const auto darwin_result =
-        darwin_wga.run(pair.target.genome, pair.query.genome, &pool);
+        darwin_wga.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     const auto lastz_result =
-        lastz_like.run(pair.target.genome, pair.query.genome, &pool);
+        lastz_like.run(pair.target.genome, pair.query.genome, {.pool = &pool});
 
     // Score each exon under both aligners; keep ones only Darwin found.
     const auto exons = eval::flatten_exons(pair.target, pair.query);

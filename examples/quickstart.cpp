@@ -44,7 +44,7 @@ main()
     const wga::WgaPipeline pipeline(wga::WgaParams::darwin_defaults());
     ThreadPool pool;
     const wga::WgaResult result =
-        pipeline.run(pair.target.genome, pair.query.genome, &pool);
+        pipeline.run(pair.target.genome, pair.query.genome, {.pool = &pool});
 
     // 3. Look at what came out.
     std::printf("\npipeline: %zu alignments, %zu chains\n",

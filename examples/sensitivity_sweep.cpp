@@ -33,7 +33,7 @@ run_row(const SweepRow& row, const seq::Genome& target,
         const seq::Genome& query, ThreadPool& pool)
 {
     const wga::WgaPipeline pipeline(row.params);
-    const auto result = pipeline.run(target, query, &pool);
+    const auto result = pipeline.run(target, query, {.pool = &pool});
     const auto summary = eval::summarize(result);
     std::printf("%-26s %10s %8llu %10s %12s\n", row.label.c_str(),
                 with_commas(result.stats.filter.tiles).c_str(),
@@ -58,12 +58,12 @@ main(int argc, char** argv)
 
     synth::AncestorConfig shape;
     shape.num_chromosomes = 1;
-    shape.chromosome_length = static_cast<std::size_t>(args.get_int("size"));
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome = shape.chromosome_length / 2500;
     const auto pair = synth::make_species_pair(
         synth::find_species_pair(args.get("pair")), shape,
-        static_cast<std::uint64_t>(args.get_int("seed")));
-    ThreadPool pool(static_cast<std::size_t>(args.get_int("threads")));
+        args.get_uint("seed"));
+    ThreadPool pool(args.get_uint("threads"));
 
     std::printf("%-26s %10s %8s %10s %12s\n", "configuration",
                 "filt.tiles", "passed", "alignments", "matched bp");

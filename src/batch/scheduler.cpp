@@ -57,12 +57,20 @@ class Engine {
         for (const BatchJob& job : jobs_) {
             require(job.target != nullptr && job.query != nullptr,
                     "batch: job missing target/query genome");
-            if (options_.streaming) {
-                // Streaming pairs read packed storage only, and build
-                // their (transient, sharded) seed tables per pair — no
-                // byte caches, no cache digests.
+            // Each run reads the flattening its target's storage selects
+            // (WgaPipeline::run). Streaming pairs build their own
+            // transient shard tables (no cached index, no digest), so a
+            // packed one needs no byte flattening at all.
+            const bool packed = job.target->packed();
+            if (packed) {
                 job.target->flattened_packed();
                 job.query->flattened_packed();
+            }
+            if (options_.streaming) {
+                if (!packed) {
+                    job.target->flattened();
+                    job.query->flattened();
+                }
                 continue;
             }
             job.target->flattened();
@@ -238,7 +246,7 @@ class Engine {
                                record.stage.c_str()));
                 degraded = true;
                 params = apply_degrade(options_.params, options_.degrade);
-                // run_streaming rejects a per-chunk hit cap (defined over
+                // Streaming runs reject a per-chunk hit cap (defined over
                 // whole query chunks, which band sharding splits); the
                 // band and ydrop degrades still bound the retry's work.
                 if (options_.streaming)
@@ -266,9 +274,9 @@ class Engine {
     {
         const wga::WgaPipeline pipeline(params, options_.chain_params);
         if (options_.streaming) {
-            return pipeline.run_streaming(*job.target, *job.query,
-                                          options_.streaming_params,
-                                          nullptr, &metrics_);
+            return pipeline.run(*job.target, *job.query,
+                                {.metrics = &metrics_,
+                                 .streaming = &options_.streaming_params});
         }
         // Acquire the target's index from the cache: the first pair of a
         // target builds it, the rest (and the degraded retry, which
@@ -294,8 +302,9 @@ class Engine {
         index_stage.seed_seconds = timer.seconds();
         wga::publish_pipeline_stats(metrics_, index_stage);
 
-        wga::WgaResult result = pipeline.run_with_index(
-            *index, target, job.query->flattened(), nullptr, &metrics_);
+        wga::WgaResult result = pipeline.run(
+            *job.target, *job.query,
+            {.metrics = &metrics_, .index = index.get()});
         result.stats.merge(index_stage);
         return result;
     }

@@ -91,10 +91,10 @@ struct BatchOptions {
 
     /**
      * Bounded-memory mode: run each pair whole through
-     * WgaPipeline::run_streaming — 2-bit packed storage, the seed
-     * table built one band shard at a time, hits and candidates
-     * through spill-or-backpressure channels — instead of the in-RAM
-     * WgaPipeline::run_with_index. Results stay bit-identical (both
+     * WgaPipeline::run with RunOptions::streaming — the seed table
+     * built one band shard at a time, hits and candidates through
+     * spill-to-disk channels — instead of the in-RAM run over a cached
+     * prebuilt index. Results stay bit-identical (both
      * modes reproduce the serial pipeline exactly); what changes is the
      * residency envelope: no whole-target seed table and no
      * materialized hit or candidate vectors, so the per-pair
@@ -102,7 +102,7 @@ struct BatchOptions {
      * size. Pair isolation, budgets, degraded retries and quarantine
      * work unchanged. The shared index cache is bypassed — shard
      * tables are transient by design. Requires gapped filter params
-     * and dsoft.max_hits_per_chunk == 0 (run_streaming's contract;
+     * and dsoft.max_hits_per_chunk == 0 (the streaming contract;
      * FatalError otherwise).
      */
     bool streaming = false;

@@ -13,7 +13,7 @@ noise_analysis(const wga::WgaPipeline& pipeline, const seq::Genome& target,
     FprResult out;
     out.repeats = repeats;
 
-    const wga::WgaResult real = pipeline.run(target, query, pool);
+    const wga::WgaResult real = pipeline.run(target, query, {.pool = pool});
     out.real_matched_bases =
         chain::summarize_chains(real.chains).total_matched_bases;
 
@@ -21,7 +21,8 @@ noise_analysis(const wga::WgaPipeline& pipeline, const seq::Genome& target,
     std::uint64_t total_shuffled = 0;
     for (std::size_t r = 0; r < repeats; ++r) {
         const seq::Genome shuffled = seq::shuffle_genome(target, rng);
-        const wga::WgaResult null_run = pipeline.run(shuffled, query, pool);
+        const wga::WgaResult null_run =
+            pipeline.run(shuffled, query, {.pool = pool});
         total_shuffled +=
             chain::summarize_chains(null_run.chains).total_matched_bases;
     }

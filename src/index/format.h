@@ -5,7 +5,7 @@
  * A `.dwi` file is the key-sorted spaced-seed position table of one
  * target sequence (seed/seed_index.h), laid out so a reader can mmap
  * the file and hand the sections to SeedIndex::attach() without copying
- * a byte. The monolithic layout:
+ * a byte. The layout:
  *
  *     [IndexHeader]       256 bytes, at offset 0
  *     [directory]         (2^dir_bits + 1) x u32, 64-byte aligned
@@ -21,18 +21,6 @@
  * key. dir_bits is sized to the target at build time, so a 120 kbp
  * target's file is ~1 MB, not the 67 MB a dense 4^12 directory costs.
  *
- * The sharded layout serves bounded-memory loading
- * (seed/sharded_index.h): instead of one global table, the file
- * carries the global repeat keys, a shard directory and one (directory,
- * suffixes, positions) section triple per band shard, so a reader can
- * map the file once and page in one shard's table at a time:
- *
- *     [IndexHeader]       256 bytes, at offset 0
- *     [repeat keys]       global, 64-byte aligned
- *     [shard directory]   num_shards x ShardDirEntry, aligned
- *     [shard 0 directory][shard 0 suffixes][shard 0 positions] ...
- *     [checksum area]
- *
  * All integers are little-endian (the header carries an endian tag and
  * readers refuse a mismatch rather than byte-swap); all sections start
  * on a 64-byte boundary (cache-line alignment for the zero-copy load)
@@ -47,7 +35,9 @@
  * semantic change, and readers refuse every other version with a
  * "rebuild with darwin-wga-index" error (no in-place migration).
  * Versions 1 and 2 (a dense 4^weight bucket-offset array per table) are
- * refused.
+ * refused. Early version-3 builds could also write a sharded layout (one
+ * table per band shard); its header fields are now reserved and must be
+ * zero, so such files are refused too.
  */
 #ifndef DARWIN_INDEX_FORMAT_H
 #define DARWIN_INDEX_FORMAT_H
@@ -61,7 +51,7 @@ namespace darwin::index {
 inline constexpr char kIndexMagic[8] = {'D', 'W', 'G', 'A',
                                         'I', 'D', 'X', '\0'};
 
-/** The one format version written and read (monolithic and sharded). */
+/** The one format version written and read. */
 inline constexpr std::uint32_t kIndexFormatVersion = 3;
 
 /** Written natively; a reader seeing any other value is on a host with
@@ -87,19 +77,17 @@ struct IndexHeader {
     std::uint64_t num_positions;     ///< total indexed positions
     std::uint64_t skipped_windows;   ///< windows skipped for N bases
     std::uint64_t truncated_buckets; ///< keys clamped at max_bucket
-    std::uint64_t directory_offset;  ///< monolithic: byte offset of the directory
-    std::uint64_t suffixes_offset;   ///< monolithic: byte offset of the suffixes
-    std::uint64_t positions_offset;  ///< monolithic: byte offset of positions
+    std::uint64_t directory_offset;  ///< byte offset of the directory
+    std::uint64_t suffixes_offset;   ///< byte offset of the suffixes
+    std::uint64_t positions_offset;  ///< byte offset of positions
     std::uint64_t repeats_offset;    ///< byte offset of the repeat keys
     std::uint64_t total_bytes;       ///< exact file size
     char pattern[kIndexMaxPatternLength + 1];  ///< '1'/'0' seed shape
-    std::uint64_t shard_bp;          ///< band-start bp per shard (0 = n/a)
-    std::uint32_t num_shards;        ///< 0 = monolithic layout
-    /** Monolithic: the directory width b. Sharded: the widest shard
-     *  directory (each shard records its own). */
-    std::uint32_t dir_bits;
-    std::uint64_t shard_dir_offset;  ///< sharded: byte offset of the shard directory
-    char reserved[56];               ///< zero; future use
+    std::uint64_t reserved_shard_bp;   ///< zero (was the sharded layout's)
+    std::uint32_t reserved_num_shards; ///< zero (was the sharded layout's)
+    std::uint32_t dir_bits;            ///< directory width b
+    std::uint64_t reserved_shard_dir;  ///< zero (was the sharded layout's)
+    char reserved[56];                 ///< zero; future use
 };
 
 static_assert(sizeof(IndexHeader) == 256,
@@ -108,28 +96,6 @@ static_assert(std::is_trivially_copyable_v<IndexHeader>,
               "IndexHeader must be memcpy-safe");
 static_assert(sizeof(IndexHeader) % kIndexSectionAlign == 0,
               "sections start 64-byte aligned right after the header");
-
-/** One shard's directory entry. Band/slice semantics are exactly
- *  seed::ShardPlan's; offsets are absolute file offsets of the shard's
- *  (2^dir_bits + 1) x u32 directory, num_positions x u8 key suffixes
- *  (none when dir_bits is the key width) and num_positions x u32
- *  positions. */
-struct ShardDirEntry {
-    std::uint64_t band_lo;
-    std::uint64_t band_hi;
-    std::uint64_t slice_lo;
-    std::uint64_t slice_hi;
-    std::uint64_t directory_offset;
-    std::uint64_t suffixes_offset;
-    std::uint64_t positions_offset;
-    std::uint32_t num_positions;
-    std::uint32_t dir_bits;
-};
-
-static_assert(sizeof(ShardDirEntry) == 64,
-              "ShardDirEntry layout is part of the on-disk format");
-static_assert(std::is_trivially_copyable_v<ShardDirEntry>,
-              "ShardDirEntry must be memcpy-safe");
 
 /** Round a byte offset up to the section alignment. */
 constexpr std::uint64_t
@@ -153,10 +119,9 @@ inline constexpr std::uint32_t kIndexChecksumVersion = 1;
  *     [ChecksumTrailer]  last 64 bytes of the file
  *
  * The digest array covers each section's *content* bytes in layout
- * order — monolithic: directory, suffixes, positions, repeat keys;
- * sharded: repeat keys, shard directory, then (directory, suffixes,
- * positions) per shard — and header_digest covers the header bytes as
- * written. Readers find the trailer at total_bytes - 64.
+ * order (directory, suffixes, positions, repeat keys), and
+ * header_digest covers the header bytes as written. Readers find the
+ * trailer at total_bytes - 64.
  */
 struct ChecksumTrailer {
     char magic[8];                 ///< kIndexChecksumMagic

@@ -38,12 +38,11 @@ json_field(const std::string& line, const std::string& key)
  * violation.
  */
 void
-check_table(const std::string& path, const std::string& what,
-            const seed::SeedIndex& index, std::uint64_t sequence_length)
+check_table(const std::string& path, const seed::SeedIndex& index,
+            std::uint64_t sequence_length)
 {
     const auto fail = [&](const std::string& detail) {
-        fatal(strprintf("%s: %s%s", path.c_str(), what.c_str(),
-                        detail.c_str()));
+        fatal(strprintf("%s: %s", path.c_str(), detail.c_str()));
     };
     const auto directory = index.directory();
     const auto suffixes = index.suffixes();
@@ -84,16 +83,7 @@ check_index(const std::string& path, std::vector<FsckFinding>* findings)
 {
     try {
         const IndexInfo info = read_index_info(path);
-        if (info.num_shards > 0) {
-            // The constructor runs full validation: header geometry,
-            // directory partition, checksum trailer + digests.
-            ShardedIndexReader reader(path);
-            for (std::size_t s = 0; s < reader.num_shards(); ++s)
-                check_table(path, strprintf("shard %zu: ", s),
-                            *reader.open_shard(s), info.sequence_length);
-        } else {
-            check_table(path, "", *load_index(path), info.sequence_length);
-        }
+        check_table(path, *load_index(path), info.sequence_length);
     } catch (const FatalError& e) {
         findings->push_back({path, "bad-index", e.what()});
     }

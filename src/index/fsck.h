@@ -12,7 +12,7 @@
  * instead of dying on the first bad file.
  *
  * Supported artifact kinds (detected from content, not extension):
- *   - `.dwi` reference indexes (monolithic and sharded),
+ *   - `.dwi` reference indexes,
  *   - `.2bit` packed-genome sidecars,
  *   - batch checkpoint journals (JSONL with a darwin-wga-batch header).
  *

@@ -148,42 +148,27 @@ validate_header(const std::string& path, const std::uint8_t* bytes,
                                   "%u-bit key",
                                   header.dir_bits, key_bits));
 
-    const std::uint64_t repeats_bytes = header.truncated_buckets * 4;
-    std::uint64_t sections_end = 0;
-    if (header.num_shards == 0) {
-        // Monolithic layout: four sections, in order, aligned.
-        if (header.shard_bp != 0 || header.shard_dir_offset != 0)
-            bad_index(path, "monolithic index carries shard fields");
-        if (header.directory_offset != sizeof(IndexHeader) ||
-            header.suffixes_offset !=
-                align_section(header.directory_offset +
-                              directory_bytes(header.dir_bits)) ||
-            header.positions_offset !=
-                align_section(header.suffixes_offset +
-                              suffix_bytes(header.dir_bits, key_bits,
-                                           header.num_positions)) ||
-            header.repeats_offset !=
-                align_section(header.positions_offset +
-                              header.num_positions * 4))
-            bad_index(path, "section offsets disagree with section sizes");
-        sections_end = align_section(header.repeats_offset + repeats_bytes);
-    } else {
-        // Sharded layout: global repeat keys, then the shard directory,
-        // then per-shard sections (validated by ShardedIndexReader).
-        if (header.shard_bp == 0)
-            bad_index(path, "sharded index with zero shard-bp");
-        if (header.directory_offset != 0 || header.suffixes_offset != 0 ||
-            header.positions_offset != 0)
-            bad_index(path, "sharded index carries monolithic sections");
-        if (header.repeats_offset != sizeof(IndexHeader) ||
-            header.shard_dir_offset !=
-                align_section(header.repeats_offset + repeats_bytes))
-            bad_index(path, "shard directory offsets disagree with "
-                            "section sizes");
-        sections_end = header.shard_dir_offset +
-                       std::uint64_t{header.num_shards} *
-                           sizeof(ShardDirEntry);
-    }
+    if (header.reserved_shard_bp != 0 || header.reserved_num_shards != 0 ||
+        header.reserved_shard_dir != 0)
+        bad_index(path, "reserved header fields are set (a sharded "
+                        "layout, which this build no longer reads; "
+                        "rebuild with darwin-wga-index)");
+
+    // Four sections, in order, aligned.
+    if (header.directory_offset != sizeof(IndexHeader) ||
+        header.suffixes_offset !=
+            align_section(header.directory_offset +
+                          directory_bytes(header.dir_bits)) ||
+        header.positions_offset !=
+            align_section(header.suffixes_offset +
+                          suffix_bytes(header.dir_bits, key_bits,
+                                       header.num_positions)) ||
+        header.repeats_offset !=
+            align_section(header.positions_offset +
+                          header.num_positions * 4))
+        bad_index(path, "section offsets disagree with section sizes");
+    const std::uint64_t sections_end =
+        align_section(header.repeats_offset + header.truncated_buckets * 4);
     if (header.total_bytes < sections_end)
         bad_index(path, "sections extend past the end of the file");
     if (header.total_bytes < sections_end + sizeof(ChecksumTrailer))
@@ -247,28 +232,27 @@ verify_checksums(const std::string& path, const std::uint8_t* base,
 }
 
 /**
- * The O(2^b) directory check every loader runs before attach(): the
+ * The O(2^b) directory check every load runs before attach(): the
  * offsets start at 0, never decrease, and end at the position count,
  * so every lookup() slice lies inside the position (and suffix)
- * sections. `what` prefixes the message ("" or "shard N: ").
+ * sections.
  */
 void
-check_directory(const std::string& path, const std::string& what,
+check_directory(const std::string& path,
                 std::span<const std::uint32_t> directory,
                 std::uint64_t num_positions)
 {
     if (directory.front() != 0)
-        bad_index(path, what + "directory does not start at 0");
+        bad_index(path, "directory does not start at 0");
     for (std::size_t s = 1; s < directory.size(); ++s) {
         if (directory[s] < directory[s - 1])
-            bad_index(path, strprintf("%sdirectory decreases at slice "
-                                      "%zu (%u > %u)",
-                                      what.c_str(), s - 1,
-                                      directory[s - 1], directory[s]));
+            bad_index(path, strprintf("directory decreases at slice %zu "
+                                      "(%u > %u)",
+                                      s - 1, directory[s - 1],
+                                      directory[s]));
     }
     if (directory.back() != num_positions)
-        bad_index(path, what + "directory does not end at the position "
-                               "count");
+        bad_index(path, "directory does not end at the position count");
 }
 
 template <class T>
@@ -325,21 +309,6 @@ class SectionWriter {
         return offset;
     }
 
-    /** Overwrite section `index` (written earlier at `offset` as a
-     *  placeholder of the same size) with its final bytes. */
-    template <class T>
-    void
-    rewrite(std::size_t index, std::uint64_t offset, std::span<const T> s)
-    {
-        out_.seekp(static_cast<std::streamoff>(offset));
-        out_.write(reinterpret_cast<const char*>(s.data()),
-                   static_cast<std::streamsize>(s.size_bytes()));
-        out_.seekp(static_cast<std::streamoff>(cursor_));
-        digests_[index] = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(s.data()),
-             s.size_bytes()});
-    }
-
     /** Pad to a boundary and append the digest array + trailer, after
      *  setting header.total_bytes and digesting the final header. */
     void
@@ -370,63 +339,6 @@ class SectionWriter {
     std::uint64_t cursor_;
     std::vector<std::uint64_t> digests_;
 };
-
-/** Header fields shared by both layouts. */
-IndexHeader
-make_header(const std::string& path, const seed::SeedPattern& pattern,
-            std::uint32_t max_bucket, std::uint64_t digest,
-            std::uint64_t length)
-{
-    const std::string& shape = pattern.pattern();
-    if (shape.size() > kIndexMaxPatternLength)
-        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
-                        "format's %u bp limit",
-                        path.c_str(), shape.size(), kIndexMaxPatternLength));
-    IndexHeader header = {};
-    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
-    header.version = kIndexFormatVersion;
-    header.endian_tag = kIndexEndianTag;
-    header.sequence_digest = digest;
-    header.sequence_length = length;
-    header.max_bucket = max_bucket;
-    header.pattern_length = static_cast<std::uint32_t>(shape.size());
-    std::memcpy(header.pattern, shape.data(), shape.size());
-    header.num_buckets = pattern.key_space();
-    return header;
-}
-
-/**
- * Write an index file atomically (same-directory tmp + rename): a
- * placeholder header, the sections `body` emits through the writer
- * (filling in `header` as it goes), the checksum area, then the final
- * header patched in at offset 0.
- */
-template <class Body>
-void
-write_index_file(const std::string& path, IndexHeader& header, Body body)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        write_padding(out, 0, sizeof(IndexHeader));
-        SectionWriter writer(out);
-        body(writer);
-        writer.finish(header);
-        out.seekp(0);
-        out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
-}
 
 }  // namespace
 
@@ -502,8 +414,6 @@ fill_info(IndexInfo* info, const IndexHeader& header)
     info->skipped_windows = header.skipped_windows;
     info->truncated_buckets = header.truncated_buckets;
     info->total_bytes = header.total_bytes;
-    info->shard_bp = header.shard_bp;
-    info->num_shards = header.num_shards;
 }
 
 seed::SeedPattern
@@ -522,18 +432,52 @@ void
 save_index(const std::string& path, const seed::SeedIndex& index,
            std::uint64_t digest, std::uint64_t length)
 {
-    IndexHeader header = make_header(path, index.pattern(),
-                                     index.max_bucket(), digest, length);
+    const std::string& shape = index.pattern().pattern();
+    if (shape.size() > kIndexMaxPatternLength)
+        fatal(strprintf("%s: seed shape of %zu bp exceeds the index "
+                        "format's %u bp limit",
+                        path.c_str(), shape.size(), kIndexMaxPatternLength));
+    IndexHeader header = {};
+    std::memcpy(header.magic, kIndexMagic, sizeof(kIndexMagic));
+    header.version = kIndexFormatVersion;
+    header.endian_tag = kIndexEndianTag;
+    header.sequence_digest = digest;
+    header.sequence_length = length;
+    header.max_bucket = index.max_bucket();
+    header.pattern_length = static_cast<std::uint32_t>(shape.size());
+    std::memcpy(header.pattern, shape.data(), shape.size());
+    header.num_buckets = index.pattern().key_space();
     header.dir_bits = index.dir_bits();
     header.num_positions = index.num_positions();
     header.skipped_windows = index.skipped_windows();
     header.truncated_buckets = index.truncated_buckets();
-    write_index_file(path, header, [&](SectionWriter& writer) {
+
+    // Same-directory tmp + rename: a placeholder header, the sections,
+    // the checksum area, then the final header patched in at offset 0.
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
+        if (!out)
+            fatal(strprintf("cannot write %s", tmp.c_str()));
+        write_padding(out, 0, sizeof(IndexHeader));
+        SectionWriter writer(out);
         header.directory_offset = writer.put(index.directory());
         header.suffixes_offset = writer.put(index.suffixes());
         header.positions_offset = writer.put(index.positions());
         header.repeats_offset = writer.put(index.repeat_keys());
-    });
+        writer.finish(header);
+        out.seekp(0);
+        out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+        out.flush();
+        if (!out)
+            fatal(strprintf("error writing %s", tmp.c_str()));
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec) {
+        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
+                        path.c_str(), ec.message().c_str()));
+    }
 }
 
 std::shared_ptr<const seed::SeedIndex>
@@ -544,9 +488,6 @@ load_index(const std::string& path, IndexInfo* info)
     const std::uint8_t* base = mapping->bytes();
 
     const IndexHeader header = validate_header(path, base, file_size);
-    if (header.num_shards != 0)
-        bad_index(path, "sharded index; open with ShardedIndexReader "
-                        "(or rebuild without --shard-bp)");
     seed::SeedPattern pattern = parse_pattern(
         path, std::string(header.pattern, header.pattern_length));
 
@@ -571,7 +512,7 @@ load_index(const std::string& path, IndexInfo* info)
                                    repeats.size_bytes()),
                      {checksummed(directory), checksummed(suffixes),
                       checksummed(positions), checksummed(repeats)});
-    check_directory(path, "", directory, header.num_positions);
+    check_directory(path, directory, header.num_positions);
 
     if (info != nullptr)
         fill_info(info, header);
@@ -598,147 +539,6 @@ read_index_info(const std::string& path)
     IndexInfo info;
     fill_info(&info, header);
     return info;
-}
-
-void
-save_sharded_index(const std::string& path,
-                   const seed::ShardedSeedIndexBuilder& builder,
-                   std::uint64_t shard_bp, std::uint64_t digest,
-                   std::uint64_t length)
-{
-    IndexHeader header = make_header(path, builder.pattern(),
-                                     builder.max_bucket(), digest, length);
-    header.skipped_windows = builder.skipped_windows();
-    header.truncated_buckets = builder.truncated_buckets();
-    header.shard_bp = shard_bp;
-    header.num_shards = static_cast<std::uint32_t>(builder.num_shards());
-    std::vector<ShardDirEntry> dir(builder.num_shards());
-    const std::span<const ShardDirEntry> dir_span{dir.data(), dir.size()};
-    write_index_file(path, header, [&](SectionWriter& writer) {
-        header.repeats_offset = writer.put(builder.repeat_keys());
-        // The directory goes out as a placeholder first (each shard's
-        // section offsets are only known once it is written) and is
-        // patched in place before the rename publishes the file.
-        header.shard_dir_offset = writer.put(dir_span);
-        // One shard's table resident at a time — the writer honors the
-        // same bound the sharded layout exists to provide.
-        for (std::size_t s = 0; s < builder.num_shards(); ++s) {
-            const seed::ShardPlan& plan = builder.plan()[s];
-            const auto shard = builder.build_shard(s);
-            ShardDirEntry& entry = dir[s];
-            entry.band_lo = plan.band_lo;
-            entry.band_hi = plan.band_hi;
-            entry.slice_lo = plan.slice_lo;
-            entry.slice_hi = plan.slice_hi;
-            entry.directory_offset = writer.put(shard->directory());
-            entry.suffixes_offset = writer.put(shard->suffixes());
-            entry.positions_offset = writer.put(shard->positions());
-            entry.num_positions =
-                static_cast<std::uint32_t>(shard->num_positions());
-            entry.dir_bits = shard->dir_bits();
-            header.num_positions += entry.num_positions;
-            header.dir_bits = std::max(header.dir_bits, entry.dir_bits);
-        }
-        writer.rewrite(1, header.shard_dir_offset, dir_span);
-    });
-}
-
-ShardedIndexReader::ShardedIndexReader(const std::string& path)
-    : path_(path)
-{
-    auto mapping = map_index_file(path);
-    base_ = mapping->bytes();
-    const std::uint64_t file_size = mapping->size();
-    mapping_ = std::move(mapping);
-
-    const IndexHeader header = validate_header(path, base_, file_size);
-    if (header.num_shards == 0)
-        bad_index(path, "monolithic index; open with load_index "
-                        "(or rebuild with --shard-bp)");
-    fill_info(&info_, header);
-    key_bits_ = key_bits_of(header);
-    repeats_ = section<std::uint32_t>(base_, header.repeats_offset,
-                                      header.truncated_buckets);
-
-    // Every shard's sections must lie before the checksum area.
-    const std::uint64_t limit = file_size - sizeof(ChecksumTrailer);
-    std::uint64_t total_positions = 0;
-    std::uint64_t sections_end =
-        header.shard_dir_offset +
-        std::uint64_t{header.num_shards} * sizeof(ShardDirEntry);
-    std::vector<SectionSpan> sections = {
-        checksummed(repeats_),
-        {base_ + header.shard_dir_offset,
-         sections_end - header.shard_dir_offset}};
-    shards_.resize(header.num_shards);
-    plan_.resize(header.num_shards);
-    for (std::uint32_t s = 0; s < header.num_shards; ++s) {
-        ShardDirEntry& entry = shards_[s];
-        std::memcpy(&entry,
-                    base_ + header.shard_dir_offset +
-                        s * sizeof(ShardDirEntry),
-                    sizeof(entry));
-        if (entry.band_lo >= entry.band_hi ||
-            (s > 0 && entry.band_lo != plan_[s - 1].band_hi))
-            bad_index(path, strprintf("shard %u: band range is not a "
-                                      "partition", s));
-        if (!dir_bits_valid(entry.dir_bits, key_bits_))
-            bad_index(path, strprintf("shard %u: directory width %u out "
-                                      "of range",
-                                      s, entry.dir_bits));
-        const std::uint64_t dir_size = directory_bytes(entry.dir_bits);
-        const std::uint64_t suffix_size =
-            suffix_bytes(entry.dir_bits, key_bits_, entry.num_positions);
-        const std::uint64_t positions_size =
-            std::uint64_t{entry.num_positions} * 4;
-        if (entry.directory_offset % kIndexSectionAlign != 0 ||
-            entry.suffixes_offset % kIndexSectionAlign != 0 ||
-            entry.positions_offset % kIndexSectionAlign != 0 ||
-            !fits(entry.directory_offset, dir_size, limit) ||
-            !fits(entry.suffixes_offset, suffix_size, limit) ||
-            !fits(entry.positions_offset, positions_size, limit))
-            bad_index(path, strprintf("shard %u: sections fall outside "
-                                      "the file", s));
-        plan_[s] = {entry.band_lo, entry.band_hi, entry.slice_lo,
-                    entry.slice_hi};
-        total_positions += entry.num_positions;
-        sections.push_back({base_ + entry.directory_offset, dir_size});
-        sections.push_back({base_ + entry.suffixes_offset, suffix_size});
-        sections.push_back({base_ + entry.positions_offset, positions_size});
-        sections_end = std::max({sections_end,
-                                 entry.directory_offset + dir_size,
-                                 entry.suffixes_offset + suffix_size,
-                                 entry.positions_offset + positions_size});
-    }
-    if (total_positions != header.num_positions)
-        bad_index(path, "shard position counts disagree with the header");
-
-    // Verify the checksum area before any shard is handed out. The
-    // digest order mirrors save_sharded_index: repeat keys, directory,
-    // then (directory, suffixes, positions) per shard.
-    verify_checksums(path, base_, file_size, align_section(sections_end),
-                     sections);
-}
-
-std::shared_ptr<const seed::SeedIndex>
-ShardedIndexReader::open_shard(std::size_t s) const
-{
-    require(s < plan_.size(), "ShardedIndexReader: shard out of range");
-    const ShardDirEntry& entry = shards_[s];
-    const auto directory = section<std::uint32_t>(
-        base_, entry.directory_offset,
-        (std::uint64_t{1} << entry.dir_bits) + 1);
-    check_directory(path_, strprintf("shard %zu: ", s), directory,
-                    entry.num_positions);
-    return std::make_shared<seed::SeedIndex>(seed::SeedIndex::attach(
-        parse_pattern(path_, info_.pattern), info_.max_bucket,
-        entry.dir_bits, directory,
-        section<std::uint8_t>(
-            base_, entry.suffixes_offset,
-            suffix_bytes(entry.dir_bits, key_bits_, entry.num_positions)),
-        section<std::uint32_t>(base_, entry.positions_offset,
-                               entry.num_positions),
-        repeats_, info_.skipped_windows, mapping_));
 }
 
 bool

@@ -18,11 +18,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "index/format.h"
 #include "seed/seed_index.h"
-#include "seed/sharded_index.h"
 #include "seq/sequence.h"
 
 namespace darwin::index {
@@ -35,15 +33,12 @@ struct IndexInfo {
     std::uint32_t max_bucket = 0;
     std::string pattern;
     std::uint64_t num_buckets = 0;
-    /** Directory width b (monolithic); the widest shard's when sharded. */
+    /** Directory width b: the directory has 2^b + 1 entries. */
     std::uint32_t dir_bits = 0;
     std::uint64_t num_positions = 0;
     std::uint64_t skipped_windows = 0;
     std::uint64_t truncated_buckets = 0;
     std::uint64_t total_bytes = 0;
-    /** Sharded layout; zero for monolithic files. */
-    std::uint64_t shard_bp = 0;
-    std::uint32_t num_shards = 0;
 };
 
 /** FNV-1a digest of a sequence's base codes — the identity an index
@@ -76,55 +71,6 @@ std::shared_ptr<const seed::SeedIndex> load_index(const std::string& path,
 
 /** Read and validate only the header (cheap: no section access). */
 IndexInfo read_index_info(const std::string& path);
-
-/**
- * Serialize a *sharded* index: each shard's table is
- * built with `builder` and streamed to disk in turn, so peak memory is
- * one shard's table — the same bound the streaming pipeline honors at
- * seeding time. Atomic (tmp + rename) like save_index. `shard_bp` is
- * recorded in the header for `info` and for readers that want to know
- * the planned granularity.
- */
-void save_sharded_index(const std::string& path,
-                        const seed::ShardedSeedIndexBuilder& builder,
-                        std::uint64_t shard_bp, std::uint64_t digest,
-                        std::uint64_t length);
-
-/**
- * Reader over a sharded `.dwi`: maps the file once and
- * attaches one shard's SeedIndex at a time on demand. Pages of a
- * shard's table enter memory only while something holds the returned
- * index, so at most one shard's table need be resident. Fatal on a
- * monolithic file (use load_index for those).
- */
-class ShardedIndexReader {
-  public:
-    explicit ShardedIndexReader(const std::string& path);
-
-    const IndexInfo& info() const { return info_; }
-    std::size_t num_shards() const { return plan_.size(); }
-
-    /** Band/slice ranges per shard (ShardPlan semantics). */
-    const std::vector<seed::ShardPlan>& plan() const { return plan_; }
-
-    /**
-     * Attach shard `s`'s table (positions are global target
-     * coordinates). The mapping stays alive as long as any returned
-     * index does. Seed it with the banded DsoftSeeder over
-     * plan()[s].band_lo / band_hi.
-     */
-    std::shared_ptr<const seed::SeedIndex> open_shard(std::size_t s) const;
-
-  private:
-    std::string path_;
-    std::shared_ptr<const void> mapping_;
-    const std::uint8_t* base_ = nullptr;
-    IndexInfo info_;
-    std::vector<seed::ShardPlan> plan_;
-    std::vector<ShardDirEntry> shards_;  ///< validated directory entries
-    std::uint32_t key_bits_ = 0;
-    std::span<const std::uint32_t> repeats_;
-};
 
 /** True when `path` exists and starts with the index magic — how tools
  *  distinguish a `.dwi` argument from a FASTA one. */

@@ -238,11 +238,14 @@ DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
 }
 
 std::vector<SeedHit>
-DsoftSeeder::seed_chunk(const seq::PackedSequence& query,
-                        std::size_t chunk_begin, std::size_t chunk_end,
-                        SeedingStats* stats, bool charge_heap) const
+DsoftSeeder::seed_chunk(seq::BaseView query, std::size_t chunk_begin,
+                        std::size_t chunk_end, SeedingStats* stats,
+                        bool charge_heap) const
 {
-    return seed_chunk_impl(query, chunk_begin, chunk_end, stats,
+    if (query.packed())
+        return seed_chunk_impl(*query.packed_sequence(), chunk_begin,
+                               chunk_end, stats, charge_heap);
+    return seed_chunk_impl(query.bytes(), chunk_begin, chunk_end, stats,
                            charge_heap);
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "seed/seed_index.h"
+#include "seq/base_view.h"
 #include "util/thread_pool.h"
 
 namespace darwin::seed {
@@ -90,9 +91,9 @@ class DsoftSeeder {
                 std::uint64_t band_lo_bp, std::uint64_t band_hi_bp);
 
     /**
-     * Seed one query chunk [chunk_begin, chunk_end) of a packed
-     * `query`; seed_all runs the same chunk loop over whole sequences
-     * of either storage, with identical hits for equal bases.
+     * Seed one query chunk [chunk_begin, chunk_end) of `query` (byte
+     * or packed storage); seed_all runs the same chunk loop over whole
+     * sequences, with identical hits for equal bases.
      * Emits at most one SeedHit per qualifying diagonal band.
      *
      * `charge_heap` controls whether the returned vector is charged
@@ -103,7 +104,7 @@ class DsoftSeeder {
      * drained into a fixed-capacity channel and freed, so it charges
      * the high-water of one chunk itself.
      */
-    std::vector<SeedHit> seed_chunk(const seq::PackedSequence& query,
+    std::vector<SeedHit> seed_chunk(seq::BaseView query,
                                     std::size_t chunk_begin,
                                     std::size_t chunk_end,
                                     SeedingStats* stats = nullptr,

@@ -155,6 +155,9 @@ SeedIndex::build_from(const Source& source, std::size_t lo, std::size_t hi,
 template void SeedIndex::build_from(const seq::PackedSequence&, std::size_t,
                                     std::size_t,
                                     std::span<const std::uint32_t>);
+template void SeedIndex::build_from(const std::span<const std::uint8_t>&,
+                                    std::size_t, std::size_t,
+                                    std::span<const std::uint32_t>);
 
 SeedIndex::SeedIndex(const seq::Sequence& target, const SeedPattern& pattern,
                      std::uint32_t max_bucket)

@@ -13,6 +13,17 @@ namespace {
 constexpr std::uint32_t kNoCutoff =
     std::numeric_limits<std::uint32_t>::max();
 
+/** Call `fn` with the view's backing storage: the PackedSequence, or
+ *  the byte span (what SeedPattern::key_at and the index build read). */
+template <class Fn>
+decltype(auto)
+with_storage(seq::BaseView view, Fn&& fn)
+{
+    if (view.packed())
+        return fn(*view.packed_sequence());
+    return fn(view.bytes());
+}
+
 }  // namespace
 
 std::vector<ShardPlan>
@@ -42,7 +53,7 @@ plan_shards(std::uint64_t target_length, std::uint64_t shard_bp,
 }
 
 ShardedSeedIndexBuilder::ShardedSeedIndexBuilder(
-    const seq::PackedSequence& target, const SeedPattern& pattern,
+    seq::BaseView target, const SeedPattern& pattern,
     std::uint32_t max_bucket, std::uint64_t shard_bp,
     std::uint64_t chunk_size, std::uint64_t bin_size)
     : target_(target), pattern_(pattern), max_bucket_(max_bucket)
@@ -63,18 +74,20 @@ ShardedSeedIndexBuilder::ShardedSeedIndexBuilder(
     const std::size_t last = target.size() >= pattern_.span()
                                  ? target.size() - pattern_.span() + 1
                                  : 0;
-    for (std::size_t pos = 0; pos < last; ++pos) {
-        const auto key = pattern_.key_at(target, pos);
-        if (!key) {
-            ++skipped_;
-            continue;
+    with_storage(target, [&](const auto& source) {
+        for (std::size_t pos = 0; pos < last; ++pos) {
+            const auto key = pattern_.key_at(source, pos);
+            if (!key) {
+                ++skipped_;
+                continue;
+            }
+            const std::uint64_t k = *key;
+            if (counts[k] == max_bucket_ && cutoff_[k] == kNoCutoff)
+                cutoff_[k] = static_cast<std::uint32_t>(pos);
+            if (counts[k] <= max_bucket_)
+                ++counts[k];
         }
-        const std::uint64_t k = *key;
-        if (counts[k] == max_bucket_ && cutoff_[k] == kNoCutoff)
-            cutoff_[k] = static_cast<std::uint32_t>(pos);
-        if (counts[k] <= max_bucket_)
-            ++counts[k];
-    }
+    });
 
     repeat_keys_ = std::make_shared<std::vector<std::uint32_t>>();
     for (std::uint64_t k = 0; k < buckets; ++k) {
@@ -90,8 +103,11 @@ ShardedSeedIndexBuilder::build_shard(std::size_t s) const
     const ShardPlan& shard = plan_[s];
     SeedIndex table(pattern_, max_bucket_);
     const std::size_t last = table.num_windows(target_.size());
-    table.build_from(target_, std::min<std::size_t>(shard.slice_lo, last),
-                     std::min<std::size_t>(shard.slice_hi, last), cutoff_);
+    with_storage(target_, [&](const auto& source) {
+        table.build_from(source, std::min<std::size_t>(shard.slice_lo, last),
+                         std::min<std::size_t>(shard.slice_hi, last),
+                         cutoff_);
+    });
     // The cutoffs already kept every key's first max_bucket positions
     // target-wide, so the slice build truncates nothing; the repeat
     // list and skipped-window count are the global ones.

@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "seed/seed_index.h"
-#include "seq/packed_sequence.h"
+#include "seq/base_view.h"
 
 namespace darwin::seed {
 
@@ -66,7 +66,8 @@ std::vector<ShardPlan> plan_shards(std::uint64_t target_length,
                                    std::uint64_t bin_size);
 
 /**
- * Two-phase sharded index builder over a packed target: a global
+ * Two-phase sharded index builder over a target of either storage
+ * (byte or packed, through seq::BaseView): a global
  * counting pass at construction (bucket cutoffs, over-represented
  * flags, skipped windows), then per-shard table builds on demand.
  * Only the O(key_space) global artifacts stay resident between
@@ -75,7 +76,7 @@ std::vector<ShardPlan> plan_shards(std::uint64_t target_length,
  */
 class ShardedSeedIndexBuilder {
   public:
-    ShardedSeedIndexBuilder(const seq::PackedSequence& target,
+    ShardedSeedIndexBuilder(seq::BaseView target,
                             const SeedPattern& pattern,
                             std::uint32_t max_bucket,
                             std::uint64_t shard_bp,
@@ -109,7 +110,7 @@ class ShardedSeedIndexBuilder {
     std::shared_ptr<const SeedIndex> build_shard(std::size_t s) const;
 
   private:
-    const seq::PackedSequence& target_;
+    seq::BaseView target_;
     SeedPattern pattern_;
     std::uint32_t max_bucket_;
     std::vector<ShardPlan> plan_;

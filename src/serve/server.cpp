@@ -625,14 +625,8 @@ Server::do_align(const Request& request, double queue_wait_seconds)
     try {
         fault::ContextScope scope(token.get(), seq_no);
         const wga::WgaPipeline pipeline(params);
-        if (target->packed())
-            result = pipeline.run_with_index_packed(
-                *index, target->flattened_packed(),
-                query->flattened_packed(), nullptr, metrics_);
-        else
-            result = pipeline.run_with_index(*index, target->flattened(),
-                                             query->flattened(), nullptr,
-                                             metrics_);
+        result = pipeline.run(*target, *query,
+                              {.metrics = metrics_, .index = index.get()});
     } catch (const fault::CancelledError& error) {
         if (error.reason() != fault::CancelReason::External)
             record_outcome(true);

@@ -96,9 +96,9 @@ struct ServerOptions {
 
     /**
      * Hold resident genomes 2-bit packed (seq/packed_io.h ingestion
-     * with the `.2bit` sidecar cache) and run requests over packed
-     * storage (WgaPipeline::run_with_index_packed) — 4x less resident
-     * memory per cached genome, bit-identical MAF output. Index cache
+     * with the `.2bit` sidecar cache), so WgaPipeline::run aligns over
+     * packed storage — 4x less resident memory per cached genome,
+     * bit-identical MAF output. Index cache
      * keys are unchanged (the packed digest equals the byte digest),
      * so persisted .dwi files keep working. Gapped presets only: an
      * ungapped (lastz) request against a packed server is a request

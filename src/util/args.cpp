@@ -1,7 +1,7 @@
 #include "util/args.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -84,16 +84,48 @@ ArgParser::get(const std::string& name) const
     return opt_it->second.default_value;
 }
 
+namespace {
+
+/** Parse all of `text` as a T; FatalError naming the option otherwise. */
+template <class T>
+T
+parse_number(const std::string& name, const std::string& text,
+             const char* kind)
+{
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc::result_out_of_range)
+        fatal(strprintf("option --%s: '%s' is out of range", name.c_str(),
+                        text.c_str()));
+    if (ec != std::errc() || ptr != end)
+        fatal(strprintf("option --%s: '%s' is not %s", name.c_str(),
+                        text.c_str(), kind));
+    return value;
+}
+
+}  // namespace
+
 std::int64_t
 ArgParser::get_int(const std::string& name) const
 {
-    return std::strtoll(get(name).c_str(), nullptr, 10);
+    return parse_number<std::int64_t>(name, get(name), "an integer");
+}
+
+std::uint64_t
+ArgParser::get_uint(const std::string& name) const
+{
+    const std::int64_t value = get_int(name);
+    if (value < 0)
+        fatal(strprintf("option --%s: '%s' must not be negative",
+                        name.c_str(), get(name).c_str()));
+    return static_cast<std::uint64_t>(value);
 }
 
 double
 ArgParser::get_double(const std::string& name) const
 {
-    return std::strtod(get(name).c_str(), nullptr);
+    return parse_number<double>(name, get(name), "a number");
 }
 
 bool

@@ -33,9 +33,16 @@ class ArgParser {
      */
     bool parse(int argc, const char* const* argv);
 
-    /** Typed accessors; fall back to the registered default. */
+    /**
+     * Typed accessors; fall back to the registered default. The numeric
+     * ones read the whole value strictly: non-numeric text, trailing
+     * characters or an out-of-range number is a FatalError naming the
+     * option.
+     */
     std::string get(const std::string& name) const;
     std::int64_t get_int(const std::string& name) const;
+    /** get_int for counts and sizes: a negative value is an error too. */
+    std::uint64_t get_uint(const std::string& name) const;
     double get_double(const std::string& name) const;
     bool get_flag(const std::string& name) const;
 

@@ -1,20 +1,14 @@
 /**
  * @file
- * BoundedStream: a fixed-capacity SPSC channel with a spill-or-
- * backpressure overflow policy.
+ * BoundedStream: a fixed-capacity SPSC channel that spills to disk.
  *
- * The in-memory window is a WorkQueue (the same bounded channel the
- * batch engine puts between stages). What differs is what happens when
- * the window fills while the consumer lags:
- *
- *  - backpressure mode (spill disabled): the producer blocks, exactly
- *    like a bare WorkQueue push;
- *  - spill mode: the overflow is appended to an unlinked temp file
- *    (SpillFile) and the producer keeps going. FIFO order is preserved
- *    by a strict regime: once spilling starts, *every* push goes to the
- *    spill until the consumer has drained both the in-memory window and
- *    the spilled backlog, at which point the stream flips back to
- *    in-memory operation and the spill file is recycled.
+ * The in-memory window is a WorkQueue. When the window fills while the
+ * consumer lags, the overflow is appended to an unlinked temp file
+ * (SpillFile) and the producer keeps going, never blocking. FIFO order
+ * is preserved by a strict regime: once spilling starts, *every* push
+ * goes to the spill until the consumer has drained both the in-memory
+ * window and the spilled backlog, at which point the stream flips back
+ * to in-memory operation and the spill file is recycled.
  *
  * Heap accounting: the fixed window plus the spill staging buffers are
  * charged against the fault heap budget once, at construction — the
@@ -22,10 +16,9 @@
  * flow through. Spilled bytes are bookkept (spilled_items()) but not
  * charged; disk is the escape valve.
  *
- * Strictly single-producer / single-consumer: the streaming pipeline
- * runs seeding on a producer thread and filter/extend on the consumer
- * side. close() follows WorkQueue semantics (consumer drains, then
- * sees nullopt).
+ * Strictly single-producer / single-consumer: a streaming pipeline run
+ * seeds on a producer thread and filters on the consumer side. close()
+ * follows WorkQueue semantics (consumer drains, then sees nullopt).
  */
 #ifndef DARWIN_WGA_BOUNDED_STREAM_H
 #define DARWIN_WGA_BOUNDED_STREAM_H
@@ -43,12 +36,6 @@
 
 namespace darwin::wga {
 
-/** Overflow policy for a BoundedStream. */
-enum class OverflowPolicy {
-    Backpressure,  ///< block the producer (bare WorkQueue semantics)
-    Spill,         ///< divert overflow to disk, never block
-};
-
 template <class T>
 class BoundedStream {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -57,41 +44,29 @@ class BoundedStream {
   public:
     /**
      * @param capacity      In-memory window (records).
-     * @param policy        What to do when the window is full.
      * @param spill_dir     Spill directory ("" = system temp dir).
      * @param staging       Spill write/read batch (records); bounds the
-     *                      two staging buffers in spill mode.
+     *                      two staging buffers.
      */
-    explicit BoundedStream(std::size_t capacity,
-                           OverflowPolicy policy = OverflowPolicy::Spill,
-                           std::string spill_dir = "",
+    explicit BoundedStream(std::size_t capacity, std::string spill_dir = "",
                            std::size_t staging = 1024)
-        : queue_(capacity), policy_(policy),
-          staging_(staging == 0 ? 1 : staging),
-          spill_dir_(std::move(spill_dir))
+        : queue_(capacity), staging_(staging == 0 ? 1 : staging),
+          spill_dir_(std::move(spill_dir)),
+          resident_bytes_((queue_.capacity() + 2 * staging_) * sizeof(T))
     {
         // Fixed residency, charged once: the window plus both staging
         // buffers. Everything past this spills to disk uncharged.
-        std::size_t resident = queue_.capacity() * sizeof(T);
-        if (policy_ == OverflowPolicy::Spill)
-            resident += 2 * staging_ * sizeof(T);
-        fault::charge_heap_bytes(resident);
-        resident_bytes_ = resident;
+        fault::charge_heap_bytes(resident_bytes_);
     }
 
     /** Fixed in-memory footprint of this stream (bytes). */
     std::size_t resident_bytes() const { return resident_bytes_; }
 
-    /**
-     * Producer side. Returns false only when the stream was closed
-     * under backpressure; spill mode always accepts until close().
-     */
+    /** Producer side; never blocks. False once the stream is closed. */
     bool
     push(const T& item)
     {
         ++pushed_;
-        if (policy_ == OverflowPolicy::Backpressure)
-            return queue_.push(item);
         {
             std::unique_lock<std::mutex> lock(mutex_);
             if (closed_)
@@ -120,8 +95,6 @@ class BoundedStream {
     std::optional<T>
     pop()
     {
-        if (policy_ == OverflowPolicy::Backpressure)
-            return queue_.pop();
         while (true) {
             if (auto item = queue_.try_pop())
                 return item;
@@ -201,7 +174,6 @@ class BoundedStream {
     }
 
     WorkQueue<T> queue_;
-    OverflowPolicy policy_;
     std::size_t staging_;
     std::string spill_dir_;
     std::size_t resident_bytes_ = 0;

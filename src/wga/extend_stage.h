@@ -86,11 +86,11 @@ class ExtendStage {
     /**
      * Pull-based extend_all: candidates arrive one at a time from
      * `next` (nullopt = exhausted) instead of a materialized vector.
-     * The caller must deliver them in the canonical sort_candidates
-     * order; given that, the output is identical to extend_all over
-     * the equivalent vector. This is the bounded-memory entry point —
-     * the streaming pipeline drains its candidate spill buffer
-     * straight into it, so at most one wave of anchors is resident.
+     * The caller must deliver them in CandidateOrder; given that, the
+     * output is identical to extend_all over the equivalent vector.
+     * The pipeline feeds it from a sorted vector or, streaming, from
+     * its candidate spill buffer, so at most one wave of anchors need
+     * be resident.
      */
     std::vector<align::Alignment> extend_stream(
         const std::function<std::optional<FilterCandidate>()>& next,

@@ -118,21 +118,8 @@ FilterStage::filter_all(const std::vector<seed::SeedHit>& hits,
         if (slot)
             out.push_back(*slot);
     }
-    sort_candidates(out);
+    std::sort(out.begin(), out.end(), CandidateOrder{});
     return out;
-}
-
-void
-sort_candidates(std::vector<FilterCandidate>& candidates)
-{
-    std::sort(candidates.begin(), candidates.end(),
-              [](const FilterCandidate& a, const FilterCandidate& b) {
-                  if (a.filter_score != b.filter_score)
-                      return a.filter_score > b.filter_score;
-                  if (a.anchor_t != b.anchor_t)
-                      return a.anchor_t < b.anchor_t;
-                  return a.anchor_q < b.anchor_q;
-              });
 }
 
 }  // namespace darwin::wga

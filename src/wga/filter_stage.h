@@ -47,12 +47,22 @@ struct FilterStats {
 
 /**
  * Canonical extension order: descending filter score, ties broken by
- * anchor position. filter_all sorts with it and the streaming runner's
- * sort-spill drain reproduces it, so streamed filtering yields the
- * serial candidate order (and therefore the extension stage's output)
+ * anchor position. filter_all sorts with it and the streaming run's
+ * sort-spill drain merges by it, so streamed filtering yields the
+ * in-RAM candidate order (and therefore the extension stage's output)
  * exactly.
  */
-void sort_candidates(std::vector<FilterCandidate>& candidates);
+struct CandidateOrder {
+    bool
+    operator()(const FilterCandidate& a, const FilterCandidate& b) const
+    {
+        if (a.filter_score != b.filter_score)
+            return a.filter_score > b.filter_score;
+        if (a.anchor_t != b.anchor_t)
+            return a.anchor_t < b.anchor_t;
+        return a.anchor_q < b.anchor_q;
+    }
+};
 
 /** Filtering over one (target, query) span pair. */
 class FilterStage {
@@ -81,8 +91,8 @@ class FilterStage {
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
      * (nullopt when it failed). Hits are filtered one at a time, across
-     * the pool when one is given. Both filter_all and the streaming
-     * runner route through this.
+     * the pool when one is given. Both filter_all and the pipeline's
+     * strand runner route through this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(
         const std::vector<seed::SeedHit>& hits, FilterStats* stats = nullptr,

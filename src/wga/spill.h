@@ -14,7 +14,7 @@
  * memory: full chunks are sorted and spilled, and drain_sorted() k-way
  * merges the chunks (plus the in-memory tail) back in order. The
  * streaming pipeline uses it to restore the canonical candidate order
- * (sort_candidates) without materializing every candidate in RAM.
+ * (CandidateOrder) without materializing every candidate in RAM.
  */
 #ifndef DARWIN_WGA_SPILL_H
 #define DARWIN_WGA_SPILL_H

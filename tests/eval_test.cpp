@@ -66,7 +66,7 @@ TEST(ExonEval, RecoversExonsCoveredByChains)
     const wga::WgaPipeline pipeline(wga::WgaParams::darwin_defaults());
     ThreadPool pool(4);
     const auto result =
-        pipeline.run(pair.target.genome, pair.query.genome, &pool);
+        pipeline.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     const auto exons = flatten_exons(pair.target, pair.query);
     const auto recovered = count_recovered_exons(exons, result);
     EXPECT_EQ(recovered.total_exons, exons.size());
@@ -137,10 +137,11 @@ TEST(BlockStats, DistantPairHasShorterBlocks)
     const wga::WgaPipeline pipeline(wga::WgaParams::darwin_defaults());
     const auto close_pair = small_pair("dm6-droSim1", 40000);
     const auto far_pair = small_pair("ce11-cb4", 40000);
-    const auto close_result = pipeline.run(close_pair.target.genome,
-                                           close_pair.query.genome, &pool);
-    const auto far_result =
-        pipeline.run(far_pair.target.genome, far_pair.query.genome, &pool);
+    const auto close_result =
+        pipeline.run(close_pair.target.genome, close_pair.query.genome,
+                     {.pool = &pool});
+    const auto far_result = pipeline.run(
+        far_pair.target.genome, far_pair.query.genome, {.pool = &pool});
     const auto close_stats = collect_block_stats(close_result);
     const auto far_stats = collect_block_stats(far_result);
     ASSERT_FALSE(close_stats.lengths.empty());

@@ -1,7 +1,7 @@
 /**
  * @file
  * Crash-safety artifact integrity tests: the checksum area appended to
- * `.dwi` files (monolithic and sharded) and required by their loaders,
+ * `.dwi` files and required by their loaders,
  * crafted `.dwi` tables with valid checksums but inconsistent sections,
  * the digest pair embedded in `.2bit` headers, legacy (pre-checksum)
  * sidecar acceptance, the `darwin-wga-index fsck` validator over every
@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "index/index_io.h"
 #include "obs/metrics.h"
 #include "seed/seed_index.h"
-#include "seed/sharded_index.h"
 #include "seq/packed_io.h"
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
@@ -327,42 +327,28 @@ TEST(Fsck, CraftedTableOrderIsRejected)
         << findings[0].detail;
 }
 
-TEST(Checksums, ShardedIndexRoundTripsAndRejectsCorruption)
+TEST(Checksums, NonzeroReservedShardFieldsAreRejected)
 {
-    const auto sequence = random_sequence(20'000, 15);
-    const wga::WgaParams params = wga::WgaParams::darwin_defaults();
-    const seed::SeedPattern pattern(params.seed_pattern);
-    const std::string path = temp_path("sharded.dwi");
-
-    seq::PackedSequence packed = seq::PackedSequence::pack(sequence);
-    const seed::ShardedSeedIndexBuilder builder(
-        packed, pattern, 256, 7'000, params.dsoft.chunk_size,
-        params.dsoft.bin_size);
-    save_sharded_index(path, builder, 7'000, sequence_digest(sequence),
-                       sequence.size());
-
-    // Round-trip: every shard opens and the trailer is well-formed.
-    {
-        const ShardedIndexReader reader(path);
-        ASSERT_GT(reader.num_shards(), 1u);
-        for (std::size_t s = 0; s < reader.num_shards(); ++s)
-            EXPECT_NE(reader.open_shard(s), nullptr);
-    }
-
-    // Corrupt one byte inside the last shard's positions and the
-    // reader must refuse the whole file at construction.
-    const IndexInfo info = read_index_info(path);
-    const std::string corrupt =
-        flip_byte(path, "sharded_corrupt.dwi",
-                  static_cast<std::size_t>(info.total_bytes) -
-                      sizeof(ChecksumTrailer) - 128);
-    try {
-        const ShardedIndexReader reader(corrupt);
-        FAIL() << "corrupt sharded index must not open";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("checksum"),
-                  std::string::npos)
-            << e.what();
+    // The header fields of the retired sharded layout are reserved and
+    // must be zero: a v3 file setting any of them is refused with a
+    // tagged error, while the same file with them zero still loads.
+    const auto sequence = random_sequence(4096, 15);
+    const std::string path = write_index("reserved_src.dwi", sequence);
+    EXPECT_NE(load_index(path), nullptr);
+    const std::function<void(IndexHeader&)> setters[] = {
+        [](IndexHeader& h) { h.reserved_shard_bp = 8'388'608; },
+        [](IndexHeader& h) { h.reserved_num_shards = 3; },
+        [](IndexHeader& h) { h.reserved_shard_dir = sizeof(IndexHeader); },
+    };
+    for (std::size_t i = 0; i < std::size(setters); ++i) {
+        const std::string crafted = craft_index(
+            path, strprintf("reserved_%zu.dwi", i),
+            [&](const IndexHeader& h, char* bytes) {
+                IndexHeader patched = h;
+                setters[i](patched);
+                std::memcpy(bytes, &patched, sizeof(patched));
+            });
+        expect_load_and_fsck_reject(crafted, "reserved header fields");
     }
 }
 
@@ -585,7 +571,6 @@ TEST(SpillFaults, SpillWriteFaultQuarantinesThePairNotTheProcess)
     options.streaming_params.hit_stream_capacity = 64;
     options.streaming_params.candidate_chunk = 16;
     options.streaming_params.filter_batch = 32;
-    options.streaming_params.spill = true;
 
     const auto plan =
         fault::FaultPlan::parse("stream.spill_write:throw:pair=1");

@@ -106,8 +106,8 @@ TEST(KernelDispatch, ForcedScalarAndAutoProduceIdenticalMaf)
                               obs::MetricsRegistry& metrics) {
         registry.select(kernel);
         const auto result = pipeline.run(pair.target.genome,
-                                         pair.query.genome, nullptr,
-                                         &metrics);
+                                         pair.query.genome,
+                                         {.metrics = &metrics});
         std::ostringstream maf;
         wga::write_maf(maf, result.alignments, pair.target.genome,
                        pair.query.genome);

@@ -321,8 +321,8 @@ TEST(PipelineObservability, MetricsAndTraceDoNotChangeResults)
     MetricsRegistry metrics;
     TraceSession session;
     TraceSession::install(&session);
-    const auto observed = pipeline.run(pair.target.genome,
-                                       pair.query.genome, nullptr, &metrics);
+    const auto observed = pipeline.run(pair.target.genome, pair.query.genome,
+                                       {.metrics = &metrics});
     TraceSession::install(nullptr);
 
     // Bit-identical output with observability on.

@@ -1,23 +1,18 @@
 /**
  * @file
  * Tests for the bounded-memory dataflow: spill primitives
- * (wga/spill.h), the spill-or-backpressure channel
- * (wga/bounded_stream.h), sharded seed indexing (seed/sharded_index.h)
- * and its `.dwi` v3 persistence, and the streaming pipeline's
- * bit-identity with the classic materialized run — including the batch
- * engine's streaming mode.
+ * (wga/spill.h), the spill-to-disk channel (wga/bounded_stream.h),
+ * sharded seed indexing (seed/sharded_index.h), and the bit-identity of
+ * WgaPipeline::run across storage and streaming modes — including the
+ * batch engine's streaming mode.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
+#include <map>
 #include <sstream>
-#include <thread>
 
 #include "batch/scheduler.h"
-#include "index/format.h"
-#include "index/index_io.h"
 #include "seed/sharded_index.h"
 #include "seq/genome.h"
 #include "synth/species.h"
@@ -54,7 +49,7 @@ TEST(BoundedStream, SpillPreservesFifoOrder)
 {
     // Window of 4, 1000 pushes with no consumer: everything past the
     // window spills, and the drain still sees strict push order.
-    BoundedStream<std::uint64_t> stream(4, OverflowPolicy::Spill, "", 16);
+    BoundedStream<std::uint64_t> stream(4, "", 16);
     for (std::uint64_t i = 0; i < 1000; ++i)
         ASSERT_TRUE(stream.push(i));
     stream.close();
@@ -71,7 +66,7 @@ TEST(BoundedStream, SpillPreservesFifoOrder)
 
 TEST(BoundedStream, SpillEpisodesEndWhenBacklogDrains)
 {
-    BoundedStream<std::uint64_t> stream(2, OverflowPolicy::Spill, "", 4);
+    BoundedStream<std::uint64_t> stream(2, "", 4);
     for (std::uint64_t i = 0; i < 10; ++i)
         stream.push(i);  // first episode
     std::uint64_t expect = 0;
@@ -84,22 +79,6 @@ TEST(BoundedStream, SpillEpisodesEndWhenBacklogDrains)
     EXPECT_EQ(stream.spill_episodes(), 1u);
     stream.close();
     EXPECT_FALSE(stream.pop().has_value());
-}
-
-TEST(BoundedStream, BackpressureBlocksProducerUntilConsumed)
-{
-    BoundedStream<int> stream(2, OverflowPolicy::Backpressure);
-    std::thread producer([&] {
-        for (int i = 0; i < 100; ++i)
-            ASSERT_TRUE(stream.push(i));
-        stream.close();
-    });
-    int expect = 0;
-    while (auto item = stream.pop())
-        EXPECT_EQ(*item, expect++);
-    EXPECT_EQ(expect, 100);
-    producer.join();
-    EXPECT_EQ(stream.spilled_items(), 0u);
 }
 
 TEST(SortingSpillBuffer, DrainsInOrderAcrossSpilledChunks)
@@ -236,56 +215,15 @@ TEST(ShardedSeeding, ShardTablesAreSlicesOfTheMonolithicIndex)
     }
 }
 
-TEST(ShardedIndexIo, RoundTripsThroughDwiV3)
+/** The same genome held 2-bit packed. */
+seq::Genome
+packed_copy(const seq::Genome& genome)
 {
-    const auto pair = small_pair("dm6-droYak2", 12000);
-    const seq::PackedSequence& target =
-        pair.target.genome.flattened_packed();
-    const auto params = WgaParams::darwin_defaults();
-    const seed::SeedPattern pattern(params.seed_pattern);
-    const seed::ShardedSeedIndexBuilder builder(
-        target, pattern, seed::SeedIndex::kDefaultMaxBucket, 4000,
-        params.dsoft.chunk_size, params.dsoft.bin_size);
-
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "darwin_stream_test_sharded.dwi")
-            .string();
-    index::save_sharded_index(path, builder, 4000, 0x1234, target.size());
-
-    const index::IndexInfo info = index::read_index_info(path);
-    EXPECT_EQ(info.version, index::kIndexFormatVersion);
-    EXPECT_EQ(info.shard_bp, 4000u);
-    EXPECT_EQ(info.num_shards, builder.num_shards());
-    EXPECT_EQ(info.sequence_digest, 0x1234u);
-
-    // The monolithic loader refuses sharded files with a pointed message.
-    try {
-        (void)index::load_index(path);
-        FAIL() << "load_index accepted a sharded file";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("sharded"),
-                  std::string::npos);
-    }
-
-    index::ShardedIndexReader reader(path);
-    ASSERT_EQ(reader.num_shards(), builder.num_shards());
-    for (std::size_t s = 0; s < reader.num_shards(); ++s) {
-        EXPECT_EQ(reader.plan()[s].band_lo, builder.plan()[s].band_lo);
-        EXPECT_EQ(reader.plan()[s].band_hi, builder.plan()[s].band_hi);
-        const auto loaded = reader.open_shard(s);
-        const auto built = builder.build_shard(s);
-        EXPECT_EQ(loaded->dir_bits(), built->dir_bits());
-        EXPECT_TRUE(std::ranges::equal(loaded->directory(),
-                                       built->directory()));
-        EXPECT_TRUE(
-            std::ranges::equal(loaded->suffixes(), built->suffixes()));
-        EXPECT_TRUE(
-            std::ranges::equal(loaded->positions(), built->positions()));
-        EXPECT_TRUE(std::ranges::equal(loaded->repeat_keys(),
-                                       builder.repeat_keys()));
-    }
-    std::remove(path.c_str());
+    seq::Genome packed(genome.name());
+    for (std::size_t c = 0; c < genome.num_chromosomes(); ++c)
+        packed.add_chromosome(
+            seq::PackedSequence::pack(genome.chromosome(c)));
+    return packed;
 }
 
 TEST(StreamingPipeline, PackedRunIsBitIdenticalToByteRun)
@@ -294,9 +232,11 @@ TEST(StreamingPipeline, PackedRunIsBitIdenticalToByteRun)
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
     obs::MetricsRegistry classic_metrics, packed_metrics;
     const auto classic = pipeline.run(pair.target.genome, pair.query.genome,
-                                      nullptr, &classic_metrics);
-    const auto packed = pipeline.run_packed(
-        pair.target.genome, pair.query.genome, nullptr, &packed_metrics);
+                                      {.metrics = &classic_metrics});
+    const auto packed =
+        pipeline.run(packed_copy(pair.target.genome),
+                     packed_copy(pair.query.genome),
+                     {.metrics = &packed_metrics});
     expect_identical(classic, packed);
 
     // One strand runner serves both: the same wga.* counters and the
@@ -311,8 +251,9 @@ TEST(StreamingPipeline, StreamingRunIsBitIdenticalIncludingMaf)
 {
     const auto pair = small_pair("ce11-cb4", 30000);
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto classic =
-        pipeline.run(pair.target.genome, pair.query.genome);
+    obs::MetricsRegistry classic_metrics;
+    const auto classic = pipeline.run(pair.target.genome, pair.query.genome,
+                                      {.metrics = &classic_metrics});
 
     // Tiny capacities force sharding, spilling, and candidate chunk
     // merges — the stress configuration must still be bit-identical.
@@ -322,13 +263,29 @@ TEST(StreamingPipeline, StreamingRunIsBitIdenticalIncludingMaf)
     sp.candidate_chunk = 16;
     sp.filter_batch = 32;
     obs::MetricsRegistry metrics;
-    const auto streamed = pipeline.run_streaming(
-        pair.target.genome, pair.query.genome, sp, nullptr, &metrics);
+    const auto streamed = pipeline.run(pair.target.genome, pair.query.genome,
+                                       {.metrics = &metrics,
+                                        .streaming = &sp});
     expect_identical(classic, streamed);
 
     // Telemetry: the dataflow reported its residency and throughput.
     EXPECT_GT(metrics.gauge("wga.heap.hits_pushed").value(), 0);
     EXPECT_GT(metrics.gauge("wga.heap.hit_stream_bytes").value(), 0);
+
+    // Both modes publish the same wga.* counters; only the seed lookup
+    // count grows, since every shard re-scans the query.
+    const auto counters_of = [](const obs::MetricsRegistry& registry) {
+        const auto snapshot = registry.snapshot().counters;
+        return std::map<std::string, std::uint64_t>(snapshot.begin(),
+                                                    snapshot.end());
+    };
+    auto classic_counters = counters_of(classic_metrics);
+    auto streamed_counters = counters_of(metrics);
+    EXPECT_GT(streamed_counters.at("wga.seed.lookups"),
+              classic_counters.at("wga.seed.lookups"));
+    classic_counters.erase("wga.seed.lookups");
+    streamed_counters.erase("wga.seed.lookups");
+    EXPECT_EQ(classic_counters, streamed_counters);
 
     // And the rendered MAF matches byte for byte.
     std::ostringstream maf_classic, maf_streamed;
@@ -344,13 +301,8 @@ TEST(StreamingPipeline, PackedGenomesRenderIdenticalMaf)
     // Genomes ingested as packed storage end to end: alignments and
     // MAF must match the byte-mode run exactly.
     const auto pair = small_pair("dm6-droYak2", 20000);
-    seq::Genome packed_target("t"), packed_query("q");
-    for (std::size_t c = 0; c < pair.target.genome.num_chromosomes(); ++c)
-        packed_target.add_chromosome(
-            seq::PackedSequence::pack(pair.target.genome.chromosome(c)));
-    for (std::size_t c = 0; c < pair.query.genome.num_chromosomes(); ++c)
-        packed_query.add_chromosome(
-            seq::PackedSequence::pack(pair.query.genome.chromosome(c)));
+    const seq::Genome packed_target = packed_copy(pair.target.genome);
+    const seq::Genome packed_query = packed_copy(pair.query.genome);
 
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
     const auto classic =
@@ -358,7 +310,7 @@ TEST(StreamingPipeline, PackedGenomesRenderIdenticalMaf)
     StreamingParams sp;
     sp.shard_bp = 9000;
     const auto streamed =
-        pipeline.run_streaming(packed_target, packed_query, sp);
+        pipeline.run(packed_target, packed_query, {.streaming = &sp});
     expect_identical(classic, streamed);
 
     std::ostringstream maf_classic, maf_packed;
@@ -372,15 +324,15 @@ TEST(StreamingPipeline, PackedGenomesRenderIdenticalMaf)
 TEST(StreamingPipeline, RunWithIndexPackedMatchesRunPacked)
 {
     const auto pair = small_pair("dm6-dp4", 15000);
+    const seq::Genome packed_target = packed_copy(pair.target.genome);
+    const seq::Genome packed_query = packed_copy(pair.query.genome);
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
-    const auto baseline =
-        pipeline.run_packed(pair.target.genome, pair.query.genome);
+    const auto baseline = pipeline.run(packed_target, packed_query);
     const seed::SeedIndex index(
-        pair.target.genome.flattened_packed(),
+        packed_target.flattened_packed(),
         seed::SeedPattern(pipeline.params().seed_pattern));
-    const auto with_index = pipeline.run_with_index_packed(
-        index, pair.target.genome.flattened_packed(),
-        pair.query.genome.flattened_packed());
+    const auto with_index =
+        pipeline.run(packed_target, packed_query, {.index = &index});
     expect_identical(baseline, with_index);
 }
 
@@ -389,15 +341,36 @@ TEST(StreamingPipeline, RejectsUngappedAndPerChunkCaps)
     const auto pair = small_pair("dm6-droSim1", 8000);
     StreamingParams sp;
     const WgaPipeline lastz(WgaParams::lastz_defaults());
-    EXPECT_THROW((void)lastz.run_streaming(pair.target.genome,
-                                           pair.query.genome, sp),
+    EXPECT_THROW((void)lastz.run(pair.target.genome, pair.query.genome,
+                                 {.streaming = &sp}),
                  FatalError);
     auto params = WgaParams::darwin_defaults();
     params.dsoft.max_hits_per_chunk = 100;
     const WgaPipeline capped(params);
-    EXPECT_THROW((void)capped.run_streaming(pair.target.genome,
-                                            pair.query.genome, sp),
+    EXPECT_THROW((void)capped.run(pair.target.genome, pair.query.genome,
+                                  {.streaming = &sp}),
                  FatalError);
+}
+
+TEST(StreamingPipeline, RejectsAPrebuiltIndex)
+{
+    // A streaming run builds its own band shards: a prebuilt index is
+    // a contradictory request, refused with a tagged error.
+    const auto pair = small_pair("dm6-droSim1", 8000);
+    const WgaPipeline pipeline(WgaParams::darwin_defaults());
+    const seed::SeedIndex index(
+        pair.target.genome.flattened(),
+        seed::SeedPattern(pipeline.params().seed_pattern));
+    StreamingParams sp;
+    try {
+        (void)pipeline.run(pair.target.genome, pair.query.genome,
+                           {.index = &index, .streaming = &sp});
+        FAIL() << "run accepted both a prebuilt index and streaming";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("run-options"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(BatchStreaming, StreamingModeMatchesTheDataflowEngine)

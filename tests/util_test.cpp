@@ -255,6 +255,61 @@ TEST(Args, SpaceSeparatedValue)
     EXPECT_EQ(parser.get("pair"), "ce11-cb4");
 }
 
+/** The FatalError message get_int/get_uint/get_double raise for
+ *  `value`, or "" when the read succeeds. */
+std::string
+numeric_read_error(const char* value, bool as_uint, bool as_double = false)
+{
+    ArgParser parser("test");
+    parser.add_option("threads", "0", "worker threads");
+    const char* argv[] = {"prog", "--threads", value};
+    EXPECT_TRUE(parser.parse(3, argv));
+    try {
+        if (as_double)
+            (void)parser.get_double("threads");
+        else if (as_uint)
+            (void)parser.get_uint("threads");
+        else
+            (void)parser.get_int("threads");
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Args, IntegerReadsAreStrictAndTagged)
+{
+    for (const char* bad : {"abc", "12x", "", " 7", "4.5",
+                            "99999999999999999999"}) {
+        const std::string error = numeric_read_error(bad, false);
+        EXPECT_NE(error.find("option --threads"), std::string::npos)
+            << "'" << bad << "' -> '" << error << "'";
+    }
+    EXPECT_NE(numeric_read_error("99999999999999999999", false)
+                  .find("out of range"),
+              std::string::npos);
+    EXPECT_EQ(numeric_read_error("-5", false), "");
+
+    // Counts and sizes: negative values are refused, not wrapped.
+    EXPECT_NE(numeric_read_error("-1", true).find("must not be negative"),
+              std::string::npos);
+    EXPECT_EQ(numeric_read_error("8", true), "");
+    ArgParser parser("test");
+    parser.add_option("threads", "0", "worker threads");
+    const char* argv[] = {"prog", "--threads=12"};
+    ASSERT_TRUE(parser.parse(2, argv));
+    EXPECT_EQ(parser.get_uint("threads"), 12u);
+}
+
+TEST(Args, DoubleReadsAreStrict)
+{
+    EXPECT_EQ(numeric_read_error("0.25", false, true), "");
+    EXPECT_NE(numeric_read_error("0.25s", false, true).find("not a number"),
+              std::string::npos);
+    EXPECT_NE(numeric_read_error("fast", false, true).find("not a number"),
+              std::string::npos);
+}
+
 TEST(ThreadPool, RunsAllTasks)
 {
     ThreadPool pool(4);

@@ -235,7 +235,7 @@ TEST(Pipeline, EndToEndFindsConservation)
     const WgaPipeline pipeline(WgaParams::darwin_defaults());
     ThreadPool pool(4);
     const auto result =
-        pipeline.run(pair.target.genome, pair.query.genome, &pool);
+        pipeline.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     // A closely related pair: most of the genome aligns.
     ASSERT_FALSE(result.alignments.empty());
     ASSERT_FALSE(result.chains.empty());
@@ -258,9 +258,9 @@ TEST(Pipeline, DarwinBeatsLastzOnDistantPair)
     const WgaPipeline darwin(WgaParams::darwin_defaults());
     const WgaPipeline lastz(WgaParams::lastz_defaults());
     const auto darwin_result =
-        darwin.run(pair.target.genome, pair.query.genome, &pool);
+        darwin.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     const auto lastz_result =
-        lastz.run(pair.target.genome, pair.query.genome, &pool);
+        lastz.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     std::uint64_t darwin_matched = 0, lastz_matched = 0;
     for (const auto& c : darwin_result.chains)
         darwin_matched += c.matched_bases;
@@ -276,7 +276,7 @@ TEST(Pipeline, DeterministicAcrossRuns)
     const auto r1 = pipeline.run(pair.target.genome, pair.query.genome);
     ThreadPool pool(3);
     const auto r2 =
-        pipeline.run(pair.target.genome, pair.query.genome, &pool);
+        pipeline.run(pair.target.genome, pair.query.genome, {.pool = &pool});
     ASSERT_EQ(r1.alignments.size(), r2.alignments.size());
     for (std::size_t i = 0; i < r1.alignments.size(); ++i) {
         EXPECT_EQ(r1.alignments[i].target_start,

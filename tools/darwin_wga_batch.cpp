@@ -160,14 +160,12 @@ load_pending(const ArgParser& args, const PendingPlan& plan)
     }
     if (!plan.synth_names.empty()) {
         synth::AncestorConfig shape;
-        shape.num_chromosomes =
-            static_cast<std::size_t>(args.get_int("chromosomes"));
-        shape.chromosome_length =
-            static_cast<std::size_t>(args.get_int("size"));
+        shape.num_chromosomes = args.get_uint("chromosomes");
+        shape.chromosome_length = args.get_uint("size");
         shape.exons_per_chromosome =
             shape.chromosome_length /
-            static_cast<std::size_t>(args.get_int("exon-every"));
-        const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
+            args.get_uint("exon-every");
+        const auto seed = args.get_uint("seed");
         for (const std::string& name : plan.synth_names) {
             auto pair = synth::make_species_pair(
                 synth::find_species_pair(name), shape, seed);
@@ -218,9 +216,9 @@ main(int argc, char** argv)
                     "worker threads, one pair each (0 = all cores)");
     args.add_flag("streaming",
                   "bounded-memory mode: run each pair whole through "
-                  "the streaming pipeline (2-bit packed storage, seed "
-                  "table built one band shard at a time, hits and "
-                  "candidates through spill-or-backpressure channels). "
+                  "the streaming pipeline (seed table built one band "
+                  "shard at a time, hits and candidates through "
+                  "spill-to-disk channels). "
                   "Output is bit-identical; gapped (darwin) preset "
                   "only");
     args.add_option("stream-shard-bp", "8388608",
@@ -298,18 +296,15 @@ main(int argc, char** argv)
         options.params.align_both_strands = args.get_flag("both-strands");
         if (args.get_flag("no-transitions"))
             options.params.dsoft.transitions = false;
-        options.num_threads =
-            static_cast<std::size_t>(args.get_int("threads"));
+        options.num_threads = args.get_uint("threads");
         options.pair_budget.wall_seconds = args.get_double("pair-timeout");
-        options.pair_budget.max_cells =
-            static_cast<std::uint64_t>(args.get_int("pair-max-cells"));
+        options.pair_budget.max_cells = args.get_uint("pair-max-cells");
         options.pair_budget.max_heap_bytes =
-            static_cast<std::uint64_t>(args.get_int("pair-max-heap-mb")) *
+            args.get_uint("pair-max-heap-mb") *
             (1ull << 20);
         options.degraded_retry = !args.get_flag("no-retry");
         options.streaming = args.get_flag("streaming");
-        options.streaming_params.shard_bp = static_cast<std::uint64_t>(
-            args.get_int("stream-shard-bp"));
+        options.streaming_params.shard_bp = args.get_uint("stream-shard-bp");
         options.streaming_params.spill_dir = args.get("spill-dir");
 
         std::vector<batch::BatchJob> jobs;

@@ -61,10 +61,9 @@ cmd_align(int argc, char** argv)
     args.add_flag("streaming",
                   "bounded-memory run for large genomes: 2-bit "
                   "storage, the seed table built one band shard at a "
-                  "time, hits and candidates through spill-or-"
-                  "backpressure channels. Implies --packed ingestion; "
-                  "output is bit-identical. Gapped (darwin) preset "
-                  "only");
+                  "time, hits and candidates through spill-to-disk "
+                  "channels. Implies --packed ingestion; output is "
+                  "bit-identical. Gapped (darwin) preset only");
     args.add_option("stream-shard-bp", "8388608",
                     "band-start bp per target shard in --streaming "
                     "mode (smaller = less resident memory, more query "
@@ -90,9 +89,13 @@ cmd_align(int argc, char** argv)
         params.extension_threshold =
             static_cast<align::Score>(args.get_int("he"));
     if (args.get_int("band") > 0)
-        params.filter_band = static_cast<std::size_t>(args.get_int("band"));
+        params.filter_band = args.get_uint("band");
     if (args.get_flag("no-transitions"))
         params.dsoft.transitions = false;
+    const std::uint64_t threads = args.get_uint("threads");
+    wga::StreamingParams sp;
+    sp.shard_bp = args.get_uint("stream-shard-bp");
+    sp.spill_dir = args.get("spill-dir");
 
     const bool streaming = args.get_flag("streaming");
     const bool packed = args.get_flag("packed") || streaming;
@@ -119,22 +122,15 @@ cmd_align(int argc, char** argv)
     // partial metrics/trace and exits 130 instead of dropping them.
     tools::SignalGuard signals([&] { obs_setup.finish(); }, 2.0);
 
-    ThreadPool pool(static_cast<std::size_t>(args.get_int("threads")));
+    ThreadPool pool(threads);
     const wga::WgaPipeline pipeline(params);
-    wga::WgaResult result;
-    if (streaming) {
-        wga::StreamingParams sp;
-        sp.shard_bp =
-            static_cast<std::uint64_t>(args.get_int("stream-shard-bp"));
-        sp.spill_dir = args.get("spill-dir");
-        result = pipeline.run_streaming(target, query, sp, &pool,
-                                        &metrics_registry);
-    } else if (packed) {
-        result = pipeline.run_packed(target, query, &pool,
-                                     &metrics_registry);
-    } else {
-        result = pipeline.run(target, query, &pool, &metrics_registry);
-    }
+    // Storage follows the genomes, so --packed ingestion aligns over
+    // 2-bit words.
+    const wga::WgaResult result = pipeline.run(
+        target, query,
+        {.pool = &pool,
+         .metrics = &metrics_registry,
+         .streaming = streaming ? &sp : nullptr});
     obs_setup.finish();
     if (signals.interrupted())
         return 130;
@@ -196,15 +192,14 @@ cmd_synthesize(int argc, char** argv)
         return 1;
 
     synth::AncestorConfig shape;
-    shape.num_chromosomes =
-        static_cast<std::size_t>(args.get_int("chromosomes"));
-    shape.chromosome_length = static_cast<std::size_t>(args.get_int("size"));
+    shape.num_chromosomes = args.get_uint("chromosomes");
+    shape.chromosome_length = args.get_uint("size");
     shape.exons_per_chromosome =
         shape.chromosome_length /
-        static_cast<std::size_t>(args.get_int("exon-every"));
+        args.get_uint("exon-every");
     const auto pair = synth::make_species_pair(
         synth::find_species_pair(args.get("pair")), shape,
-        static_cast<std::uint64_t>(args.get_int("seed")));
+        args.get_uint("seed"));
 
     const std::string prefix = args.get("prefix");
     seq::write_genome_file(prefix + "_target.fa", pair.target.genome);
@@ -234,7 +229,7 @@ cmd_shuffle(int argc, char** argv)
         return 1;
     }
     const auto genome = seq::read_genome(args.get("in"));
-    Rng rng(static_cast<std::uint64_t>(args.get_int("seed")));
+    Rng rng(args.get_uint("seed"));
     const auto shuffled = seq::shuffle_genome(genome, rng);
     seq::write_genome_file(args.get("out"), shuffled);
     std::printf("wrote %s (%zu chromosomes, 2-mer counts preserved)\n",

@@ -21,7 +21,6 @@
 #include "index/fsck.h"
 #include "index/index_io.h"
 #include "seed/seed_index.h"
-#include "seed/sharded_index.h"
 #include "seq/fasta.h"
 #include "util/args.h"
 #include "util/logging.h"
@@ -48,11 +47,6 @@ cmd_build(int argc, char** argv)
     args.add_option("max-bucket", "256",
                     "repeat-seed truncation cap (must match the "
                     "aligner's; the default is what it uses)");
-    args.add_option("shard-bp", "",
-                    "write a sharded index: band-start bp "
-                    "owned per shard, e.g. 8388608. Shard slices use the "
-                    "preset's D-SOFT chunk/bin margins. Omit for the "
-                    "classic monolithic layout");
     if (!args.parse(argc, argv))
         return 1;
     if (args.get("target").empty() || args.get("out").empty()) {
@@ -67,8 +61,10 @@ cmd_build(int argc, char** argv)
     std::string pattern_text = args.get("pattern");
     if (pattern_text.empty())
         pattern_text = preset.seed_pattern;
-    const auto max_bucket =
-        static_cast<std::uint32_t>(args.get_int("max-bucket"));
+    const std::uint64_t max_bucket = args.get_uint("max-bucket");
+    if (max_bucket == 0 || max_bucket > UINT32_MAX)
+        fatal(strprintf("option --max-bucket: %llu is outside [1, 2^32)",
+                        static_cast<unsigned long long>(max_bucket)));
 
     const auto genome = seq::read_genome(args.get("target"));
     const seq::Sequence& flat = genome.flattened();
@@ -77,36 +73,16 @@ cmd_build(int argc, char** argv)
 
     Timer timer;
     const seed::SeedPattern pattern(pattern_text);
-    double build_seconds = 0.0;
-    if (!args.get("shard-bp").empty()) {
-        // Sharded build: one global counting pass, then each shard's
-        // table built and streamed to disk in turn (plan_shards rejects
-        // a zero shard size with a tagged error).
-        const auto shard_bp =
-            static_cast<std::uint64_t>(args.get_int("shard-bp"));
-        const seed::ShardedSeedIndexBuilder builder(
-            genome.flattened_packed(), pattern, max_bucket, shard_bp,
-            preset.dsoft.chunk_size, preset.dsoft.bin_size);
-        build_seconds = timer.seconds();
-        timer.reset();
-        index::save_sharded_index(args.get("out"), builder, shard_bp,
-                                  index::sequence_digest(flat),
-                                  flat.size());
-    } else {
-        const seed::SeedIndex index(flat, pattern, max_bucket);
-        build_seconds = timer.seconds();
-        timer.reset();
-        index::save_index(args.get("out"), index,
-                          index::sequence_digest(flat), flat.size());
-    }
+    const seed::SeedIndex index(flat, pattern,
+                                static_cast<std::uint32_t>(max_bucket));
+    const double build_seconds = timer.seconds();
+    timer.reset();
+    index::save_index(args.get("out"), index, index::sequence_digest(flat),
+                      flat.size());
     const index::IndexInfo info = index::read_index_info(args.get("out"));
 
     std::printf("wrote %s (%s bytes)\n", args.get("out").c_str(),
                 with_commas(info.total_bytes).c_str());
-    if (info.num_shards > 0)
-        std::printf("sharded layout: %u shard(s) of %s band-bp\n",
-                    info.num_shards,
-                    with_commas(info.shard_bp).c_str());
     std::printf("seed shape %s (weight %zu), %s positions, "
                 "%s truncated buckets\n",
                 info.pattern.c_str(), pattern.weight(),
@@ -140,8 +116,7 @@ cmd_info(int argc, char** argv)
             "\"max_bucket\": %u, \"num_buckets\": %llu, "
             "\"dir_bits\": %u, \"num_positions\": %llu, "
             "\"skipped_windows\": %llu, "
-            "\"truncated_buckets\": %llu, \"total_bytes\": %llu, "
-            "\"shard_bp\": %llu, \"num_shards\": %u}\n",
+            "\"truncated_buckets\": %llu, \"total_bytes\": %llu}\n",
             info.version,
             static_cast<unsigned long long>(info.sequence_digest),
             static_cast<unsigned long long>(info.sequence_length),
@@ -151,9 +126,7 @@ cmd_info(int argc, char** argv)
             static_cast<unsigned long long>(info.num_positions),
             static_cast<unsigned long long>(info.skipped_windows),
             static_cast<unsigned long long>(info.truncated_buckets),
-            static_cast<unsigned long long>(info.total_bytes),
-            static_cast<unsigned long long>(info.shard_bp),
-            info.num_shards);
+            static_cast<unsigned long long>(info.total_bytes));
         return 0;
     }
     std::printf("format version:    %u\n", info.version);
@@ -165,9 +138,8 @@ cmd_info(int argc, char** argv)
     std::printf("max bucket:        %u\n", info.max_bucket);
     std::printf("buckets:           %s\n",
                 with_commas(info.num_buckets).c_str());
-    std::printf("directory bits b:  %u (%s slices%s)\n", info.dir_bits,
-                with_commas(std::uint64_t{1} << info.dir_bits).c_str(),
-                info.num_shards > 0 ? ", widest shard" : "");
+    std::printf("directory bits b:  %u (%s slices)\n", info.dir_bits,
+                with_commas(std::uint64_t{1} << info.dir_bits).c_str());
     std::printf("positions:         %s\n",
                 with_commas(info.num_positions).c_str());
     std::printf("skipped windows:   %s\n",
@@ -176,19 +148,6 @@ cmd_info(int argc, char** argv)
                 with_commas(info.truncated_buckets).c_str());
     std::printf("file size:         %s bytes\n",
                 with_commas(info.total_bytes).c_str());
-    if (info.num_shards > 0) {
-        std::printf("shard layout:      %u shard(s), %s band-bp each\n",
-                    info.num_shards, with_commas(info.shard_bp).c_str());
-        const index::ShardedIndexReader reader(args.get("index"));
-        for (std::size_t s = 0; s < reader.num_shards(); ++s) {
-            const auto& plan = reader.plan()[s];
-            std::printf("  shard %zu: bands [%s, %s) slice [%s, %s)\n",
-                        s, with_commas(plan.band_lo).c_str(),
-                        with_commas(plan.band_hi).c_str(),
-                        with_commas(plan.slice_lo).c_str(),
-                        with_commas(plan.slice_hi).c_str());
-        }
-    }
     return 0;
 }
 

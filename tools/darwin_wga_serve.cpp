@@ -281,31 +281,24 @@ main(int argc, char** argv)
         fault::install_fault_plan(&fault_plan);
     }
 
-    serve::ServerOptions options;
-    options.num_workers =
-        static_cast<std::size_t>(args.get_int("workers"));
-    options.queue_capacity =
-        static_cast<std::size_t>(args.get_int("queue"));
-    options.index_cache_capacity =
-        static_cast<std::size_t>(args.get_int("index-cache"));
-    options.default_budget.wall_seconds = args.get_double("wall-budget");
-    options.default_budget.max_cells =
-        static_cast<std::uint64_t>(args.get_int("cells-budget"));
-    options.default_budget.max_heap_bytes =
-        static_cast<std::uint64_t>(args.get_int("heap-budget"));
-    options.slow_request_seconds =
-        args.get_double("slow-request-ms") / 1000.0;
-    options.packed_genomes = args.get_flag("packed");
-    options.max_queue = static_cast<std::size_t>(args.get_int("max-queue"));
-    options.max_inflight_bp =
-        static_cast<std::uint64_t>(args.get_int("max-inflight-bp"));
-    options.breaker_enabled = !args.get_flag("no-breaker");
-    options.breaker.window =
-        static_cast<std::size_t>(args.get_int("breaker-window"));
-    options.breaker.trip_ratio = args.get_double("breaker-trip-ratio");
-    options.breaker.cooldown_seconds = args.get_double("breaker-cooldown");
-
     try {
+        serve::ServerOptions options;
+        options.num_workers = args.get_uint("workers");
+        options.queue_capacity = args.get_uint("queue");
+        options.index_cache_capacity = args.get_uint("index-cache");
+        options.default_budget.wall_seconds = args.get_double("wall-budget");
+        options.default_budget.max_cells = args.get_uint("cells-budget");
+        options.default_budget.max_heap_bytes = args.get_uint("heap-budget");
+        options.slow_request_seconds =
+            args.get_double("slow-request-ms") / 1000.0;
+        options.packed_genomes = args.get_flag("packed");
+        options.max_queue = args.get_uint("max-queue");
+        options.max_inflight_bp = args.get_uint("max-inflight-bp");
+        options.breaker_enabled = !args.get_flag("no-breaker");
+        options.breaker.window = args.get_uint("breaker-window");
+        options.breaker.trip_ratio = args.get_double("breaker-trip-ratio");
+        options.breaker.cooldown_seconds = args.get_double("breaker-cooldown");
+
         const Timer uptime;
         obs::MetricsRegistry metrics;
         tools::ObsSetup obs_setup(args, metrics);
@@ -315,8 +308,7 @@ main(int argc, char** argv)
         // recorder runs continuously so recent spans are dumpable at
         // any point of a weeks-long run.
         std::unique_ptr<obs::FlightRecorder> flight;
-        const auto flight_events =
-            static_cast<std::size_t>(args.get_int("flight-events"));
+        const auto flight_events = args.get_uint("flight-events");
         if (obs::TraceSession::current() == nullptr && flight_events > 0) {
             flight = std::make_unique<obs::FlightRecorder>(flight_events);
             obs::TraceSession::install(flight.get());
