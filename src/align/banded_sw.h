@@ -15,8 +15,8 @@
  * `banded_smith_waterman()` is a façade over the kernel dispatch
  * registry (align/kernels/kernel_registry.h): the actual implementation
  * — tuned scalar wavefront, SSE4.2 or AVX2 — is chosen at runtime from
- * the CPU's capabilities and may be overridden with `DARWIN_KERNEL` or
- * the `--kernel` CLI flag. All implementations are bit-identical: same
+ * the CPU's capabilities and may be overridden with `DARWIN_KERNEL`.
+ * All implementations are bit-identical: same
  * max score, same xmax cell, same cells_computed.
  *
  * Boundary semantics (every kernel must agree; enforced by

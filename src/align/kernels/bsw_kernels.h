@@ -9,11 +9,15 @@
  *    on diagonals d-1 (left and up neighbours) and d-2 (diagonal
  *    neighbour), so all cells of a diagonal are independent and can be
  *    computed with SIMD. Buffers are indexed by the row i, which makes
- *    all loads/stores contiguous.
+ *    all loads/stores contiguous. `bsw_align_wavefront<Policy>` owns the
+ *    diagonal walk; a Policy only computes one diagonal's cells.
  *
  *  - Ungapped x-drop extension, vectorized by scoring substitution
  *    blocks with SIMD gathers and then replaying the exact scalar
  *    run/best/break chain over the block.
+ *
+ * The scalar variants are declared here; the SIMD variants are one
+ * width-generic source (simd_kernels.h) instantiated per ISA.
  *
  * Bit-identity contract: every kernel must return *exactly* the same
  * BswResult / UngappedResult as the row-major reference for every input
@@ -21,7 +25,7 @@
  * of the reference is the row-major-first maximum, i.e. the
  * lexicographically smallest (i, j) among maximum-score cells; kernels
  * that enumerate cells in a different order must apply
- * `bsw_best_consider` (or an equivalent vector reduction) to reproduce
+ * `BswBest::consider` (or an equivalent vector reduction) to reproduce
  * that choice. tests/kernel_diff_test.cpp enforces the contract against
  * a naive full-matrix implementation.
  */
@@ -173,6 +177,127 @@ struct WavefrontScratch {
 
 /** Per-thread scratch instance (kernels may run on pool threads). */
 WavefrontScratch& wavefront_scratch();
+
+/** Per-diagonal state handed to Policy::diagonal (pointers rotate). */
+struct BswDiagCtx {
+    const std::uint8_t* t = nullptr;  ///< target: cell (i, j) reads t[j - 1]
+    const std::uint8_t* q = nullptr;  ///< query: cell (i, j) reads q[i - 1]
+    const Score* sub = nullptr;       ///< flattened 5x5 substitution matrix
+    Score open = 0;
+    Score extend = 0;
+    const Score* vd1 = nullptr;
+    const Score* vd2 = nullptr;
+    const Score* gd1 = nullptr;
+    const Score* hd1 = nullptr;
+    Score* vcur = nullptr;
+    Score* gcur = nullptr;
+    Score* hcur = nullptr;
+};
+
+/** Cell (i, d - i): the scalar body every variant shares. */
+inline void
+bsw_cell(const BswDiagCtx& c, std::size_t d, std::size_t i, BswBest& best)
+{
+    const std::size_t j = d - i;
+    const Score h = std::max(c.vd1[i] - c.open, c.hd1[i] - c.extend);
+    const Score g =
+        std::max(c.vd1[i - 1] - c.open, c.gd1[i - 1] - c.extend);
+    Score val =
+        c.vd2[i - 1] + c.sub[c.t[j - 1] * seq::kNumCodes + c.q[i - 1]];
+    if (val < 0) val = 0;
+    if (h > val) val = h;
+    if (g > val) val = g;
+    c.vcur[i] = val;
+    c.gcur[i] = g;
+    c.hcur[i] = h;
+    best.consider(val, i, j);
+}
+
+/**
+ * The anti-diagonal walk shared by every banded-SW kernel: the band
+ * range per diagonal, the -inf edge sentinels and column-0 boundary,
+ * and the buffer rotation. A Policy supplies
+ * `diagonal(ctx, d, lo, hi, best)`: compute cells lo..hi of diagonal d
+ * into ctx.vcur/gcur/hcur and fold each into `best`. Always inlined, so
+ * an ISA kernel compiles the walk with its own target options and
+ * inlines its policy (see simd_kernels.h).
+ */
+template <class Policy>
+[[gnu::always_inline]] inline BswResult
+bsw_align_wavefront(std::span<const std::uint8_t> target,
+                    std::span<const std::uint8_t> query,
+                    const ScoringParams& scoring, std::size_t band)
+{
+    const std::size_t n = target.size();
+    const std::size_t m = query.size();
+    BswResult out;
+    if (n == 0 || m == 0)
+        return out;
+
+    WavefrontScratch& ws = wavefront_scratch();
+    ws.prepare(m);
+    Score* vd2 = ws.v0.data();
+    Score* vd1 = ws.v1.data();
+    Score* vcur = ws.v2.data();
+    Score* gd1 = ws.g0.data();
+    Score* gcur = ws.g1.data();
+    Score* hd1 = ws.h0.data();
+    Score* hcur = ws.h1.data();
+
+    BswDiagCtx ctx;
+    ctx.t = target.data();
+    ctx.q = query.data();
+    ctx.sub = scoring.matrix.front().data();  // flat [t*5 + q]
+    ctx.open = scoring.gap_open;
+    ctx.extend = scoring.gap_extend;
+    const Policy pol(ctx);
+
+    BswBest best;
+    for (std::size_t d = 2; d <= m + n; ++d) {
+        const auto [lo, hi] = bsw_diagonal_range(d, n, m, band);
+        if (lo > hi) {  // band == 0 parity gap: keep invariants, move on
+            bsw_write_empty_diagonal(d, n, m, band, vcur, gcur, hcur);
+        } else {
+            ctx.vd1 = vd1;
+            ctx.vd2 = vd2;
+            ctx.gd1 = gd1;
+            ctx.hd1 = hd1;
+            ctx.vcur = vcur;
+            ctx.gcur = gcur;
+            ctx.hcur = hcur;
+            pol.diagonal(ctx, d, lo, hi, best);
+            out.cells_computed += hi - lo + 1;
+
+            // Edge sentinels (skip slot 0: it is the permanent row-0
+            // boundary), then the column-0 boundary of this diagonal.
+            if (lo > 1) {
+                vcur[lo - 1] = kScoreNegInf;
+                gcur[lo - 1] = kScoreNegInf;
+                hcur[lo - 1] = kScoreNegInf;
+            }
+            vcur[hi + 1] = kScoreNegInf;
+            gcur[hi + 1] = kScoreNegInf;
+            hcur[hi + 1] = kScoreNegInf;
+            if (d <= m) {
+                vcur[d] = 0;  // V(d, 0)
+                gcur[d] = kScoreNegInf;
+                hcur[d] = kScoreNegInf;
+            }
+        }
+
+        Score* vtmp = vd2;
+        vd2 = vd1;
+        vd1 = vcur;
+        vcur = vtmp;
+        std::swap(gd1, gcur);
+        std::swap(hd1, hcur);
+    }
+
+    out.max_score = best.score;
+    out.query_max = best.i;
+    out.target_max = best.j;
+    return out;
+}
 
 }  // namespace darwin::align::kernels
 

@@ -1,6 +1,7 @@
 /**
- * Anti-diagonal (wavefront) banded Smith-Waterman, scalar variant, plus
- * the per-thread scratch shared with the SIMD variants.
+ * Anti-diagonal (wavefront) banded Smith-Waterman, scalar variant (the
+ * shared walk, bsw_align_wavefront, with a plain lane loop), plus the
+ * per-thread scratch shared with the SIMD variants.
  *
  * Layout (see bsw_kernels.h): cells of diagonal d = i + j are stored at
  * slot i of the diagonal's buffer. The recurrences then read
@@ -42,92 +43,28 @@ void WavefrontScratch::prepare(std::size_t m) {
     h1[0] = kScoreNegInf;
 }
 
+namespace {
+
+struct ScalarPolicy {
+    explicit ScalarPolicy(const BswDiagCtx&) {}
+
+    void
+    diagonal(const BswDiagCtx& ctx, std::size_t d, std::size_t lo,
+             std::size_t hi, BswBest& best) const
+    {
+        for (std::size_t i = lo; i <= hi; ++i)
+            bsw_cell(ctx, d, i, best);
+    }
+};
+
+}  // namespace
+
 BswResult
 bsw_wavefront_scalar(std::span<const std::uint8_t> target,
                      std::span<const std::uint8_t> query,
                      const ScoringParams& scoring, std::size_t band)
 {
-    const std::size_t n = target.size();
-    const std::size_t m = query.size();
-    BswResult out;
-    if (n == 0 || m == 0)
-        return out;
-
-    WavefrontScratch& ws = wavefront_scratch();
-    ws.prepare(m);
-    Score* vd2 = ws.v0.data();
-    Score* vd1 = ws.v1.data();
-    Score* vcur = ws.v2.data();
-    Score* gd1 = ws.g0.data();
-    Score* gcur = ws.g1.data();
-    Score* hd1 = ws.h0.data();
-    Score* hcur = ws.h1.data();
-
-    const Score open = scoring.gap_open;
-    const Score extend = scoring.gap_extend;
-    const Score* sub = scoring.matrix.front().data();  // flat [t*5 + q]
-    const std::uint8_t* t = target.data();
-    const std::uint8_t* q = query.data();
-
-    BswBest best;
-    for (std::size_t d = 2; d <= m + n; ++d) {
-        const auto [lo, hi] = bsw_diagonal_range(d, n, m, band);
-        if (lo > hi) {  // band == 0 parity gap: keep invariants, move on
-            bsw_write_empty_diagonal(d, n, m, band, vcur, gcur, hcur);
-            Score* vtmp = vd2;
-            vd2 = vd1;
-            vd1 = vcur;
-            vcur = vtmp;
-            std::swap(gd1, gcur);
-            std::swap(hd1, hcur);
-            continue;
-        }
-        for (std::size_t i = lo; i <= hi; ++i) {
-            const std::size_t j = d - i;
-            const Score h =
-                std::max(vd1[i] - open, hd1[i] - extend);
-            const Score g =
-                std::max(vd1[i - 1] - open, gd1[i - 1] - extend);
-            Score val =
-                vd2[i - 1] + sub[t[j - 1] * seq::kNumCodes + q[i - 1]];
-            if (val < 0) val = 0;
-            if (h > val) val = h;
-            if (g > val) val = g;
-            vcur[i] = val;
-            gcur[i] = g;
-            hcur[i] = h;
-            best.consider(val, i, j);
-        }
-        out.cells_computed += hi - lo + 1;
-
-        // Edge sentinels (skip slot 0: it is the permanent row-0
-        // boundary), then the column-0 boundary of this diagonal.
-        if (lo > 1) {
-            vcur[lo - 1] = kScoreNegInf;
-            gcur[lo - 1] = kScoreNegInf;
-            hcur[lo - 1] = kScoreNegInf;
-        }
-        vcur[hi + 1] = kScoreNegInf;
-        gcur[hi + 1] = kScoreNegInf;
-        hcur[hi + 1] = kScoreNegInf;
-        if (d <= m) {
-            vcur[d] = 0;  // V(d, 0)
-            gcur[d] = kScoreNegInf;
-            hcur[d] = kScoreNegInf;
-        }
-
-        Score* vtmp = vd2;
-        vd2 = vd1;
-        vd1 = vcur;
-        vcur = vtmp;
-        std::swap(gd1, gcur);
-        std::swap(hd1, hcur);
-    }
-
-    out.max_score = best.score;
-    out.query_max = best.i;
-    out.target_max = best.j;
-    return out;
+    return bsw_align_wavefront<ScalarPolicy>(target, query, scoring, band);
 }
 
 }  // namespace darwin::align::kernels

@@ -2,10 +2,10 @@
  * @file
  * Runtime CPU feature probing for the kernel dispatch registry.
  *
- * The vectorized filter kernels are compiled per-ISA (see
- * src/CMakeLists.txt: kernels_sse42.cpp / kernels_avx2.cpp get -msse4.2 /
- * -mavx2); whether the *running* CPU can execute them is a separate
- * question answered here, once, at registry construction.
+ * The vector tiers are compiled per ISA (kernels_sse42.cpp and
+ * kernels_avx2.cpp instantiate simd_kernels.h inside a `#pragma GCC
+ * target` region); whether the *running* CPU can execute them is a
+ * separate question answered here, once, at registry construction.
  */
 #ifndef DARWIN_ALIGN_KERNELS_CPU_FEATURES_H
 #define DARWIN_ALIGN_KERNELS_CPU_FEATURES_H

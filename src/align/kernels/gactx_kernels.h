@@ -16,6 +16,9 @@
  * wavefront had started beyond a terminating column are discarded, so
  * the column walk (vmax updates, termination point, cells_computed,
  * stripe_columns) replays the seed engine's sequential order exactly.
+ * The scalar kernels are declared here; the vector tiers' policy is
+ * written once in simd_kernels.h and instantiated per ISA, and both run
+ * on the shared scaffold in gactx_wavefront.h.
  *
  * Bit-identity contract: every kernel must return *exactly* the same
  * TileResult as `gactx_reference_align` (the seed engine) for every

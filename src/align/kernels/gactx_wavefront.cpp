@@ -46,6 +46,7 @@ gactx_scratch()
 
 namespace {
 
+template <bool kScoreOnly>
 struct ScalarPolicy {
     explicit ScalarPolicy(const GactXDiagCtx&) {}
 
@@ -54,19 +55,7 @@ struct ScalarPolicy {
              std::size_t rhi) const
     {
         for (std::size_t r = rlo; r <= rhi; ++r)
-            gactx_cell(ctx, dd, r);
-    }
-};
-
-struct ScalarScoreOnlyPolicy {
-    explicit ScalarScoreOnlyPolicy(const GactXDiagCtx&) {}
-
-    void
-    diagonal(const GactXDiagCtx& ctx, std::size_t dd, std::size_t rlo,
-             std::size_t rhi) const
-    {
-        for (std::size_t r = rlo; r <= rhi; ++r)
-            gactx_cell_score_only(ctx, dd, r);
+            gactx_cell<kScoreOnly>(ctx, dd, r);
     }
 };
 
@@ -77,7 +66,7 @@ gactx_wavefront_scalar(std::span<const std::uint8_t> target,
                        std::span<const std::uint8_t> query,
                        const GactXParams& params)
 {
-    return gactx_align_wavefront<ScalarPolicy>(target, query, params);
+    return gactx_align_wavefront<ScalarPolicy<false>>(target, query, params);
 }
 
 TileResult
@@ -85,8 +74,8 @@ gactx_wavefront_scalar_score_only(std::span<const std::uint8_t> target,
                                   std::span<const std::uint8_t> query,
                                   const GactXParams& params)
 {
-    return gactx_align_wavefront<ScalarScoreOnlyPolicy,
-                                 /*kScoreOnly=*/true>(target, query, params);
+    return gactx_align_wavefront<ScalarPolicy<true>, /*kScoreOnly=*/true>(
+        target, query, params);
 }
 
 }  // namespace darwin::align::kernels

@@ -3,7 +3,7 @@
  * Shared anti-diagonal scaffolding of the GACT-X wavefront kernels.
  *
  * `gactx_align_wavefront<Policy>` owns everything that is identical
- * across the scalar/SSE4.2/AVX2 variants — the stripe walk, the jstart
+ * across the scalar and SIMD variants — the stripe walk, the jstart
  * frontier scan, the boundary column, the diagonal loop with its
  * buffer rotation and lane activation, the column-completion bookkeeping
  * that replays the seed engine's sequential vmax/termination order, and
@@ -13,8 +13,8 @@
  * per-column running best, and store each cell's 4-bit pointer code as
  * one byte at `ptr[r]` — the diagonal's lanes are contiguous in the
  * diagonal-major `StripePointerStore`, so a SIMD block is one store.
- * `gactx_cell` is the scalar per-cell body the SIMD policies reuse for
- * their tails.
+ * `gactx_cell` is the scalar per-cell body the SIMD policies
+ * (simd_kernels.h) reuse for their tails.
  *
  * Coordinate map (see DESIGN.md "Extension kernels"): within a stripe
  * starting at query row i0 with first data column fdc, lane r handles
@@ -69,8 +69,11 @@ struct GactXDiagCtx {
  * One DP cell, bit-exact to the seed engine's lane body: tie-breaks are
  * `>=` for both gap-open bits and strictly-greater for the V direction
  * precedence Diag < HGap < VGap and for the column best (ascending r
- * per column, so the smallest row among equals wins).
+ * per column, so the smallest row among equals wins). `kScoreOnly`
+ * skips the pointer store only, so a score-only pass visits the
+ * identical cell set and produces the identical score trajectory.
  */
+template <bool kScoreOnly>
 inline void
 gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
 {
@@ -110,45 +113,8 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
         c.colbest[col] = static_cast<std::int32_t>(r);
     }
 
-    c.ptr[r] = detail::pack_pointer(vdir, hopen, vopen);
-}
-
-/**
- * gactx_cell without the pointer store — the same DP recurrence,
- * column-best update and buffer writes, so a score-only pass visits the
- * identical cell set and produces the identical score trajectory.
- */
-inline void
-gactx_cell_score_only(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
-{
-    const std::size_t s = r + 1;
-    const std::size_t col = dd - r;
-
-    const Score left_v = c.vd1[s];
-    const Score h_open = left_v - c.open;
-    const Score h_ext = c.hd1[s] - c.extend;
-    const Score h = h_open >= h_ext ? h_open : h_ext;
-
-    const Score g_open = c.vd1[s - 1] - c.open;
-    const Score g_ext = c.gd1[s - 1] - c.extend;
-    const Score g = g_open >= g_ext ? g_open : g_ext;
-
-    const std::size_t j = c.fdc + col;
-    Score val = c.vd2[s - 1] +
-                c.sub[c.t[j - 1] * seq::kNumCodes + c.q[r]];
-    if (h > val)
-        val = h;
-    if (g > val)
-        val = g;
-
-    c.vcur[s] = val;
-    c.gcur[s] = g;
-    c.hcur[s] = h;
-
-    if (val > c.colmax[col]) {
-        c.colmax[col] = val;
-        c.colbest[col] = static_cast<std::int32_t>(r);
-    }
+    if constexpr (!kScoreOnly)
+        c.ptr[r] = detail::pack_pointer(vdir, hopen, vopen);
 }
 
 /**
@@ -159,11 +125,12 @@ gactx_cell_score_only(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
  * column bests move it, max_score == 0 iff the best cell is the origin
  * iff the CIGAR is empty: a score-only result with max_score == 0 is the
  * complete bit-identical TileResult for that (dead) tile. A kScoreOnly
- * Policy must route cells through gactx_cell_score_only (ctx.ptr is
- * null).
+ * Policy must route cells through gactx_cell<true> (ctx.ptr is
+ * null). Always inlined, so an ISA kernel compiles the scaffold with its
+ * own target options and inlines its policy (see simd_kernels.h).
  */
 template <class Policy, bool kScoreOnly = false>
-TileResult
+[[gnu::always_inline]] inline TileResult
 gactx_align_wavefront(std::span<const std::uint8_t> target,
                       std::span<const std::uint8_t> query,
                       const GactXParams& params)

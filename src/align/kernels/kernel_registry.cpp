@@ -20,35 +20,27 @@ KernelRegistry::KernelRegistry() {
     // The table is explicit (no static self-registration: static-library
     // linking silently drops unreferenced registrars). Ids are stable —
     // they are published as the wga.filter.kernel gauge value.
-    kernels_.push_back(KernelImpl{/*id=*/0, "scalar", /*compiled=*/true,
-                                  /*cpu_ok=*/true, &bsw_wavefront_scalar,
-                                  &ungapped_xdrop_scalar,
-                                  &gactx_wavefront_scalar,
-                                  &gactx_wavefront_scalar_score_only});
-
-    const KernelOps* sse42 = sse42_kernel_ops();
-    kernels_.push_back(KernelImpl{
-        /*id=*/1, "sse42", sse42 != nullptr, cpu.sse42,
-        sse42 != nullptr ? sse42->bsw : nullptr,
-        sse42 != nullptr && sse42->ungapped != nullptr ? sse42->ungapped
-                                                       : &ungapped_xdrop_scalar,
-        sse42 != nullptr && sse42->gactx != nullptr ? sse42->gactx
-                                                    : &gactx_wavefront_scalar,
-        sse42 != nullptr && sse42->gactx_score_only != nullptr
-            ? sse42->gactx_score_only
-            : &gactx_wavefront_scalar_score_only});
-
-    const KernelOps* avx2 = avx2_kernel_ops();
-    kernels_.push_back(KernelImpl{
-        /*id=*/2, "avx2", avx2 != nullptr, cpu.avx2,
-        avx2 != nullptr ? avx2->bsw : nullptr,
-        avx2 != nullptr && avx2->ungapped != nullptr ? avx2->ungapped
-                                                     : &ungapped_xdrop_scalar,
-        avx2 != nullptr && avx2->gactx != nullptr ? avx2->gactx
-                                                  : &gactx_wavefront_scalar,
-        avx2 != nullptr && avx2->gactx_score_only != nullptr
-            ? avx2->gactx_score_only
-            : &gactx_wavefront_scalar_score_only});
+    static constexpr KernelOps kScalar{
+        &bsw_wavefront_scalar, &ungapped_xdrop_scalar,
+        &gactx_wavefront_scalar, &gactx_wavefront_scalar_score_only};
+    const struct {
+        const char* name;
+        const KernelOps* ops;  // nullptr: tier not compiled
+        bool cpu_ok;
+    } tiers[] = {{"scalar", &kScalar, true},
+                 {"sse42", sse42_kernel_ops(), cpu.sse42},
+                 {"avx2", avx2_kernel_ops(), cpu.avx2}};
+    for (const auto& tier : tiers) {
+        KernelImpl k{static_cast<int>(kernels_.size()), tier.name,
+                     tier.ops != nullptr, tier.cpu_ok};
+        if (tier.ops != nullptr) {
+            k.bsw = tier.ops->bsw;
+            k.ungapped = tier.ops->ungapped;
+            k.gactx = tier.ops->gactx;
+            k.gactx_score_only = tier.ops->gactx_score_only;
+        }
+        kernels_.push_back(k);
+    }
 
     active_.store(&best_usable(), std::memory_order_release);
 
@@ -79,7 +71,7 @@ void KernelRegistry::select(const std::string& name) {
     const KernelImpl* k = find(name);
     if (k == nullptr) {
         std::ostringstream msg;
-        msg << "DARWIN_KERNEL/--kernel: unknown kernel '" << name
+        msg << "DARWIN_KERNEL: unknown kernel '" << name
             << "' (valid: auto";
         for (const KernelImpl& cand : kernels_)
             msg << ", " << cand.name;
@@ -88,7 +80,7 @@ void KernelRegistry::select(const std::string& name) {
     }
     if (!k->usable()) {
         std::ostringstream msg;
-        msg << "DARWIN_KERNEL/--kernel: kernel '" << name << "' is "
+        msg << "DARWIN_KERNEL: kernel '" << name << "' is "
             << (!k->compiled ? "not compiled into this build"
                              : "not supported by this CPU");
         fatal(msg.str());

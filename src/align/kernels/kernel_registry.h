@@ -7,9 +7,11 @@
  * GACT-X tile extension engine, see gactx_kernels.h) are listed in a
  * fixed table with stable ids. At startup the registry probes the CPU
  * (cpu_features.h) and selects the fastest usable entry; the selection
- * can be overridden with the `DARWIN_KERNEL` environment variable or the
- * `--kernel` CLI flag (tools/obs_support.h), both taking
- * `auto|scalar|sse42|avx2`.
+ * can be overridden with the `DARWIN_KERNEL` environment variable
+ * (`auto|scalar|sse42|avx2`). The scalar entry is the plain kernels in
+ * bsw_kernels.h / gactx_kernels.h; sse42 and avx2 are one width-generic
+ * source (simd_kernels.h) instantiated at 4 and 8 lanes. Every entry
+ * fills all four slots, so there is no per-kernel fallback.
  *
  * `banded_smith_waterman()`, `ungapped_xdrop_extend()` and
  * `GactXTileAligner::align_tile()` are thin façades over the active
@@ -55,20 +57,20 @@ struct KernelImpl {
      *  and accounting as gactx, empty CIGAR. */
     GactXKernelFn gactx_score_only = nullptr;
 
-    bool usable() const { return compiled && cpu_ok && bsw != nullptr; }
+    bool usable() const { return compiled && cpu_ok; }
 };
 
 /**
- * ISA kernel entry points, exported by each per-ISA translation unit.
- * Returns nullptr when the TU was compiled without the ISA (non-x86
- * build or compiler without -msse4.2/-mavx2) so the registry can mark
- * the entry uncompiled instead of link-failing.
+ * One tier's kernel entry points, exported by each per-ISA translation
+ * unit with every slot set. A `*_kernel_ops()` call returns nullptr when
+ * the TU was built without its SIMD code (not GCC on x86-64), so the
+ * registry marks the entry uncompiled instead of link-failing.
  */
 struct KernelOps {
     BswKernelFn bsw = nullptr;
-    UngappedKernelFn ungapped = nullptr;  ///< nullptr: fall back to scalar
-    GactXKernelFn gactx = nullptr;        ///< nullptr: fall back to scalar
-    GactXKernelFn gactx_score_only = nullptr;  ///< ditto
+    UngappedKernelFn ungapped = nullptr;
+    GactXKernelFn gactx = nullptr;
+    GactXKernelFn gactx_score_only = nullptr;
 };
 const KernelOps* sse42_kernel_ops();
 const KernelOps* avx2_kernel_ops();

@@ -10,7 +10,7 @@
  * fixed tile setup. align_tile() dispatches to a runtime-selected
  * extension kernel (align/kernels/), all of which are bit-identical in
  * every TileResult field including stripe_columns — so the cycle counts
- * derived here are invariant under DARWIN_KERNEL/--kernel.
+ * derived here are invariant under DARWIN_KERNEL.
  */
 #ifndef DARWIN_HW_GACTX_ARRAY_H
 #define DARWIN_HW_GACTX_ARRAY_H

@@ -11,10 +11,9 @@
  * value and right-aligns to the pattern weight, producing bit-identical
  * keys to the byte-at-a-time path.
  *
- * Mirrors the kernels_sse42/avx2 convention: the TU carries an internal
- * __BMI2__ guard with a stub fallback, so builds succeed on compilers
- * or targets without the flag and the caller runtime-gates on
- * bmi2_key_available().
+ * The TU carries an internal __BMI2__ guard with a stub fallback, so
+ * builds succeed on compilers or targets without the flag and the
+ * caller runtime-gates on bmi2_key_available().
  */
 #ifndef DARWIN_SEED_SEED_KEY_BMI2_H
 #define DARWIN_SEED_SEED_KEY_BMI2_H

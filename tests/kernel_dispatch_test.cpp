@@ -1,15 +1,18 @@
 /**
  * @file
- * Property tests for the kernel dispatch registry: DARWIN_KERNEL /
- * --kernel parsing, selection state, and the end-to-end guarantee that a
- * forced-scalar WgaPipeline run and an auto (vectorized) run produce
- * byte-identical MAF output with reconciling wga.filter.* and
- * wga.extend.* counters.
+ * Property tests for the kernel dispatch registry: DARWIN_KERNEL name
+ * parsing, selection state, and the end-to-end guarantee that every
+ * usable tier (scalar, sse42, avx2, and auto) runs WgaPipeline to a
+ * byte-identical MAF with reconciling wga.filter.* and wga.extend.*
+ * counters, under both the darwin (BSW filter) and lastz (ungapped
+ * filter) presets.
  */
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "align/kernels/bsw_kernels.h"
 #include "align/kernels/kernel_registry.h"
@@ -100,54 +103,71 @@ TEST(KernelDispatch, ForcedScalarAndAutoProduceIdenticalMaf)
     const auto pair = synth::make_species_pair(
         synth::find_species_pair("dm6-droSim1"), config, 4242);
 
-    const wga::WgaPipeline pipeline(wga::WgaParams::darwin_defaults());
+    // Every usable vector tier by name, then auto (the best tier).
+    std::vector<std::string> tiers;
+    for (const KernelImpl& k : registry.kernels())
+        if (k.usable() && k.id > 0)
+            tiers.emplace_back(k.name);
+    tiers.emplace_back("auto");
 
-    const auto run_with = [&](const std::string& kernel,
-                              obs::MetricsRegistry& metrics) {
-        registry.select(kernel);
-        const auto result = pipeline.run(pair.target.genome,
-                                         pair.query.genome,
-                                         {.metrics = &metrics});
-        std::ostringstream maf;
-        wga::write_maf(maf, result.alignments, pair.target.genome,
-                       pair.query.genome);
-        return maf.str();
-    };
+    for (const auto& [preset, params] :
+         {std::pair{"darwin", wga::WgaParams::darwin_defaults()},
+          std::pair{"lastz", wga::WgaParams::lastz_defaults()}}) {
+        const wga::WgaPipeline pipeline(params);
+        const auto run_with = [&](const std::string& kernel,
+                                  obs::MetricsRegistry& metrics) {
+            registry.select(kernel);
+            const auto result = pipeline.run(pair.target.genome,
+                                             pair.query.genome,
+                                             {.metrics = &metrics});
+            std::ostringstream maf;
+            wga::write_maf(maf, result.alignments, pair.target.genome,
+                           pair.query.genome);
+            return maf.str();
+        };
 
-    obs::MetricsRegistry scalar_metrics, auto_metrics;
-    const std::string scalar_maf = run_with("scalar", scalar_metrics);
-    const std::string auto_maf = run_with("auto", auto_metrics);
+        obs::MetricsRegistry scalar_metrics;
+        const std::string scalar_maf = run_with("scalar", scalar_metrics);
+        EXPECT_FALSE(scalar_maf.empty()) << preset;
 
-    // Byte-identical alignment output regardless of kernel.
-    EXPECT_EQ(scalar_maf, auto_maf);
-    EXPECT_FALSE(scalar_maf.empty());
+        for (const std::string& tier : tiers) {
+            SCOPED_TRACE(std::string(preset) + " preset, kernel " + tier);
+            obs::MetricsRegistry metrics;
+            // Byte-identical alignment output regardless of kernel.
+            EXPECT_EQ(run_with(tier, metrics), scalar_maf);
 
-    // The filter and extension counters must reconcile exactly: same
-    // tiles, same DP cells (cells_computed is part of the bit-identity
-    // contract for both the BSW and GACT-X kernels), same pass/drop
-    // split, same stripe/traceback accounting.
-    for (const char* name :
-         {"wga.filter.tiles", "wga.filter.cells", "wga.filter.passed",
-          "wga.filter.dropped", "wga.extend.tiles", "wga.extend.cells",
-          "wga.extend.stripes", "wga.extend.traceback_ops",
-          "wga.extend.alignments", "wga.extend.matched_bases"}) {
-        const auto* s = scalar_metrics.find_counter(name);
-        const auto* a = auto_metrics.find_counter(name);
-        ASSERT_NE(s, nullptr) << name;
-        ASSERT_NE(a, nullptr) << name;
-        EXPECT_EQ(s->value(), a->value()) << name;
-        EXPECT_GT(s->value(), 0) << name;
-    }
+            // The filter and extension counters must reconcile exactly:
+            // same tiles, same DP cells (cells_computed is part of the
+            // bit-identity contract for the BSW, ungapped and GACT-X
+            // kernels), same pass/drop split, same stripe/traceback
+            // accounting.
+            for (const char* name :
+                 {"wga.filter.tiles", "wga.filter.cells",
+                  "wga.filter.passed", "wga.filter.dropped",
+                  "wga.extend.tiles", "wga.extend.cells",
+                  "wga.extend.stripes", "wga.extend.traceback_ops",
+                  "wga.extend.alignments", "wga.extend.matched_bases"}) {
+                const auto* s = scalar_metrics.find_counter(name);
+                const auto* k = metrics.find_counter(name);
+                ASSERT_NE(s, nullptr) << name;
+                ASSERT_NE(k, nullptr) << name;
+                EXPECT_EQ(s->value(), k->value()) << name;
+                EXPECT_GT(s->value(), 0) << name;
+            }
 
-    // The gauges record which kernel each run dispatched to — the filter
-    // and extension stages always share the registry's active entry.
-    for (const char* name : {"wga.filter.kernel", "wga.extend.kernel"}) {
-        const auto* scalar_gauge = scalar_metrics.find_gauge(name);
-        const auto* auto_gauge = auto_metrics.find_gauge(name);
-        ASSERT_NE(scalar_gauge, nullptr) << name;
-        ASSERT_NE(auto_gauge, nullptr) << name;
-        EXPECT_EQ(scalar_gauge->value(), 0) << name;
-        EXPECT_EQ(auto_gauge->value(), registry.active().id) << name;
+            // The gauges record which kernel each run dispatched to — the
+            // filter and extension stages always share the registry's
+            // active entry.
+            for (const char* name :
+                 {"wga.filter.kernel", "wga.extend.kernel"}) {
+                const auto* scalar_gauge = scalar_metrics.find_gauge(name);
+                const auto* gauge = metrics.find_gauge(name);
+                ASSERT_NE(scalar_gauge, nullptr) << name;
+                ASSERT_NE(gauge, nullptr) << name;
+                EXPECT_EQ(scalar_gauge->value(), 0) << name;
+                EXPECT_EQ(gauge->value(), registry.active().id) << name;
+            }
+        }
     }
 }
 

@@ -11,10 +11,6 @@
  *   --trace-out FILE         Chrome/Perfetto trace_event JSON
  *   --progress-interval SEC  heartbeat progress log (0 = off)
  *   --log-json FILE          mirror log records as JSON lines
- *   --kernel NAME            filter kernel: auto|scalar|sse42|avx2
- *                            (overrides the DARWIN_KERNEL env var; every
- *                            kernel is bit-identical, this only selects
- *                            the implementation)
  *
  * ObsSetup owns the lifecycle: it installs the trace session and JSON
  * log sink when the flags ask for them, and finish() writes the output
@@ -56,9 +52,6 @@ add_obs_options(ArgParser& args)
                     "log a progress heartbeat every N seconds (0 = off)");
     args.add_option("log-json", "",
                     "also write log records as JSON lines to this file");
-    args.add_option("kernel", "",
-                    "filter kernel: auto|scalar|sse42|avx2 (default: "
-                    "$DARWIN_KERNEL, else auto)");
 }
 
 /** Flag-driven observability lifecycle for one CLI run. */
@@ -73,12 +66,9 @@ class ObsSetup {
         const std::string log_json = args.get("log-json");
         if (!log_json.empty())
             add_log_sink(std::make_shared<JsonLinesSink>(log_json));
-        // --kernel overrides DARWIN_KERNEL (the registry already applied
-        // the env var at startup); fatal() on an unknown/unusable name.
-        const std::string kernel = args.get("kernel");
-        if (!kernel.empty())
-            align::kernels::KernelRegistry::instance().select(kernel);
-        inform(std::string("filter kernel: ") +
+        // The registry applied DARWIN_KERNEL at startup; the selection
+        // drives both the BSW/ungapped filter and GACT-X extension.
+        inform(std::string("alignment kernels: ") +
                align::kernels::KernelRegistry::instance().active().name);
         if (!trace_path_.empty()) {
             trace_ = std::make_unique<obs::TraceSession>();
