@@ -8,12 +8,12 @@
  * Two modes:
  *  - default: the google-benchmark suite (BM_* below);
  *  - `--json`: a self-timed comparison of every usable filter- and
- *    extension-kernel implementation (scalar wavefront, sse42, avx2 —
- *    see src/align/kernels/) against the seed engines (the row-major
- *    BSW kernel and the stripe-sequential GACT-X reference), printed as
- *    a BENCH-stamped JSON report. `--check-speedup X` additionally
- *    exits non-zero when the best vectorized BSW *or* GACT-X kernel is
- *    slower than X times its seed engine — the CI smoke gate uses X=1.0
+ *    extension-kernel implementation (scalar wavefront, sse42, avx2,
+ *    avx512 — see src/align/kernels/) against the seed engines (the
+ *    row-major BSW kernel and the stripe-sequential GACT-X reference),
+ *    printed as a BENCH-stamped JSON report. `--check-speedup X` additionally
+ *    exits non-zero when any usable vector tier's BSW *or* GACT-X
+ *    kernel is slower than X times its seed engine — the CI smoke gate uses X=1.0
  *    (vectorized must never lose to scalar); the paper-reproduction
  *    target is >= 2.0. Every comparison also asserts bit-identity
  *    (checksums over all result fields, including the CIGAR and

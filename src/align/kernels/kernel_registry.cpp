@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "align/kernels/bsw_kernels.h"
-#include "align/kernels/cpu_features.h"
 #include "util/logging.h"
 
 namespace darwin::align::kernels {
@@ -14,9 +13,12 @@ KernelRegistry& KernelRegistry::instance() {
     return registry;
 }
 
-KernelRegistry::KernelRegistry() {
-    const CpuFeatures cpu = probe_cpu_features();
+KernelRegistry::KernelRegistry() : KernelRegistry(probe_cpu_features()) {
+    if (const char* env = std::getenv(kEnvVar); env != nullptr && *env != '\0')
+        select(env);
+}
 
+KernelRegistry::KernelRegistry(const CpuFeatures& cpu) {
     // The table is explicit (no static self-registration: static-library
     // linking silently drops unreferenced registrars). Ids are stable —
     // they are published as the wga.filter.kernel gauge value.
@@ -29,7 +31,8 @@ KernelRegistry::KernelRegistry() {
         bool cpu_ok;
     } tiers[] = {{"scalar", &kScalar, true},
                  {"sse42", sse42_kernel_ops(), cpu.sse42},
-                 {"avx2", avx2_kernel_ops(), cpu.avx2}};
+                 {"avx2", avx2_kernel_ops(), cpu.avx2},
+                 {"avx512", avx512_kernel_ops(), cpu.avx512}};
     for (const auto& tier : tiers) {
         KernelImpl k{static_cast<int>(kernels_.size()), tier.name,
                      tier.ops != nullptr, tier.cpu_ok};
@@ -43,9 +46,6 @@ KernelRegistry::KernelRegistry() {
     }
 
     active_.store(&best_usable(), std::memory_order_release);
-
-    if (const char* env = std::getenv(kEnvVar); env != nullptr && *env != '\0')
-        select(env);
 }
 
 const KernelImpl& KernelRegistry::best_usable() const {

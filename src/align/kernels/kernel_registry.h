@@ -8,17 +8,18 @@
  * fixed table with stable ids. At startup the registry probes the CPU
  * (cpu_features.h) and selects the fastest usable entry; the selection
  * can be overridden with the `DARWIN_KERNEL` environment variable
- * (`auto|scalar|sse42|avx2`). The scalar entry is the plain kernels in
- * bsw_kernels.h / gactx_kernels.h; sse42 and avx2 are one width-generic
- * source (simd_kernels.h) instantiated at 4 and 8 lanes. Every entry
- * fills all four slots, so there is no per-kernel fallback.
+ * (`auto|scalar|sse42|avx2|avx512`). The scalar entry is the plain
+ * kernels in bsw_kernels.h / gactx_kernels.h; sse42, avx2 and avx512
+ * are one width-generic source (simd_kernels.h) instantiated at 4, 8
+ * and 16 lanes. Every entry fills all four slots, so there is no
+ * per-kernel fallback.
  *
  * `banded_smith_waterman()`, `ungapped_xdrop_extend()` and
  * `GactXTileAligner::align_tile()` are thin façades over the active
  * entry, so every caller (wga/filter_stage, wga/extend_stage, the batch
  * scheduler, benches) transparently picks up the fast path. The active
- * id is published as the `wga.filter.kernel` and `wga.extend.kernel`
- * gauges.
+ * id (0 scalar, 1 sse42, 2 avx2, 3 avx512) is published as the
+ * `wga.filter.kernel` and `wga.extend.kernel` gauges.
  */
 #ifndef DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
 #define DARWIN_ALIGN_KERNELS_KERNEL_REGISTRY_H
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "align/banded_sw.h"
+#include "align/kernels/cpu_features.h"
 #include "align/kernels/gactx_kernels.h"
 #include "align/ungapped_xdrop.h"
 
@@ -46,7 +48,7 @@ using UngappedKernelFn = UngappedResult (*)(
 
 /** One registered implementation of the filter + extension kernels. */
 struct KernelImpl {
-    int id = 0;              ///< stable: 0 scalar, 1 sse42, 2 avx2
+    int id = 0;              ///< stable: 0 scalar, 1 sse42, 2 avx2, 3 avx512
     const char* name = "";   ///< the DARWIN_KERNEL spelling
     bool compiled = false;   ///< translation unit built with the ISA
     bool cpu_ok = false;     ///< running CPU supports the ISA
@@ -74,6 +76,7 @@ struct KernelOps {
 };
 const KernelOps* sse42_kernel_ops();
 const KernelOps* avx2_kernel_ops();
+const KernelOps* avx512_kernel_ops();
 
 /**
  * Process-wide kernel table + active selection.
@@ -89,6 +92,14 @@ class KernelRegistry {
     static constexpr const char* kEnvVar = "DARWIN_KERNEL";
 
     static KernelRegistry& instance();
+
+    /**
+     * The table as it would be on a CPU with `cpu`'s features, with
+     * "auto" selected and `DARWIN_KERNEL` not read. instance() is this
+     * for the probed CPU plus the override; tests build their own to
+     * see the table of another CPU.
+     */
+    explicit KernelRegistry(const CpuFeatures& cpu);
 
     /** All entries in id order (including uncompiled/unsupported ones). */
     const std::vector<KernelImpl>& kernels() const { return kernels_; }

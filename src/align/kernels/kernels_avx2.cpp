@@ -40,11 +40,17 @@ struct Avx2 {
                          _mm_packus_epi16(words, words));
     }
 
-    static V
-    gather(const Score* sub, V idx)
-    {
-        return (V)_mm256_i32gather_epi32(sub, (__m256i)idx, 4);
-    }
+    struct Lut {
+        const Score* sub;
+
+        explicit Lut(const Score* s) : sub(s) {}
+
+        V
+        operator()(V idx) const
+        {
+            return (V)_mm256_i32gather_epi32(sub, (__m256i)idx, 4);
+        }
+    };
 };
 
 }  // namespace

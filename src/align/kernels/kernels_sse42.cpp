@@ -40,18 +40,24 @@ struct Sse42 {
         std::memcpy(p, &bytes, sizeof bytes);
     }
 
-    /** Two 64-bit extracts (indices are non-negative) keep the lane
-     *  moves off the shuffle port, which four 32-bit extracts crowd. */
-    static V
-    gather(const Score* sub, V idx)
-    {
-        const auto lo = static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64((__m128i)idx));
-        const auto hi = static_cast<std::uint64_t>(
-            _mm_extract_epi64((__m128i)idx, 1));
-        return V{sub[static_cast<std::uint32_t>(lo)], sub[lo >> 32],
-                 sub[static_cast<std::uint32_t>(hi)], sub[hi >> 32]};
-    }
+    struct Lut {
+        const Score* sub;
+
+        explicit Lut(const Score* s) : sub(s) {}
+
+        /** Two 64-bit extracts (indices are non-negative) keep the lane
+         *  moves off the shuffle port, which four 32-bit extracts crowd. */
+        V
+        operator()(V idx) const
+        {
+            const auto lo = static_cast<std::uint64_t>(
+                _mm_cvtsi128_si64((__m128i)idx));
+            const auto hi = static_cast<std::uint64_t>(
+                _mm_extract_epi64((__m128i)idx, 1));
+            return V{sub[static_cast<std::uint32_t>(lo)], sub[lo >> 32],
+                     sub[static_cast<std::uint32_t>(hi)], sub[hi >> 32]};
+        }
+    };
 };
 
 }  // namespace

@@ -2,12 +2,13 @@
  * @file
  * The SIMD filter and extension kernels, written once over GCC vector
  * types and instantiated per ISA: kernels_sse42.cpp at W = 4 lanes,
- * kernels_avx2.cpp at W = 8 (the paper's systolic arrays likewise take
- * the PE count as a parameter). `SimdKernels<Isa>` holds the banded-SW
- * diagonal policy with its row-major-first best reduction, the ungapped
- * x-drop kernel with its block prefix-sum/prefix-max, and the GACT-X
- * diagonal policy (full and score-only). Every lane op is exact integer
- * arithmetic, so each instantiation is bit-identical to the scalar tier.
+ * kernels_avx2.cpp at W = 8 and kernels_avx512.cpp at W = 16 (the
+ * paper's systolic arrays likewise take the PE count as a parameter).
+ * `SimdKernels<Isa>` holds the banded-SW diagonal policy with its
+ * row-major-first best reduction, the ungapped x-drop kernel with its
+ * block prefix-sum/prefix-max, and the GACT-X diagonal policy (full and
+ * score-only). Every lane op is exact integer arithmetic, so each
+ * instantiation is bit-identical to the scalar tier.
  *
  * The Isa shim supplies the four operations plain vector code would
  * scalarise through general-purpose registers:
@@ -16,7 +17,13 @@
  *     static V widen(const std::uint8_t* p);     // p[0..W) -> int32 lanes
  *     static unsigned bits(V mask);              // lane k's sign -> bit k
  *     static void store_codes(std::uint8_t* p, V code);  // low bytes
- *     static V gather(const Score* sub, V idx);  // lane k = sub[idx[k]]
+ *     struct Lut {                               // substitution lookup
+ *         explicit Lut(const Score* sub);        // flattened 5x5 matrix
+ *         V operator()(V idx) const;             // lane k = sub[idx[k]]
+ *     };
+ *
+ * A Lut is built once per kernel call, so a tier can hold the matrix in
+ * registers (AVX-512) or keep the pointer for a gather (AVX2, SSE4.2).
  *
  * Linkage contract. An ISA TU defines DARWIN_SIMD_TARGET (a
  * `#pragma GCC target` string) and includes this header first. All
@@ -65,6 +72,7 @@ namespace {
 template <class Isa>
 struct SimdKernels {
     using V = typename Isa::V;
+    using Lut = typename Isa::Lut;
     static constexpr std::size_t W = sizeof(V) / sizeof(Score);
 
     static V splat(Score s) { return V{} + s; }
@@ -130,9 +138,9 @@ struct SimdKernels {
 
     /** Substitution scores of W (target, query) code pairs. */
     static V
-    subs(V tc, V qc, const Score* sub)
+    subs(V tc, V qc, const Lut& sub)
     {
-        return Isa::gather(sub, tc * seq::kNumCodes + qc);
+        return sub(tc * seq::kNumCodes + qc);
     }
 
     /** Horizontal max: log2(W) lane-swap steps (S = W/2, ..., 1). */
@@ -155,9 +163,10 @@ struct SimdKernels {
      */
     struct Bsw {
         V vopen, vext;
+        Lut sub;
 
         explicit Bsw(const BswDiagCtx& c)
-            : vopen(splat(c.open)), vext(splat(c.extend))
+            : vopen(splat(c.open)), vext(splat(c.extend)), sub(c.sub)
         {
         }
 
@@ -171,7 +180,7 @@ struct SimdKernels {
             std::size_t i = lo;
             for (; i + W <= hi + 1; i += W, tend -= W) {
                 const V subv = subs(reverse(Isa::widen(tend - W)),
-                                    Isa::widen(c.q + (i - 1)), c.sub);
+                                    Isa::widen(c.q + (i - 1)), sub);
                 const V h = max(load(c.vd1 + i) - vopen,
                                 load(c.hd1 + i) - vext);
                 const V g = max(load(c.vd1 + i - 1) - vopen,
@@ -215,7 +224,7 @@ struct SimdKernels {
     }
 
     /**
-     * Ungapped x-drop extension. Substitution scores are gathered in
+     * Ungapped x-drop extension. Substitution scores are looked up in
      * W-cell blocks and the scalar run/best/break chain is evaluated
      * in-register: P[b] = running score after cell b (prefix sum plus
      * the incoming run), and with M the prefix max of P, the best
@@ -237,6 +246,7 @@ struct SimdKernels {
 
         UngappedResult out;
         const Score* sub = scoring.matrix.front().data();
+        const Lut lut(sub);
         const std::uint8_t* tb = target.data();
         const std::uint8_t* qb = query.data();
 
@@ -247,7 +257,7 @@ struct SimdKernels {
             V acc{};
             for (; k + W <= seed_len; k += W)
                 acc += subs(Isa::widen(tb + seed_t + k),
-                            Isa::widen(qb + seed_q + k), sub);
+                            Isa::widen(qb + seed_q + k), lut);
             for (std::size_t b = 0; b < W; ++b)
                 seed_score += acc[b];
             for (; k < seed_len; ++k)
@@ -312,7 +322,7 @@ struct SimdKernels {
                      query.size() - (seed_q + seed_len)),
             [&](std::size_t len) {
                 return subs(Isa::widen(te + len), Isa::widen(qe + len),
-                            sub);
+                            lut);
             },
             [&](std::size_t len) {
                 return sub[te[len] * seq::kNumCodes + qe[len]];
@@ -324,7 +334,7 @@ struct SimdKernels {
             [&](std::size_t len) {
                 return subs(reverse(Isa::widen(tb + seed_t - len - W)),
                             reverse(Isa::widen(qb + seed_q - len - W)),
-                            sub);
+                            lut);
             },
             [&](std::size_t len) {
                 return sub[tb[seed_t - len - 1] * seq::kNumCodes +
@@ -355,9 +365,10 @@ struct SimdKernels {
     template <bool kScoreOnly>
     struct GactX {
         V vopen, vext;
+        Lut sub;
 
         explicit GactX(const GactXDiagCtx& c)
-            : vopen(splat(c.open)), vext(splat(c.extend))
+            : vopen(splat(c.open)), vext(splat(c.extend)), sub(c.sub)
         {
         }
 
@@ -375,7 +386,7 @@ struct SimdKernels {
                  r += W, tend -= W, cmend -= W, cbend -= W) {
                 const std::size_t s = r + 1;
                 const V subv = subs(reverse(Isa::widen(tend - W)),
-                                    Isa::widen(c.q + r), c.sub);
+                                    Isa::widen(c.q + r), sub);
                 const V h_open = load(c.vd1 + s) - vopen;
                 const V h_ext = load(c.hd1 + s) - vext;
                 const V h = max(h_open, h_ext);

@@ -13,7 +13,8 @@
  * kernel plus the row-major reference, asserting the *entire* BswResult
  * (max score, xmax cell, cells_computed) matches the naive matrix.
  * The ungapped x-drop kernels are diffed against the scalar kernel the
- * same way.
+ * same way. One sweep repeats all of it under an asymmetric matrix with
+ * 25 distinct entries, so each tier's substitution index order shows.
  *
  * The GACT-X extension kernels get the same treatment: the seed
  * column-serial stripe engine survives as `gactx_reference_align`, and
@@ -300,10 +301,11 @@ TEST(KernelDiff, VectorKernelsActuallyRegistered)
     // build actually registered the SIMD kernels on x86 CI hosts.
 #if defined(__x86_64__)
     const auto& kernels = KernelRegistry::instance().kernels();
-    ASSERT_EQ(kernels.size(), 3u);
+    ASSERT_EQ(kernels.size(), 4u);
     EXPECT_TRUE(kernels[0].usable());  // scalar, always
     EXPECT_TRUE(kernels[1].compiled);
     EXPECT_TRUE(kernels[2].compiled);
+    EXPECT_TRUE(kernels[3].compiled);
     for (const KernelImpl& k : kernels) {
         if (k.usable()) {
             EXPECT_NE(k.gactx, nullptr) << k.name;
@@ -623,6 +625,90 @@ TEST(GactXKernelDiff, DegenerateSpans)
         params.ydrop = 1;  // boundary row dies at the first gap column
         expect_gactx_identical(sp(t), sp(q), params, "ydrop=1");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Substitution index order, for every tier and kernel family.
+// ---------------------------------------------------------------------------
+
+/**
+ * A matrix whose 25 entries are all distinct, with an asymmetric
+ * off-diagonal. A lookup that swaps target and query (q * 5 + t), or
+ * mixes up the two halves of a table split in registers, scores
+ * differently here; the shipped paper and unit matrices are symmetric
+ * and hide both mistakes.
+ */
+ScoringParams
+asymmetric_scoring()
+{
+    ScoringParams scoring;
+    const Score diag[seq::kNumCodes] = {91, 100, 95, 87, -3};
+    for (std::size_t t = 0; t < seq::kNumCodes; ++t)
+        for (std::size_t q = 0; q < seq::kNumCodes; ++q)
+            scoring.matrix[t][q] =
+                t == q ? diag[t] : -static_cast<Score>(31 + 13 * t + 5 * q);
+    scoring.gap_open = 90;
+    scoring.gap_extend = 20;
+    return scoring;
+}
+
+TEST(KernelDiff, AsymmetricMatrixSweep)
+{
+    const ScoringParams scoring = asymmetric_scoring();
+    std::vector<Score> entries(scoring.matrix.front().begin(),
+                               scoring.matrix.back().end());
+    std::sort(entries.begin(), entries.end());
+    ASSERT_EQ(std::unique(entries.begin(), entries.end()), entries.end());
+    ASSERT_NE(scoring.substitution(0, 4), scoring.substitution(4, 0));
+
+    GactXParams params;
+    params.scoring = scoring;
+    params.ydrop = 600;
+    Rng rng(1313);
+    int scored = 0;  // tiles with a positive GACT-X maximum
+    for (int rep = 0; rep < 120; ++rep) {
+        // All five codes, N included, so every table entry is read.
+        const auto t = random_codes(150, 5, rng);
+        const auto q = rep % 2 == 0 ? mutated_copy(t, 0.2, 0.02, rng)
+                                    : random_codes(141, 5, rng);
+        const std::string context = "asymmetric rep=" + std::to_string(rep);
+
+        for (const std::size_t band : {8u, 33u})
+            expect_bsw_identical(sp(t), sp(q), scoring, band, context);
+
+        const std::size_t seed_len = rep % 3 == 0 ? 0 : 12;
+        const std::size_t seed_t = rng.uniform(
+            static_cast<std::uint32_t>(t.size() - seed_len));
+        const std::size_t seed_q = rng.uniform(
+            static_cast<std::uint32_t>(q.size() - seed_len));
+        const UngappedResult ungapped = kernels::ungapped_xdrop_scalar(
+            sp(t), sp(q), seed_t, seed_q, seed_len, scoring, 300);
+        for (const KernelImpl& k : KernelRegistry::instance().kernels()) {
+            if (!k.usable())
+                continue;
+            EXPECT_TRUE(k.ungapped(sp(t), sp(q), seed_t, seed_q, seed_len,
+                                   scoring, 300) == ungapped)
+                << k.name << " ungapped " << context;
+        }
+
+        params.num_pe = rep % 3 == 0 ? 7 : 32;
+        expect_gactx_identical(sp(t), sp(q), params, context);
+        const TileResult ref = kernels::gactx_reference_align(sp(t), sp(q),
+                                                              params);
+        scored += ref.max_score > 0;
+        for (const KernelImpl& k : KernelRegistry::instance().kernels()) {
+            if (!k.usable())
+                continue;
+            const TileResult probe = k.gactx_score_only(sp(t), sp(q), params);
+            const std::string what =
+                describe(std::string(k.name) + " score-only", context, params);
+            EXPECT_EQ(probe.max_score, ref.max_score) << what;
+            EXPECT_EQ(probe.target_max, ref.target_max) << what;
+            EXPECT_EQ(probe.query_max, ref.query_max) << what;
+            EXPECT_EQ(probe.cells_computed, ref.cells_computed) << what;
+        }
+    }
+    EXPECT_GT(scored, 60);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
  * Property tests for the kernel dispatch registry: DARWIN_KERNEL name
- * parsing, selection state, and the end-to-end guarantee that every
- * usable tier (scalar, sse42, avx2, and auto) runs WgaPipeline to a
- * byte-identical MAF with reconciling wga.filter.* and wga.extend.*
- * counters, under both the darwin (BSW filter) and lastz (ungapped
- * filter) presets.
+ * parsing, the tier table (0 scalar, 1 sse42, 2 avx2, 3 avx512) as the
+ * running CPU and a CPU without AVX-512 see it, selection state, and the
+ * end-to-end guarantee that every usable tier (scalar, sse42, avx2,
+ * avx512, and auto) runs WgaPipeline to a byte-identical MAF with
+ * reconciling wga.filter.* and wga.extend.* counters, under both the
+ * darwin (BSW filter) and lastz (ungapped filter) presets.
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "align/kernels/bsw_kernels.h"
+#include "align/kernels/cpu_features.h"
 #include "align/kernels/kernel_registry.h"
 #include "obs/metrics.h"
 #include "synth/species.h"
@@ -34,7 +36,7 @@ struct SelectionGuard {
 TEST(KernelRegistry, TableIsStable)
 {
     const auto& kernels = KernelRegistry::instance().kernels();
-    ASSERT_EQ(kernels.size(), 3u);
+    ASSERT_EQ(kernels.size(), 4u);
     EXPECT_EQ(kernels[0].id, 0);
     EXPECT_STREQ(kernels[0].name, "scalar");
     EXPECT_TRUE(kernels[0].usable());
@@ -42,6 +44,51 @@ TEST(KernelRegistry, TableIsStable)
     EXPECT_STREQ(kernels[1].name, "sse42");
     EXPECT_EQ(kernels[2].id, 2);
     EXPECT_STREQ(kernels[2].name, "avx2");
+    EXPECT_EQ(kernels[3].id, 3);
+    EXPECT_STREQ(kernels[3].name, "avx512");
+}
+
+TEST(KernelRegistry, AutoResolvesToAvx512WhereUsable)
+{
+    SelectionGuard guard;
+    auto& registry = KernelRegistry::instance();
+    registry.select("auto");
+    const KernelImpl* avx512 = registry.find("avx512");
+    ASSERT_NE(avx512, nullptr);
+    if (!avx512->usable())
+        GTEST_SKIP() << "avx512 is not usable on this build/CPU";
+    EXPECT_STREQ(registry.active().name, "avx512");
+    EXPECT_EQ(registry.active().id, 3);
+}
+
+TEST(KernelRegistry, Avx512OnCpuWithoutItIsTaggedFatal)
+{
+    // The table of an AVX2-only CPU: same rows, avx512 not usable, auto
+    // stops at avx2 (or lower where the build lacks the SIMD tiers).
+    KernelRegistry registry(CpuFeatures{.sse42 = true, .avx2 = true});
+    ASSERT_EQ(registry.kernels().size(), 4u);
+    const KernelImpl& avx512 = registry.kernels()[3];
+    EXPECT_STREQ(avx512.name, "avx512");
+    EXPECT_FALSE(avx512.cpu_ok);
+    EXPECT_FALSE(avx512.usable());
+    EXPECT_LT(registry.active().id, 3);
+    if (registry.kernels()[2].usable()) {
+        EXPECT_STREQ(registry.active().name, "avx2");
+    }
+    try {
+        registry.select("avx512");  // same path DARWIN_KERNEL takes
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("DARWIN_KERNEL: kernel 'avx512' is not"),
+                  std::string::npos)
+            << msg;
+        if (avx512.compiled) {
+            EXPECT_NE(msg.find("not supported by this CPU"), std::string::npos)
+                << msg;
+        }
+    }
+    EXPECT_LT(registry.active().id, 3);
 }
 
 TEST(KernelRegistry, SelectByNameAndAuto)
