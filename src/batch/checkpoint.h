@@ -19,6 +19,8 @@
  * (tmp + rename), and the journal line is appended and flushed only
  * after the rename — so a journaled pair always has its final output on
  * disk, and a crash between the two leaves at worst a re-runnable pair.
+ * A crash inside the append leaves a last line without its newline: a
+ * torn record, which resume() drops (its pair reruns) and fsck reports.
  */
 #ifndef DARWIN_BATCH_CHECKPOINT_H
 #define DARWIN_BATCH_CHECKPOINT_H
@@ -28,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +45,19 @@ struct JournalEntry {
     std::string reason;  ///< fail_reason_name, for quarantined pairs
     std::string output;  ///< output filename (relative), when any
 };
+
+/** One decoded journal line: the header, or one pair's entry. */
+struct JournalLine {
+    bool header = false;
+    std::string config;  ///< the header's config fingerprint
+    JournalEntry entry;  ///< an entry line's record
+};
+
+/** Decode one journal line; the one owner of the journal schema, shared
+ *  by resume() and fsck. FatalError on malformed JSON or a line outside
+ *  the schema (header tag, version 1, 16-hex fingerprint; entry pair id
+ *  and status name). */
+JournalLine parse_journal_line(std::string_view line);
 
 /**
  * Stable fingerprint of everything that shapes a run's output: the
@@ -67,7 +83,8 @@ class CheckpointJournal {
      * Reopen an existing journal for `--resume`: validates the header
      * fingerprint (FatalError naming both fingerprints on mismatch; a
      * missing file FatalErrors with a hint to run without --resume) and
-     * loads the completed set, then reopens for append.
+     * loads the completed set, then reopens for append, cutting a torn
+     * last line off first. Other malformed lines name `path:line`.
      */
     static CheckpointJournal resume(const std::string& path,
                                     const std::string& fingerprint);

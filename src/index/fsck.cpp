@@ -1,9 +1,9 @@
 #include "index/fsck.h"
 
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 
+#include "batch/checkpoint.h"
 #include "fault/cancel.h"
 #include "index/index_io.h"
 #include "seq/packed_io.h"
@@ -13,22 +13,6 @@
 namespace darwin::index {
 
 namespace {
-
-/** Non-escaping `"key":"value"` scan — exact for the journal format,
- *  whose writer quotes only names validated to exclude specials. */
-std::string
-json_field(const std::string& line, const std::string& key)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const auto at = line.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const auto begin = at + needle.size();
-    const auto end = line.find('"', begin);
-    if (end == std::string::npos)
-        return "";
-    return line.substr(begin, end - begin);
-}
 
 /**
  * The O(positions) table checks the loaders leave out: within each
@@ -99,87 +83,51 @@ check_packed(const std::string& path, std::vector<FsckFinding>* findings)
     }
 }
 
+/**
+ * Runs every line through batch::parse_journal_line and checks that each
+ * journaled output exists (its line is written after the rename, so a
+ * missing one means a torn artifact set). False, with no findings, when
+ * the first line is not a journal header.
+ */
 bool
-is_hex(const std::string& text)
+check_journal(const std::string& path, std::vector<FsckFinding>* findings)
 {
-    if (text.empty())
-        return false;
-    for (const char c : text) {
-        if (std::isxdigit(static_cast<unsigned char>(c)) == 0)
-            return false;
-    }
-    return true;
-}
-
-void
-check_journal(const std::string& path,
-              std::vector<FsckFinding>* findings)
-{
-    std::ifstream in(path);
-    if (!in) {
-        findings->push_back({path, "bad-journal", "cannot open"});
-        return;
-    }
+    std::ifstream in(path, std::ios::binary);
     std::string line;
-    std::getline(in, line);  // header, already sniffed by the caller
-    const std::string config = json_field(line, "config");
-    if (!is_hex(config) || config.size() != 16) {
-        findings->push_back(
-            {path, "bad-journal",
-             strprintf("header carries a malformed config fingerprint "
-                       "'%s'",
-                       config.c_str())});
+    try {
+        if (!std::getline(in, line) ||
+            !batch::parse_journal_line(line).header)
+            return false;
+    } catch (const FatalError&) {
+        return false;
     }
-    std::size_t line_no = 1;
-    while (std::getline(in, line)) {
-        ++line_no;
+    const auto dir = std::filesystem::path(path).parent_path();
+    for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
         if (trim(line).empty())
             continue;
-        if (json_field(line, "pair").empty()) {
+        const auto report = [&](const std::string& detail) {
             findings->push_back(
                 {path, "bad-journal",
-                 strprintf("line %zu: entry without a pair id",
-                           line_no)});
+                 strprintf("line %zu: %s", line_no, detail.c_str())});
+        };
+        batch::JournalLine parsed;
+        try {
+            parsed = batch::parse_journal_line(line);
+        } catch (const FatalError& error) {
+            report(in.eof() ? "torn last line (no newline); --resume "
+                              "drops it and reruns its pair"
+                            : error.what());
             continue;
         }
-        const std::string status = json_field(line, "status");
-        if (status != "clean" && status != "degraded" &&
-            status != "quarantined") {
-            findings->push_back(
-                {path, "bad-journal",
-                 strprintf("line %zu: unknown status '%s'", line_no,
-                           status.c_str())});
-            continue;
-        }
-        // A journaled output must exist: the journal line is written
-        // only after the output's rename, so a missing file means the
-        // artifact set is torn.
-        const std::string output = json_field(line, "output");
-        if (!output.empty()) {
-            const auto dir =
-                std::filesystem::path(path).parent_path();
-            std::error_code ec;
-            if (!std::filesystem::exists(dir / output, ec)) {
-                findings->push_back(
-                    {path, "bad-journal",
-                     strprintf("line %zu: journaled output '%s' is "
-                               "missing",
-                               line_no, output.c_str())});
-            }
-        }
+        std::error_code ec;
+        if (parsed.header)
+            report("a second journal header");
+        else if (!parsed.entry.output.empty() &&
+                 !std::filesystem::exists(dir / parsed.entry.output, ec))
+            report(strprintf("journaled output '%s' is missing",
+                             parsed.entry.output.c_str()));
     }
-}
-
-bool
-is_journal_file(const std::string& path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    return json_field(line, "journal") == "darwin-wga-batch";
+    return true;
 }
 
 }  // namespace
@@ -205,9 +153,8 @@ fsck_file(const std::string& path, std::string* kind)
     } else if (seq::is_packed_file(path)) {
         detected = "packed-genome";
         check_packed(path, &findings);
-    } else if (is_journal_file(path)) {
+    } else if (check_journal(path, &findings)) {
         detected = "journal";
-        check_journal(path, &findings);
     } else {
         findings.push_back(
             {path, "unknown-type",

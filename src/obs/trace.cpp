@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <utility>
 
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -184,255 +184,58 @@ ManualSpan::~ManualSpan()
     end();
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader for the writer's output subset (objects, arrays,
-// strings with backslash escapes, integer/float numbers, literals).
-
 namespace {
 
-struct JsonValue {
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> items;
-    std::map<std::string, JsonValue> members;
-};
-
-class JsonReader {
-  public:
-    explicit JsonReader(const std::string& text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue value = parse_value();
-        skip_space();
-        if (pos_ != text_.size())
-            fail("trailing content");
-        return value;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const char* what) const
-    {
-        fatal(strprintf("trace JSON parse error at offset %zu: %s", pos_,
-                        what));
-    }
-
-    void
-    skip_space()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skip_space();
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail("unexpected character");
-        ++pos_;
-    }
-
-    JsonValue
-    parse_value()
-    {
-        switch (peek()) {
-          case '{': return parse_object();
-          case '[': return parse_array();
-          case '"': return parse_string();
-          case 't':
-          case 'f':
-          case 'n': return parse_literal();
-          default:  return parse_number();
-        }
-    }
-
-    JsonValue
-    parse_object()
-    {
-        expect('{');
-        JsonValue out;
-        out.kind = JsonValue::Kind::Object;
-        if (peek() == '}') {
-            ++pos_;
-            return out;
-        }
-        while (true) {
-            JsonValue key = parse_string();
-            expect(':');
-            out.members[key.text] = parse_value();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return out;
-        }
-    }
-
-    JsonValue
-    parse_array()
-    {
-        expect('[');
-        JsonValue out;
-        out.kind = JsonValue::Kind::Array;
-        if (peek() == ']') {
-            ++pos_;
-            return out;
-        }
-        while (true) {
-            out.items.push_back(parse_value());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return out;
-        }
-    }
-
-    JsonValue
-    parse_string()
-    {
-        expect('"');
-        JsonValue out;
-        out.kind = JsonValue::Kind::String;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.text.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out.text.push_back('"'); break;
-              case '\\': out.text.push_back('\\'); break;
-              case '/':  out.text.push_back('/'); break;
-              case 'n':  out.text.push_back('\n'); break;
-              case 't':  out.text.push_back('\t'); break;
-              case 'r':  out.text.push_back('\r'); break;
-              case 'b':  out.text.push_back('\b'); break;
-              case 'f':  out.text.push_back('\f'); break;
-              case 'u':
-                // The writer only emits \u00XX control escapes.
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                out.text.push_back(static_cast<char>(
-                    std::stoi(text_.substr(pos_, 4), nullptr, 16)));
-                pos_ += 4;
-                break;
-              default: fail("unsupported escape");
-            }
-        }
-    }
-
-    JsonValue
-    parse_literal()
-    {
-        JsonValue out;
-        auto match = [&](const char* word) {
-            const std::size_t n = std::string(word).size();
-            if (text_.compare(pos_, n, word) != 0)
-                fail("bad literal");
-            pos_ += n;
-        };
-        if (text_[pos_] == 't') {
-            match("true");
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-        } else if (text_[pos_] == 'f') {
-            match("false");
-            out.kind = JsonValue::Kind::Bool;
-        } else {
-            match("null");
-        }
-        return out;
-    }
-
-    JsonValue
-    parse_number()
-    {
-        const std::size_t begin = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (begin == pos_)
-            fail("expected a number");
-        JsonValue out;
-        out.kind = JsonValue::Kind::Number;
-        out.number = std::stod(text_.substr(begin, pos_ - begin));
-        return out;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-const JsonValue*
-find_member(const JsonValue& object, const std::string& key)
+/** A trace number as T; FatalError when it is not an integer in range. */
+template <class T>
+T
+trace_integer(const json::Value& value, const std::string& field)
 {
-    const auto it = object.members.find(key);
-    return it == object.members.end() ? nullptr : &it->second;
+    const std::optional<T> number = json::as_integer<T>(value);
+    if (!number)
+        fatal(strprintf("trace JSON: '%s' is not an integer in range",
+                        field.c_str()));
+    return *number;
 }
 
 }  // namespace
 
 std::vector<TraceEvent>
-parse_trace_events(const std::string& json)
+parse_trace_events(const std::string& text)
 {
-    const JsonValue root = JsonReader(json).parse();
-    if (root.kind != JsonValue::Kind::Object)
-        fatal("trace JSON: root is not an object");
-    const JsonValue* events = find_member(root, "traceEvents");
-    if (events == nullptr || events->kind != JsonValue::Kind::Array)
+    json::Value root;
+    try {
+        root = json::parse(text);
+    } catch (const json::ParseError& error) {
+        fatal(strprintf("trace JSON parse error at %s", error.what()));
+    }
+    const json::Value* events = root.find("traceEvents");
+    if (events == nullptr || events->kind != json::Value::Kind::Array)
         fatal("trace JSON: missing traceEvents array");
 
     std::vector<TraceEvent> out;
-    for (const JsonValue& item : events->items) {
-        if (item.kind != JsonValue::Kind::Object)
+    for (const json::Value& item : events->items) {
+        if (item.kind != json::Value::Kind::Object)
             fatal("trace JSON: event is not an object");
-        const JsonValue* ph = find_member(item, "ph");
-        if (ph == nullptr || ph->text != "X")
+        const json::Value* ph = item.find("ph");
+        if (ph == nullptr || ph->string != "X")
             continue;  // metadata or non-span record
         TraceEvent event;
-        if (const JsonValue* v = find_member(item, "name"))
-            event.name = v->text;
-        if (const JsonValue* v = find_member(item, "cat"))
-            event.category = v->text;
-        if (const JsonValue* v = find_member(item, "tid"))
-            event.tid = static_cast<std::uint32_t>(v->number);
-        if (const JsonValue* v = find_member(item, "ts"))
-            event.start_us = static_cast<std::int64_t>(v->number);
-        if (const JsonValue* v = find_member(item, "dur"))
-            event.duration_us = static_cast<std::int64_t>(v->number);
-        if (const JsonValue* args = find_member(item, "args")) {
-            for (const auto& [key, value] : args->members) {
-                event.args.push_back(TraceArg{
-                    key, static_cast<std::int64_t>(value.number)});
-            }
+        for (const auto& [key, value] : item.members) {
+            if (key == "name")
+                event.name = value.string;
+            else if (key == "cat")
+                event.category = value.string;
+            else if (key == "tid")
+                event.tid = trace_integer<std::uint32_t>(value, key);
+            else if (key == "ts")
+                event.start_us = trace_integer<std::int64_t>(value, key);
+            else if (key == "dur")
+                event.duration_us = trace_integer<std::int64_t>(value, key);
+            else if (key == "args")
+                for (const auto& [name, arg] : value.members)
+                    event.args.push_back(TraceArg{
+                        name, trace_integer<std::int64_t>(arg, name)});
         }
         out.push_back(std::move(event));
     }

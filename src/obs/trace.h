@@ -181,11 +181,12 @@ class RequestTag {
 
 /**
  * Parse a trace produced by write_chrome_json back into spans (metadata
- * records are skipped). Understands the subset of JSON the writer emits;
- * throws FatalError on malformed input. Used by tests and by external
- * tooling that post-processes traces.
+ * records are skipped). The text goes through util/json.h; malformed
+ * JSON, an event that is not an object, or a tid/ts/dur/args value that
+ * is not an integer in its field's range throws FatalError. Used by
+ * tests and by external tooling that post-processes traces.
  */
-std::vector<TraceEvent> parse_trace_events(const std::string& json);
+std::vector<TraceEvent> parse_trace_events(const std::string& text);
 
 }  // namespace darwin::obs
 

@@ -1,293 +1,64 @@
 #include "serve/protocol.h"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
+#include <algorithm>
+#include <iterator>
 
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace darwin::serve {
 
 namespace {
 
-/** A decoded flat-JSON value (objects recurse one level for budget). */
-struct Value {
-    enum class Kind { String, Number, Bool, Null, Object };
-    Kind kind = Kind::Null;
-    std::string string;
-    double number = 0.0;
-    bool boolean = false;
-    std::vector<std::pair<std::string, Value>> object;
-};
+using json::Value;
 
-/** Recursive-descent cursor over one request line. */
-class Parser {
-  public:
-    explicit Parser(const std::string& text) : text_(text) {}
-
-    Value
-    parse_top()
-    {
-        skip_ws();
-        Value value = parse_value(0);
-        skip_ws();
-        if (pos_ != text_.size())
-            fail("trailing characters after the JSON object");
-        if (value.kind != Value::Kind::Object)
-            fail("request must be a JSON object");
-        return value;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string& what)
-    {
-        throw ProtocolError(strprintf("offset %zu: %s", pos_,
-                                      what.c_str()));
-    }
-
-    void
-    skip_ws()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(strprintf("expected '%c'", c));
-        ++pos_;
-    }
-
-    bool
-    consume_literal(const char* literal)
-    {
-        const std::size_t n = std::char_traits<char>::length(literal);
-        if (text_.compare(pos_, n, literal) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    Value
-    parse_value(int depth)
-    {
-        skip_ws();
-        const char c = peek();
-        if (c == '{')
-            return parse_object(depth);
-        if (c == '"')
-            return parse_string();
-        if (c == 't' || c == 'f')
-            return parse_bool();
-        if (c == 'n') {
-            if (!consume_literal("null"))
-                fail("bad literal");
-            return Value{};
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return parse_number();
-        fail("arrays and other value types are not part of the "
-             "protocol");
-    }
-
-    Value
-    parse_object(int depth)
-    {
-        if (depth > 1)
-            fail("objects nest at most one level (the budget field)");
-        expect('{');
-        Value value;
-        value.kind = Value::Kind::Object;
-        skip_ws();
-        if (peek() == '}') {
-            ++pos_;
-            return value;
-        }
-        while (true) {
-            skip_ws();
-            Value key = parse_string();
-            skip_ws();
-            expect(':');
-            Value item = parse_value(depth + 1);
-            value.object.emplace_back(std::move(key.string),
-                                      std::move(item));
-            skip_ws();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return value;
-        }
-    }
-
-    Value
-    parse_string()
-    {
-        expect('"');
-        Value value;
-        value.kind = Value::Kind::String;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
-                return value;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("unescaped control character in string");
-            if (c != '\\') {
-                value.string.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-            case '"': value.string.push_back('"'); break;
-            case '\\': value.string.push_back('\\'); break;
-            case '/': value.string.push_back('/'); break;
-            case 'b': value.string.push_back('\b'); break;
-            case 'f': value.string.push_back('\f'); break;
-            case 'n': value.string.push_back('\n'); break;
-            case 'r': value.string.push_back('\r'); break;
-            case 't': value.string.push_back('\t'); break;
-            case 'u': {
-                // Paths and ids are ASCII in practice; decode the BMP
-                // escape to a byte when it fits, reject otherwise.
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape digit");
-                }
-                if (code > 0x7f)
-                    fail("non-ASCII \\u escapes are not supported");
-                value.string.push_back(static_cast<char>(code));
-                break;
-            }
-            default: fail("unknown escape");
-            }
-        }
-    }
-
-    Value
-    parse_bool()
-    {
-        Value value;
-        value.kind = Value::Kind::Bool;
-        if (consume_literal("true")) {
-            value.boolean = true;
-            return value;
-        }
-        if (consume_literal("false")) {
-            value.boolean = false;
-            return value;
-        }
-        fail("bad literal");
-    }
-
-    Value
-    parse_number()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        Value value;
-        value.kind = Value::Kind::Number;
-        const char* first = text_.data() + start;
-        const char* last = text_.data() + pos_;
-        const auto [end, err] =
-            std::from_chars(first, last, value.number);
-        if (err != std::errc{} || end != last)
-            fail("malformed number");
-        return value;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
+/** Field `key` when present and not null; ProtocolError when it is not
+ *  of `kind` (`what` names the kind). */
 const Value*
-find(const Value& object, const std::string& key)
+field(const Value& object, const char* key, Value::Kind kind,
+      const char* what)
 {
-    for (const auto& [k, v] : object.object)
-        if (k == key)
-            return &v;
-    return nullptr;
+    const Value* value = object.find(key);
+    if (value == nullptr || value->kind == Value::Kind::Null)
+        return nullptr;
+    if (value->kind != kind)
+        throw ProtocolError(strprintf("field '%s' must be %s", key, what));
+    return value;
 }
 
 std::string
-get_string(const Value& object, const std::string& key,
+get_string(const Value& object, const char* key,
            const std::string& fallback = {})
 {
-    const Value* value = find(object, key);
-    if (value == nullptr || value->kind == Value::Kind::Null)
-        return fallback;
-    if (value->kind != Value::Kind::String)
-        throw ProtocolError(strprintf("field '%s' must be a string",
-                                      key.c_str()));
-    return value->string;
+    const Value* value = field(object, key, Value::Kind::String, "a string");
+    return value != nullptr ? value->string : fallback;
 }
 
 bool
-get_bool(const Value& object, const std::string& key, bool fallback)
+get_bool(const Value& object, const char* key, bool fallback)
 {
-    const Value* value = find(object, key);
-    if (value == nullptr || value->kind == Value::Kind::Null)
-        return fallback;
-    if (value->kind != Value::Kind::Bool)
-        throw ProtocolError(strprintf("field '%s' must be a boolean",
-                                      key.c_str()));
-    return value->boolean;
+    const Value* value = field(object, key, Value::Kind::Bool, "a boolean");
+    return value != nullptr ? value->boolean : fallback;
 }
 
 double
-get_number(const Value& object, const std::string& key, double fallback)
+get_number(const Value& object, const char* key, double fallback)
 {
-    const Value* value = find(object, key);
-    if (value == nullptr || value->kind == Value::Kind::Null)
-        return fallback;
-    if (value->kind != Value::Kind::Number)
-        throw ProtocolError(strprintf("field '%s' must be a number",
-                                      key.c_str()));
-    return value->number;
+    const Value* value = field(object, key, Value::Kind::Number, "a number");
+    return value != nullptr ? value->number : fallback;
 }
 
 std::uint64_t
-get_count(const Value& object, const std::string& key)
+get_count(const Value& object, const char* key)
 {
-    const double number = get_number(object, key, 0.0);
-    if (number < 0.0 || number != std::floor(number))
+    const Value* value = object.find(key);
+    if (value == nullptr || value->kind == Value::Kind::Null)
+        return 0;
+    const auto count = json::as_integer<std::uint64_t>(*value);
+    if (!count)
         throw ProtocolError(strprintf(
-            "field '%s' must be a non-negative integer", key.c_str()));
-    return static_cast<std::uint64_t>(number);
+            "field '%s' must be a non-negative integer below 2^64", key));
+    return *count;
 }
 
 }  // namespace
@@ -309,11 +80,16 @@ op_name(Op op)
 Request
 parse_request(const std::string& line)
 {
-    const Value root = Parser(line).parse_top();
+    Value root;
+    try {
+        root = json::parse(line);
+    } catch (const json::ParseError& error) {
+        throw ProtocolError(error.what());
+    }
 
     Request request;
     // ids may arrive as strings or numbers; keep the rendered text.
-    if (const Value* id = find(root, "id")) {
+    if (const Value* id = root.find("id")) {
         if (id->kind == Value::Kind::String)
             request.id = id->string;
         else if (id->kind == Value::Kind::Number)
@@ -323,22 +99,15 @@ parse_request(const std::string& line)
     }
 
     const std::string op = get_string(root, "op");
-    if (op == "ping")
-        request.op = Op::Ping;
-    else if (op == "status")
-        request.op = Op::Status;
-    else if (op == "stats")
-        request.op = Op::Stats;
-    else if (op == "dump_trace")
-        request.op = Op::DumpTrace;
-    else if (op == "align")
-        request.op = Op::Align;
-    else if (op == "shutdown")
-        request.op = Op::Shutdown;
-    else if (op.empty())
+    if (op.empty())
         throw ProtocolError("missing 'op' field");
-    else
+    const Op ops[] = {Op::Ping, Op::Status, Op::Stats,
+                      Op::DumpTrace, Op::Align, Op::Shutdown};
+    const Op* known = std::find_if(std::begin(ops), std::end(ops),
+                                   [&op](Op o) { return op == op_name(o); });
+    if (known == std::end(ops))
         throw ProtocolError(strprintf("unknown op '%s'", op.c_str()));
+    request.op = *known;
 
     if (request.op == Op::DumpTrace) {
         request.out = get_string(root, "out");
@@ -361,7 +130,7 @@ parse_request(const std::string& line)
         if (request.preset != "darwin" && request.preset != "lastz")
             throw ProtocolError(strprintf("unknown preset '%s'",
                                           request.preset.c_str()));
-        if (const Value* budget = find(root, "budget")) {
+        if (const Value* budget = root.find("budget")) {
             if (budget->kind != Value::Kind::Object)
                 throw ProtocolError("field 'budget' must be an object");
             request.budget.wall_seconds =

@@ -41,14 +41,15 @@
  * daemon's circuit breaker is open carry "degraded": true and used the
  * narrowed fault/degrade.h parameters.
  *
- * The parser here is deliberately minimal — flat JSON objects with
- * string/number/bool/null values plus one nested object for `budget`.
- * It exists because the repo carries no JSON dependency; it is not a
- * general JSON library.
+ * Lines parse through util/json.h, the reader every JSON format in the
+ * project shares. Unknown fields of any type are ignored (forward
+ * compatibility); a known field holding the wrong type, or a count that
+ * is not an integer in range, is a ProtocolError.
  */
 #ifndef DARWIN_SERVE_PROTOCOL_H
 #define DARWIN_SERVE_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,11 @@
 #include "fault/cancel.h"
 
 namespace darwin::serve {
+
+/** Longest request line the transports buffer; requests are well under
+ *  1 KiB. A longer line is answered "bad_request" and discarded through
+ *  its newline, so a client that never sends one cannot grow memory. */
+inline constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 /** Malformed request line; the server answers status "error",
  *  reason "bad_request" instead of dying. */
@@ -101,9 +107,9 @@ struct Request {
 };
 
 /**
- * Parse one request line. Throws ProtocolError on malformed JSON, an
- * unknown op, or a value of the wrong type; unknown keys are ignored
- * (forward compatibility).
+ * Parse one request line. Throws ProtocolError on malformed JSON (with
+ * the json::ParseError's "offset N: ..." text), an unknown op, or a
+ * value of the wrong type; unknown keys are ignored.
  */
 Request parse_request(const std::string& line);
 

@@ -9,6 +9,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include <poll.h>
 #include <unistd.h>
@@ -58,6 +60,53 @@ struct Pending {
     {
         std::unique_lock lock(mutex);
         cv.wait(lock, [this] { return count == 0; });
+    }
+};
+
+/**
+ * Cuts a transport's byte stream into request lines for Server::submit,
+ * holding at most kMaxRequestLine bytes: an over-long line is answered
+ * bad_request once and its bytes are dropped through the next newline.
+ */
+struct LineSplitter {
+    Server& server;
+    Pending& pending;
+    Server::ResponseSink sink;
+    std::string line{};
+    bool dropping = false;  ///< inside an over-long line
+
+    void
+    feed(std::string_view bytes)
+    {
+        for (const char c : bytes) {
+            if (c == '\n') {
+                if (!std::exchange(dropping, false))
+                    submit_line();
+            } else if (!dropping && line.size() < kMaxRequestLine) {
+                line.push_back(c);
+            } else if (!dropping) {
+                line.clear();
+                dropping = true;
+                pending.add();
+                sink(serialize_response(error_response(
+                    "", "bad_request",
+                    strprintf("request line exceeds %zu bytes",
+                              kMaxRequestLine))));
+            }
+        }
+    }
+
+    /** Submit the buffered line (also a final one without a newline);
+     *  a refused line means the server is stopping. */
+    void
+    submit_line()
+    {
+        std::string next = std::exchange(line, {});
+        if (trim(next).empty())
+            return;
+        pending.add();
+        if (!server.submit(std::move(next), sink))
+            pending.done();
     }
 };
 
@@ -708,24 +757,19 @@ Server::serve_stream(std::istream& in, std::ostream& out)
 {
     std::mutex out_mutex;
     Pending pending;
-    std::string line;
-    while (!stopping() && std::getline(in, line)) {
-        if (trim(line).empty())
-            continue;
-        pending.add();
-        const bool accepted = submit(line, [&](const std::string& resp) {
-            {
-                std::lock_guard lock(out_mutex);
-                out << resp << '\n';
-                out.flush();
-            }
-            pending.done();
-        });
-        if (!accepted) {
-            pending.done();
-            break;
+    LineSplitter lines{*this, pending, [&](const std::string& resp) {
+        {
+            std::lock_guard lock(out_mutex);
+            out << resp << '\n';
+            out.flush();
         }
-    }
+        pending.done();
+    }};
+    char c = 0;
+    while (!stopping() && in.get(c))
+        lines.feed({&c, 1});
+    if (!stopping())
+        lines.submit_line();
     pending.wait_empty();
 }
 
@@ -754,9 +798,8 @@ Server::serve_fd(int in_fd, int out_fd)
         pending.done();
     };
 
-    std::string buffer;
-    bool open = true;
-    while (open && !stopping()) {
+    LineSplitter lines{*this, pending, sink};
+    while (!stopping()) {
         if (fault::shutdown_requested()) {
             inform("serve: shutdown signal; draining in-flight requests");
             stop();
@@ -782,35 +825,13 @@ Server::serve_fd(int in_fd, int out_fd)
                 continue;
             break;
         }
-        if (n == 0) {
-            open = false;
+        if (n == 0)
             break;
-        }
-        buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t start = 0;
-        while (true) {
-            const std::size_t eol = buffer.find('\n', start);
-            if (eol == std::string::npos)
-                break;
-            std::string line = buffer.substr(start, eol - start);
-            start = eol + 1;
-            if (trim(line).empty())
-                continue;
-            pending.add();
-            if (!submit(std::move(line), sink)) {
-                pending.done();
-                open = false;
-                break;
-            }
-        }
-        buffer.erase(0, start);
+        lines.feed({chunk, static_cast<std::size_t>(n)});
     }
     // A final unterminated line still counts once the stream is done.
-    if (!stopping() && !trim(buffer).empty()) {
-        pending.add();
-        if (!submit(std::move(buffer), sink))
-            pending.done();
-    }
+    if (!stopping())
+        lines.submit_line();
     pending.wait_empty();
 }
 

@@ -173,7 +173,8 @@ class Server {
      * Read newline-delimited requests from `in` until EOF or a shutdown
      * request, writing responses to `out` in completion order. Blocking
      * transport used by tests and `darwin-wga-serve` without --socket
-     * when the input is a pipe that closes.
+     * when the input is a pipe that closes. Both transports answer a
+     * line longer than kMaxRequestLine with one bad_request and skip it.
      */
     void serve_stream(std::istream& in, std::ostream& out);
 

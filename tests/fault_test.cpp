@@ -421,6 +421,64 @@ TEST(Checkpoint, JournalRoundTripsThroughResume)
     std::filesystem::remove(path);
 }
 
+TEST(Checkpoint, ResumeDropsATornLastLineButRefusesAMalformedOne)
+{
+    const std::string path = ::testing::TempDir() + "/journal_torn.jsonl";
+    const std::string fp = batch::config_fingerprint("cfg-torn");
+    const auto slurp = [&path] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    {
+        auto journal = batch::CheckpointJournal::create(path, fp);
+        journal.record({"p0", fault::PairStatus::Clean, "", "p0.maf"});
+        journal.close();
+    }
+    const std::string intact = slurp();
+    // A crash mid-append leaves a fragment without its newline: the
+    // pair was never journaled, so resume drops the fragment and cuts
+    // it off before appending.
+    std::ofstream(path, std::ios::app) << "{\"pair\":\"p1\",\"sta";
+    {
+        auto resumed = batch::CheckpointJournal::resume(path, fp);
+        EXPECT_TRUE(resumed.completed("p0"));
+        EXPECT_FALSE(resumed.completed("p1"));
+        ASSERT_EQ(resumed.resumed().size(), 1u);
+        resumed.record({"p1", fault::PairStatus::Clean, "", "p1.maf"});
+        resumed.close();
+    }
+    EXPECT_EQ(slurp(), intact + "{\"pair\":\"p1\",\"status\":\"clean\","
+                                "\"output\":\"p1.maf\"}\n");
+    EXPECT_EQ(batch::CheckpointJournal::resume(path, fp).resumed().size(),
+              2u);
+
+    // A record that lost only its newline is whole: kept, and the next
+    // record starts on a line of its own.
+    std::ofstream(path, std::ios::app)
+        << "{\"pair\":\"p2\",\"status\":\"degraded\"}";
+    {
+        auto resumed = batch::CheckpointJournal::resume(path, fp);
+        EXPECT_TRUE(resumed.completed("p2"));
+        resumed.record({"p3", fault::PairStatus::Clean, "", ""});
+        resumed.close();
+    }
+    EXPECT_EQ(batch::CheckpointJournal::resume(path, fp).resumed().size(),
+              4u);
+
+    // A malformed line that did get its newline is not a torn append.
+    std::ofstream(path, std::ios::app) << "{\"pair\":\"p4\",\"sta\n";
+    try {
+        batch::CheckpointJournal::resume(path, fp);
+        FAIL() << "resume should refuse a malformed complete line";
+    } catch (const FatalError& error) {
+        EXPECT_NE(std::string(error.what()).find(path + ":6:"),
+                  std::string::npos)
+            << error.what();
+    }
+    std::filesystem::remove(path);
+}
+
 TEST(Checkpoint, ResumeRefusesIncompatibleConfig)
 {
     const std::string path = ::testing::TempDir() + "/journal_mismatch.jsonl";

@@ -528,6 +528,22 @@ TEST(Fsck, TaggedFindingsForEveryFailureMode)
         EXPECT_NE(findings[1].detail.find("never_written.maf"),
                   std::string::npos);
     }
+    // Journal whose last append was torn.
+    {
+        const std::string path = temp_path("fsck_torn.jsonl");
+        std::ofstream(path)
+            << "{\"journal\":\"darwin-wga-batch\",\"version\":1,"
+               "\"config\":\"0123456789abcdef\"}\n"
+            << "{\"pair\":\"p0\",\"status\":\"quarantined\"}\n"
+            << "{\"pair\":\"p1\",\"stat";
+        const auto findings = fsck_file(path);
+        ASSERT_EQ(findings.size(), 1u);
+        EXPECT_EQ(findings[0].code, "bad-journal");
+        EXPECT_NE(findings[0].detail.find("line 3: torn"), std::string::npos)
+            << findings[0].detail;
+        EXPECT_NE(findings[0].detail.find("--resume drops it"),
+                  std::string::npos);
+    }
 }
 
 TEST(Fsck, FaultProbeFires)

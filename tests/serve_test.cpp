@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "index/index_io.h"
 #include "obs/exposition.h"
@@ -89,6 +90,12 @@ TEST(Protocol, IgnoresUnknownKeys)
         "{\"op\": \"ping\", \"id\": \"1\", \"future_field\": null, "
         "\"another\": 3.5}");
     EXPECT_EQ(request.op, Op::Ping);
+    // Unknown fields are ignored whatever their type, arrays and nested
+    // objects included.
+    EXPECT_EQ(parse_request("{\"op\": \"ping\", \"tags\": [1, [\"x\"]], "
+                            "\"meta\": {\"a\": {\"b\": []}}}")
+                  .op,
+              Op::Ping);
 }
 
 TEST(Protocol, RejectsMalformedLines)
@@ -108,12 +115,23 @@ TEST(Protocol, RejectsMalformedLines)
     EXPECT_THROW(parse_request("{\"op\": \"align\", \"target\": true, "
                                "\"query\": \"q\", \"out\": \"o\"}"),
                  ProtocolError);
-    // negative budget axis
-    EXPECT_THROW(
-        parse_request("{\"op\": \"align\", \"target\": \"t\", "
-                      "\"query\": \"q\", \"out\": \"o\", "
-                      "\"budget\": {\"max_cells\": -1}}"),
-        ProtocolError);
+    // an array in a known field is still a type error
+    EXPECT_THROW(parse_request("{\"op\": \"align\", \"target\": [\"t\"], "
+                               "\"query\": \"q\", \"out\": \"o\"}"),
+                 ProtocolError);
+    // budget counts must be non-negative integers that fit in 64 bits
+    for (const char* count :
+         {"{\"max_cells\": -1}", "{\"max_cells\": 1e30}",
+          "{\"max_cells\": 2.5}",
+          "{\"max_heap_bytes\": 18446744073709551616}"}) {
+        EXPECT_THROW(
+            parse_request(strprintf("{\"op\": \"align\", \"target\": \"t\", "
+                                    "\"query\": \"q\", \"out\": \"o\", "
+                                    "\"budget\": %s}",
+                                    count)),
+            ProtocolError)
+            << count;
+    }
 }
 
 TEST(Protocol, SerializesOkAndErrorResponses)
@@ -329,6 +347,68 @@ TEST(Server, StreamServesInOrderAndShutsDownOnOp)
     const std::string output = out.str();
     EXPECT_NE(output.find("\"id\": \"1\""), std::string::npos);
     EXPECT_NE(output.find("\"op\": \"shutdown\""), std::string::npos);
+}
+
+/** Count of `needle` in `text`. */
+std::size_t
+count_of(const std::string& text, const std::string& needle)
+{
+    std::size_t count = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++count;
+    return count;
+}
+
+TEST(Server, OverlongLineIsAnsweredOnceAndSkippedOnAStream)
+{
+    std::istringstream in("{\"op\": \"ping\", \"id\": \"a\"}\n" +
+                          std::string(kMaxRequestLine + 100, ' ') + "x\n" +
+                          "{\"op\": \"ping\", \"id\": \"b\"}\n");
+    std::ostringstream out;
+    Server server(ServerOptions{});
+    server.serve_stream(in, out);
+    server.stop();
+    const std::string output = out.str();
+    EXPECT_EQ(count_of(output, "\n"), 3u) << output;
+    EXPECT_EQ(count_of(output, "\"status\": \"ok\""), 2u) << output;
+    EXPECT_EQ(count_of(output, "\"reason\": \"bad_request\""), 1u);
+    EXPECT_NE(output.find("request line exceeds"), std::string::npos);
+}
+
+TEST(Server, OverlongLineWithoutANewlineIsCutOffOnAPipe)
+{
+    int in_pipe[2];
+    int out_pipe[2];
+    ASSERT_EQ(::pipe(in_pipe), 0);
+    ASSERT_EQ(::pipe(out_pipe), 0);
+    // A client that sends one request, then bytes with no newline at
+    // all: the daemon must answer once and hold at most one line.
+    std::thread client([fd = in_pipe[1]] {
+        const std::string ping = "{\"op\": \"ping\", \"id\": \"a\"}\n";
+        const std::string junk(64 * 1024, 'x');
+        bool ok = ::write(fd, ping.data(), ping.size()) ==
+                  static_cast<ssize_t>(ping.size());
+        for (std::size_t sent = 0; ok && sent < 3 * kMaxRequestLine;
+             sent += junk.size())
+            ok = ::write(fd, junk.data(), junk.size()) ==
+                 static_cast<ssize_t>(junk.size());
+        ::close(fd);
+    });
+    Server server(ServerOptions{});
+    server.serve_fd(in_pipe[0], out_pipe[1]);
+    client.join();
+    server.stop();
+    ::close(in_pipe[0]);
+    ::close(out_pipe[1]);
+    std::string output;
+    char chunk[4096];
+    for (ssize_t n; (n = ::read(out_pipe[0], chunk, sizeof(chunk))) > 0;)
+        output.append(chunk, static_cast<std::size_t>(n));
+    ::close(out_pipe[0]);
+    EXPECT_EQ(count_of(output, "\n"), 2u) << output;
+    EXPECT_EQ(count_of(output, "\"status\": \"ok\""), 1u) << output;
+    EXPECT_EQ(count_of(output, "request line exceeds"), 1u) << output;
 }
 
 TEST(Server, SubmitRefusedAfterStop)
