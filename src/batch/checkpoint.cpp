@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "util/artifact.h"
 #include "util/digest.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -67,22 +68,8 @@ config_fingerprint(const std::string& canonical_config)
 void
 write_file_atomic(const std::string& path, const std::string& content)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            fatal(strprintf("cannot write %s", tmp.c_str()));
-        out << content;
-        out.flush();
-        if (!out)
-            fatal(strprintf("error writing %s", tmp.c_str()));
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        fatal(strprintf("cannot rename %s -> %s: %s", tmp.c_str(),
-                        path.c_str(), ec.message().c_str()));
-    }
+    artifact::write_atomic(path,
+                           [&content](std::ostream& out) { out << content; });
 }
 
 CheckpointJournal

@@ -13,7 +13,8 @@
  *                         the key width), 64-byte aligned
  *     [positions]         num_positions x u32, 64-byte aligned
  *     [repeat keys]       truncated_buckets x u32, sorted, aligned
- *     [checksum area]     see ChecksumTrailer
+ *     [digest array]      one fnv1a64 per section, in this order
+ *     [ChecksumTrailer]   the last 64 bytes
  *
  * The directory indexes the top dir_bits bits of the seed key: slice s
  * of the positions holds every key whose top bits are s, sorted by key
@@ -21,14 +22,15 @@
  * key. dir_bits is sized to the target at build time, so a 120 kbp
  * target's file is ~1 MB, not the 67 MB a dense 4^12 directory costs.
  *
- * All integers are little-endian (the header carries an endian tag and
- * readers refuse a mismatch rather than byte-swap); all sections start
- * on a 64-byte boundary (cache-line alignment for the zero-copy load)
- * with zero padding between them. The header records the FNV-1a digest
- * and length of the sequence the table was built from, so a loader can
- * verify an index actually belongs to the FASTA it is paired with, and
- * the seed shape + repeat cap, so a cache can key on exactly the inputs
- * that determine the table bytes.
+ * The file is an artifact container (util/artifact.h), which owns the
+ * prefix checks, the 64-byte section alignment (cache-line alignment
+ * for the zero-copy load), the digest array and trailer, and the
+ * tmp+rename publish; this header defines only what is particular to
+ * an index. The header records the FNV-1a digest and length of the
+ * sequence the table was built from, so a loader can verify an index
+ * actually belongs to the FASTA it is paired with, and the seed shape +
+ * repeat cap, so a cache can key on exactly the inputs that determine
+ * the table bytes.
  *
  * Versioning policy: an index is a rebuildable cache artifact. One
  * version is written and read; `version` bumps on any layout or
@@ -42,8 +44,11 @@
 #ifndef DARWIN_INDEX_FORMAT_H
 #define DARWIN_INDEX_FORMAT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
+
+#include "util/artifact.h"
 
 namespace darwin::index {
 
@@ -54,13 +59,6 @@ inline constexpr char kIndexMagic[8] = {'D', 'W', 'G', 'A',
 /** The one format version written and read. */
 inline constexpr std::uint32_t kIndexFormatVersion = 3;
 
-/** Written natively; a reader seeing any other value is on a host with
- *  a different byte order than the writer. */
-inline constexpr std::uint32_t kIndexEndianTag = 0x1a2b3c4dU;
-
-/** Every section starts on this alignment. */
-inline constexpr std::uint64_t kIndexSectionAlign = 64;
-
 /** Longest representable seed-shape string (NUL-terminated on disk). */
 inline constexpr std::uint32_t kIndexMaxPatternLength = 63;
 
@@ -68,7 +66,7 @@ inline constexpr std::uint32_t kIndexMaxPatternLength = 63;
 struct IndexHeader {
     char magic[8];                   ///< kIndexMagic
     std::uint32_t version;           ///< kIndexFormatVersion
-    std::uint32_t endian_tag;        ///< kIndexEndianTag
+    std::uint32_t endian_tag;        ///< artifact::kEndianTag
     std::uint64_t sequence_digest;   ///< fnv1a64 over the target codes
     std::uint64_t sequence_length;   ///< target length in bases
     std::uint32_t max_bucket;        ///< repeat-seed truncation cap
@@ -94,48 +92,18 @@ static_assert(sizeof(IndexHeader) == 256,
               "IndexHeader layout is part of the on-disk format");
 static_assert(std::is_trivially_copyable_v<IndexHeader>,
               "IndexHeader must be memcpy-safe");
-static_assert(sizeof(IndexHeader) % kIndexSectionAlign == 0,
+static_assert(sizeof(IndexHeader) % artifact::kSectionAlign == 0,
               "sections start 64-byte aligned right after the header");
 
-/** Round a byte offset up to the section alignment. */
-constexpr std::uint64_t
-align_section(std::uint64_t offset)
-{
-    return (offset + kIndexSectionAlign - 1) & ~(kIndexSectionAlign - 1);
-}
-
-/** Magic of the checksum trailer ("DWCSUM" + 2 NULs). */
-inline constexpr char kIndexChecksumMagic[8] = {'D', 'W', 'C', 'S',
-                                                'U', 'M', '\0', '\0'};
-
-inline constexpr std::uint32_t kIndexChecksumVersion = 1;
-
-/**
- * Crash-safety checksums, appended after the last section. Every file
- * carries them; a reader refuses a file without a trailer.
- *
- *     [sections ...]
- *     [digest array]     num_digests x u64 (fnv1a64), 64-byte aligned
- *     [ChecksumTrailer]  last 64 bytes of the file
- *
- * The digest array covers each section's *content* bytes in layout
- * order (directory, suffixes, positions, repeat keys), and
- * header_digest covers the header bytes as written. Readers find the
- * trailer at total_bytes - 64.
- */
-struct ChecksumTrailer {
-    char magic[8];                 ///< kIndexChecksumMagic
-    std::uint32_t version;         ///< kIndexChecksumVersion
-    std::uint32_t num_digests;     ///< entries in the digest array
-    std::uint64_t digests_offset;  ///< absolute offset of the array
-    std::uint64_t header_digest;   ///< fnv1a64 over the header bytes
-    char reserved[32];             ///< zero; future use
+/** The container description of a `.dwi` (util/artifact.h). */
+inline constexpr artifact::Format kIndexFormat = {
+    "index",
+    kIndexMagic,
+    kIndexFormatVersion,
+    sizeof(IndexHeader),
+    offsetof(IndexHeader, total_bytes),
+    "rebuild with darwin-wga-index",
 };
-
-static_assert(sizeof(ChecksumTrailer) == 64,
-              "ChecksumTrailer layout is part of the on-disk format");
-static_assert(std::is_trivially_copyable_v<ChecksumTrailer>,
-              "ChecksumTrailer must be memcpy-safe");
 
 }  // namespace darwin::index
 

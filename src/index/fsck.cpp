@@ -5,8 +5,10 @@
 
 #include "batch/checkpoint.h"
 #include "fault/cancel.h"
+#include "index/format.h"
 #include "index/index_io.h"
 #include "seq/packed_io.h"
+#include "util/artifact.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -66,8 +68,9 @@ void
 check_index(const std::string& path, std::vector<FsckFinding>* findings)
 {
     try {
-        const IndexInfo info = read_index_info(path);
-        check_table(path, *load_index(path), info.sequence_length);
+        IndexInfo info;
+        const auto index = load_index(path, &info);
+        check_table(path, *index, info.sequence_length);
     } catch (const FatalError& e) {
         findings->push_back({path, "bad-index", e.what()});
     }
@@ -147,10 +150,12 @@ fsck_file(const std::string& path, std::string* kind)
         return findings;
     }
 
-    if (is_index_file(path)) {
+    const artifact::Format* format =
+        artifact::sniff(path, {&kIndexFormat, &seq::kPackedFormat});
+    if (format == &kIndexFormat) {
         detected = "index";
         check_index(path, &findings);
-    } else if (seq::is_packed_file(path)) {
+    } else if (format == &seq::kPackedFormat) {
         detected = "packed-genome";
         check_packed(path, &findings);
     } else if (check_journal(path, &findings)) {

@@ -11,9 +11,11 @@
  * journal-specific line checks, and reports machine-readable findings
  * instead of dying on the first bad file.
  *
- * Supported artifact kinds (detected from content, not extension):
- *   - `.dwi` reference indexes,
- *   - `.2bit` packed-genome sidecars,
+ * Supported artifact kinds (detected from content, not extension: one
+ * artifact::sniff of the magic, then the journal reader):
+ *   - `.dwi` reference indexes and `.2bit` packed-genome sidecars, both
+ *     walked the same way: the loader (the artifact container's checks,
+ *     util/artifact.h, then the format's), plus the `.dwi` table checks,
  *   - batch checkpoint journals (JSONL with a darwin-wga-batch header).
  *
  * A clean file yields zero findings. Every finding carries a stable

@@ -1,16 +1,19 @@
 /**
  * @file
  * Persistent reference index I/O: atomic save, zero-copy mmap load, and
- * header inspection for `.dwi` files (format.h).
+ * header inspection for `.dwi` files (format.h), written and read
+ * through the artifact container (util/artifact.h).
  *
- * save_index writes tmp + rename so readers never observe a partial
- * file. load_index mmaps the file read-only, validates the header and
- * section geometry (magic, endianness, version, truncation, seed
- * shape), the checksum trailer, and the directory (non-decreasing from
- * 0 to the position count, so no lookup can leave the sections), and
- * returns a SeedIndex attached to the mapping — the mapping is unmapped
- * when the last shared_ptr drops. Every validation failure
- * is a FatalError tagged with the file path and the offending field.
+ * save_index publishes through the container's tmp + rename, so readers
+ * never observe a partial file. load_index maps the file once; the
+ * container checks the prefix (magic, endianness, version, truncation),
+ * this layer the header (seed shape, counts, section geometry), then
+ * the container the checksum trailer and every section's bounds and
+ * digest, and last this layer the directory (non-decreasing from 0 to
+ * the position count, so no lookup can leave the sections). It returns
+ * a SeedIndex attached to the mapping — the mapping is unmapped when
+ * the last shared_ptr drops. Every validation failure is a FatalError
+ * tagged with the file path and the offending field.
  */
 #ifndef DARWIN_INDEX_INDEX_IO_H
 #define DARWIN_INDEX_INDEX_IO_H
@@ -71,10 +74,6 @@ std::shared_ptr<const seed::SeedIndex> load_index(const std::string& path,
 
 /** Read and validate only the header (cheap: no section access). */
 IndexInfo read_index_info(const std::string& path);
-
-/** True when `path` exists and starts with the index magic — how tools
- *  distinguish a `.dwi` argument from a FASTA one. */
-bool is_index_file(const std::string& path);
 
 }  // namespace darwin::index
 

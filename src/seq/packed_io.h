@@ -4,44 +4,48 @@
  *
  * A `.2bit` file holds a whole Genome in PackedSequence form, laid out
  * so a reader can mmap it and attach every chromosome without copying
- * a byte:
+ * a byte. It is an artifact container (util/artifact.h), version 2:
  *
  *     [PackedHeader]        128 bytes, at offset 0
- *     [chromosome dir]      num_chromosomes x PackedChromEntry
- *     [name blob]           genome + chromosome names, unterminated
- *     per chromosome:
- *       [base words]        ceil(bases/32) x u64, 64-byte aligned
- *       [n-mask words]      ceil(bases/64) x u64, 64-byte aligned
+ *     per chromosome i:
+ *       [base words]        ceil(bases/32) x u64   section 2i
+ *       [n-mask words]      ceil(bases/64) x u64   section 2i + 1
+ *     [name blob]           genome + chromosome names, section 2n
+ *     [chromosome dir]      n x PackedChromEntry,  section 2n + 1
+ *     [digest array]        one fnv1a64 per section
+ *     [ChecksumTrailer]     the last 64 bytes
+ *
+ * Every section is 64-byte aligned and checksummed; the container
+ * checks the prefix, the trailer and each section's bounds and digest
+ * before a byte of it is read, so a torn write or bit flip fails at
+ * load instead of corrupting alignments downstream. This layer checks
+ * what only it knows: the directory's size against the file before
+ * the directory is read, each entry's name and word sections, and the
+ * base total.
  *
  * The header records the FNV-1a digest of the *source FASTA bytes*
  * (util/digest.h), so `read_genome_packed` can key the sidecar on
  * exactly the input that produced it: matching digest -> mmap reuse,
- * anything else (stale, corrupt, truncated) -> rebuild via tmp+rename.
- * Ingestion parses the mmap'd FASTA straight into packed words — no
- * byte-per-base intermediate ever exists, which is what lets a 100 Mbp
- * assembly load in ~total/4 bytes of heap.
+ * anything else (stale, corrupt, truncated, an older version) ->
+ * rebuild via the container's tmp+rename. Ingestion parses the mmap'd
+ * FASTA straight into packed words — no byte-per-base intermediate ever
+ * exists, which is what lets a 100 Mbp assembly load in ~total/4 bytes
+ * of heap.
  *
- * All integers little-endian (endian tag checked, never swapped);
- * validation failures are FatalError tagged with path + field, exactly
- * like the `.dwi` reader.
- *
- * Crash-safety checksums: the first 16 reserved header bytes hold two
- * fnv1a64 digests — payload_digest over every byte after the header
- * ([128, total_bytes)) and header_digest over the 128 header bytes
- * with the header_digest field itself zeroed. Both zero means a legacy
- * file (written before checksums existed), which loads unverified;
- * any nonzero pair is verified before a single section byte is
- * trusted, so a torn write or bit flip in the sidecar fails loudly at
- * load instead of corrupting alignments downstream.
+ * Version 1 (checksums in the header's reserved bytes, sections not
+ * all aligned) is refused with a "rebuild" error and, through
+ * `read_genome_packed`, rebuilt.
  */
 #ifndef DARWIN_SEQ_PACKED_IO_H
 #define DARWIN_SEQ_PACKED_IO_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
 
 #include "seq/genome.h"
+#include "util/artifact.h"
 
 namespace darwin::seq {
 
@@ -50,32 +54,23 @@ inline constexpr char kPackedMagic[8] = {'D', 'W', 'G', 'A',
                                          '2', 'B', 'T', '\0'};
 
 /** Current (and only accepted) `.2bit` format version. */
-inline constexpr std::uint32_t kPackedFormatVersion = 1;
-
-/** Same endian tag convention as the `.dwi` format. */
-inline constexpr std::uint32_t kPackedEndianTag = 0x1a2b3c4dU;
-
-/** Every word section starts on this alignment. */
-inline constexpr std::uint64_t kPackedSectionAlign = 64;
+inline constexpr std::uint32_t kPackedFormatVersion = 2;
 
 /** Fixed-layout file header. Field offsets are load-bearing. */
 struct PackedHeader {
     char magic[8];                 ///< kPackedMagic
     std::uint32_t version;         ///< kPackedFormatVersion
-    std::uint32_t endian_tag;      ///< kPackedEndianTag
+    std::uint32_t endian_tag;      ///< artifact::kEndianTag
     std::uint64_t fasta_digest;    ///< fnv1a64 over the source FASTA bytes
     std::uint64_t num_chromosomes;
     std::uint64_t total_bases;     ///< sum of chromosome lengths
-    std::uint64_t dir_offset;      ///< chromosome directory
-    std::uint64_t names_offset;    ///< name blob
+    std::uint64_t dir_offset;      ///< chromosome directory section
+    std::uint64_t names_offset;    ///< name blob section
     std::uint64_t names_bytes;     ///< name blob size
     std::uint64_t genome_name_offset;  ///< into the name blob
     std::uint64_t genome_name_length;
     std::uint64_t total_bytes;     ///< exact file size
-    /** Bytes [0,8): fnv1a64 payload digest over [128, total_bytes).
-     *  Bytes [8,16): fnv1a64 header digest (this field zeroed).
-     *  Both zero = legacy file, no verification. Rest: future use. */
-    char reserved[40];
+    char reserved[40];             ///< zero; future use
 };
 
 static_assert(sizeof(PackedHeader) == 128,
@@ -88,19 +83,26 @@ struct PackedChromEntry {
     std::uint64_t name_offset;       ///< into the name blob
     std::uint64_t name_length;
     std::uint64_t num_bases;
-    std::uint64_t base_words_offset; ///< absolute, 64-byte aligned
-    std::uint64_t n_words_offset;    ///< absolute, 64-byte aligned
+    std::uint64_t base_words_offset; ///< absolute offset of section 2i
+    std::uint64_t n_words_offset;    ///< absolute offset of section 2i+1
     std::uint64_t reserved;          ///< zero
 };
 
 static_assert(sizeof(PackedChromEntry) == 48,
               "PackedChromEntry layout is part of the on-disk format");
 
-/** FNV-1a digest of a file's raw bytes — the sidecar cache key. */
-std::uint64_t file_content_digest(const std::string& path);
+/** The container description of a `.2bit` (util/artifact.h). */
+inline constexpr artifact::Format kPackedFormat = {
+    "packed genome",
+    kPackedMagic,
+    kPackedFormatVersion,
+    sizeof(PackedHeader),
+    offsetof(PackedHeader, total_bytes),
+    "rebuild it from its FASTA",
+};
 
-/** Serialize a genome to `path` atomically (tmp + rename). Works for
- *  byte-mode genomes too (packs on the fly). */
+/** Serialize a genome to `path` atomically (the container's tmp +
+ *  rename). Works for byte-mode genomes too (packs on the fly). */
 void save_packed_genome(const std::string& path, const Genome& genome,
                         std::uint64_t fasta_digest);
 
@@ -125,9 +127,6 @@ Genome load_packed_genome(const std::string& path,
 Genome read_genome_packed(const std::string& fasta_path,
                           const std::string& name = "",
                           const std::string& sidecar_path = "auto");
-
-/** True when `path` exists and starts with the `.2bit` magic. */
-bool is_packed_file(const std::string& path);
 
 }  // namespace darwin::seq
 

@@ -144,7 +144,7 @@ Server::worker_loop()
                 .count();
         metrics_->histogram("serve.queue.wait_seconds").observe(waited);
         std::string response;
-        if (item->parsed && item->request.op == Op::Align &&
+        if (!item->bad_request && item->request.op == Op::Align &&
             item->request.deadline_ms > 0.0 &&
             waited * 1000.0 >= item->request.deadline_ms) {
             // The client's deadline expired while the request sat in
@@ -157,8 +157,7 @@ Server::worker_loop()
                           "queue",
                           item->request.deadline_ms, waited * 1000.0)));
         } else {
-            response = run_request(item->parsed ? &item->request : nullptr,
-                                   item->line, waited);
+            response = run_request(*item, waited);
         }
         if (item->cost_bp > 0)
             inflight_bp_.fetch_sub(item->cost_bp,
@@ -255,19 +254,17 @@ Server::submit(std::string line, ResponseSink sink)
     };
     try {
         item.request = parse_request(line);
-        item.parsed = true;
         fault::poll("serve.admit");
-    } catch (const ProtocolError&) {
-        // Let the worker re-parse and answer bad_request in completion
-        // order, exactly as before admission control existed.
-        item.parsed = false;
+    } catch (const ProtocolError& error) {
+        // The worker answers bad_request in completion order, exactly
+        // as before admission control existed.
+        item.bad_request = error.what();
     } catch (const std::exception& error) {
         answer(error_response(item.request.id, "injected", error.what()));
         return true;
     }
-    item.line = std::move(line);
 
-    if (item.parsed && item.request.op == Op::Align) {
+    if (!item.bad_request && item.request.op == Op::Align) {
         // Admission control: align work is shed, never queued blind.
         // Control-plane ops below skip this and use a blocking push so
         // status/shutdown always get through.
@@ -333,12 +330,17 @@ Server::stop()
 std::string
 Server::handle_line(const std::string& line)
 {
-    return run_request(nullptr, line, 0.0);
+    QueueItem item;
+    try {
+        item.request = parse_request(line);
+    } catch (const ProtocolError& error) {
+        item.bad_request = error.what();
+    }
+    return run_request(item, 0.0);
 }
 
 std::string
-Server::run_request(const Request* parsed, const std::string& line,
-                    double queue_wait_seconds)
+Server::run_request(const QueueItem& item, double queue_wait_seconds)
 {
     Timer timer;
     metrics_->counter("serve.requests").add(1);
@@ -359,19 +361,16 @@ Server::run_request(const Request* parsed, const std::string& line,
     bool ran_align = false;
     Response response;
     try {
-        Request local;
-        if (parsed == nullptr)
-            local = parse_request(line);
-        const Request& request = parsed != nullptr ? *parsed : local;
+        if (item.bad_request)
+            throw ProtocolError(*item.bad_request);
         fault::poll("serve.dispatch");
-        ran_align = request.op == Op::Align;
-        obs::ScopedSpan span(op_name(request.op), "serve");
-        response = handle_request(request, queue_wait_seconds);
+        ran_align = item.request.op == Op::Align;
+        obs::ScopedSpan span(op_name(item.request.op), "serve");
+        response = handle_request(item.request, queue_wait_seconds);
     } catch (const ProtocolError& error) {
         response = error_response("", "bad_request", error.what());
     } catch (const fault::InjectedFault& error) {
-        response = error_response(
-            parsed != nullptr ? parsed->id : "", "injected", error.what());
+        response = error_response(item.request.id, "injected", error.what());
     } catch (const fault::CancelledError& error) {
         response = error_response(
             "", fault::cancel_reason_name(error.reason()), error.what());

@@ -57,6 +57,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -221,15 +222,16 @@ class Server {
 
   private:
     struct QueueItem {
-        std::string line;
-        Request request;   ///< parsed at admission when `parsed`
-        bool parsed = false;  ///< false: worker re-parses (legacy path)
+        Request request;  ///< parsed at admission
+        /** The ProtocolError text of a line that did not parse; the
+         *  worker answers it bad_request in completion order. */
+        std::optional<std::string> bad_request;
         ResponseSink sink;
         std::chrono::steady_clock::time_point enqueued;
         std::uint64_t cost_bp = 0;
     };
 
-    std::string run_request(const Request* parsed, const std::string& line,
+    std::string run_request(const QueueItem& item,
                             double queue_wait_seconds);
     Response handle_request(const Request& request,
                             double queue_wait_seconds);

@@ -243,7 +243,9 @@ debug(const std::string& msg, std::vector<LogField> fields)
 void
 fatal(const std::string& msg)
 {
-    log_message(LogLevel::Error, "fatal: " + msg);
+    // No log line: a caller may catch the error as an expected outcome
+    // (fsck, sidecar rebuilds, request validation), and every CLI main
+    // prints "error: <what>" for one that escapes.
     throw FatalError(msg);
 }
 

@@ -139,7 +139,8 @@ void warn(const std::string& msg, std::vector<LogField> fields);
 void debug(const std::string& msg);
 void debug(const std::string& msg, std::vector<LogField> fields);
 
-/** User-caused unrecoverable error: logs and throws FatalError. */
+/** User-caused unrecoverable error: throws FatalError (without logging;
+ *  the catcher decides whether the error is worth a message). */
 [[noreturn]] void fatal(const std::string& msg);
 
 /** Internal invariant violation: logs and aborts. */

@@ -25,8 +25,10 @@
 #include "seed/seed_index.h"
 #include "seed/seed_pattern.h"
 #include "seq/sequence.h"
+#include "util/artifact.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "scratch_dir.h"
 
 namespace darwin::index {
 namespace {
@@ -41,10 +43,12 @@ random_sequence(std::size_t len, std::uint64_t seed)
     return seq::Sequence("rand", std::move(codes));
 }
 
+/** A file in this process's scratch directory, removed at exit. */
 std::string
 temp_path(const std::string& name)
 {
-    return ::testing::TempDir() + "/" + name;
+    static const test::ScratchDir dir("index");
+    return dir.file(name);
 }
 
 /** Write a valid index for a deterministic 2 kb sequence. */
@@ -168,17 +172,20 @@ TEST(IndexIo, TruncatedBucketsSurviveTheRoundTrip)
     EXPECT_EQ(loaded->max_bucket(), 16u);
 }
 
-TEST(IndexIo, IsIndexFileSniffsMagic)
+TEST(IndexIo, SniffRecognisesTheIndexMagic)
 {
     const auto sequence = random_sequence(600, 9);
     const std::string path = write_reference_index(
         "sniff.dwi", sequence, seed::SeedPattern("1111"));
-    EXPECT_TRUE(is_index_file(path));
+    const auto sniff = [](const std::string& file) {
+        return artifact::sniff(file, {&kIndexFormat});
+    };
+    EXPECT_EQ(sniff(path), &kIndexFormat);
 
     const std::string fasta = temp_path("sniff.fa");
     spit(fasta, {'>', 'c', 'h', 'r', '\n', 'A', 'C', 'G', 'T', '\n'});
-    EXPECT_FALSE(is_index_file(fasta));
-    EXPECT_FALSE(is_index_file(temp_path("no_such_file.dwi")));
+    EXPECT_EQ(sniff(fasta), nullptr);
+    EXPECT_EQ(sniff(temp_path("no_such_file.dwi")), nullptr);
 }
 
 /** Expect load_index (and read_index_info) to throw a FatalError whose

@@ -1,16 +1,16 @@
 /**
  * @file
- * Crash-safety artifact integrity tests: the checksum area appended to
- * `.dwi` files and required by their loaders,
- * crafted `.dwi` tables with valid checksums but inconsistent sections,
- * the digest pair embedded in `.2bit` headers, legacy (pre-checksum)
- * sidecar acceptance, the `darwin-wga-index fsck` validator over every
- * artifact kind, and the
- * stream.spill_* fault probes (a spill I/O fault quarantines the pair,
- * it does not kill the process).
+ * Crash-safety artifact integrity tests: the checksum area the artifact
+ * container (util/artifact.h) appends to `.dwi` and `.2bit` files and
+ * requires on load, crafted `.dwi` tables with valid checksums but
+ * inconsistent sections, the refusal and rebuild of version-1 and
+ * zero-digest sidecars, the `darwin-wga-index fsck` validator over
+ * every artifact kind, and the stream.spill_* fault probes (a spill
+ * I/O fault quarantines the pair, it does not kill the process).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -30,11 +30,12 @@
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
 #include "synth/species.h"
-#include "util/digest.h"
+#include "util/artifact.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "wga/params.h"
+#include "artifact_craft.h"
 #include "scratch_dir.h"
 
 namespace darwin::index {
@@ -107,11 +108,11 @@ TEST(Checksums, FreshIndexCarriesATrailerAndLoads)
     const std::vector<char> bytes = slurp(path);
     ASSERT_EQ(bytes.size(), info.total_bytes);
     // The last 64 bytes are a checksum trailer with the right magic.
-    ChecksumTrailer trailer;
+    artifact::ChecksumTrailer trailer;
     std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof(trailer),
                 sizeof(trailer));
-    EXPECT_EQ(std::memcmp(trailer.magic, kIndexChecksumMagic,
-                          sizeof(kIndexChecksumMagic)),
+    EXPECT_EQ(std::memcmp(trailer.magic, artifact::kChecksumMagic,
+                          sizeof(artifact::kChecksumMagic)),
               0);
     EXPECT_EQ(trailer.num_digests, 4u);
 
@@ -191,7 +192,7 @@ TEST(Checksums, TrailerlessAndOldVersionIndexesAreRefused)
 
     // A file that ends at its sections (no checksum area): the loaders
     // verify every section, so a file that cannot be verified is refused.
-    const std::uint64_t sections_end = align_section(
+    const std::uint64_t sections_end = artifact::align_section(
         header.repeats_offset + header.truncated_buckets * 4);
     std::vector<char> bare(with.begin(),
                            with.begin() +
@@ -215,7 +216,7 @@ TEST(Checksums, TrailerlessAndOldVersionIndexesAreRefused)
 
 /**
  * Copy a monolithic index with `mutate` applied to its bytes, then
- * recompute every section digest so the checksums hold: the crafted
+ * re-seal it with recomputed digests so the checksums hold: the crafted
  * file is exactly what a hostile writer (not a bit flip) produces.
  */
 template <typename Mutator>
@@ -227,26 +228,11 @@ craft_index(const std::string& src, const std::string& name,
     IndexHeader header;
     std::memcpy(&header, bytes.data(), sizeof(header));
     mutate(header, bytes.data());
-    ChecksumTrailer trailer;
-    std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof(trailer),
-                sizeof(trailer));
-    const std::uint64_t starts[] = {header.directory_offset,
-                                    header.suffixes_offset,
-                                    header.positions_offset,
-                                    header.repeats_offset};
-    const std::uint64_t sizes[] = {
-        ((std::uint64_t{1} << header.dir_bits) + 1) * 4,
-        header.num_positions, header.num_positions * 4,
-        header.truncated_buckets * 4};
-    for (std::size_t i = 0; i < 4; ++i) {
-        const std::uint64_t digest = fnv1a64_bytes(
-            {reinterpret_cast<const std::uint8_t*>(bytes.data()) + starts[i],
-             sizes[i]});
-        std::memcpy(bytes.data() + trailer.digests_offset + i * 8, &digest,
-                    8);
-    }
     const std::string path = temp_path(name);
-    spit(path, bytes);
+    const std::string sealed =
+        test::reseal(std::string(bytes.begin(), bytes.end()), kIndexFormat,
+                     test::index_sections);
+    spit(path, {sealed.begin(), sealed.end()});
     return path;
 }
 
@@ -376,19 +362,22 @@ TEST(Checksums, PackedSidecarCarriesDigestsAndRejectsCorruption)
     const seq::Genome genome = seq::read_genome_packed(fasta);
     ASSERT_TRUE(std::ifstream(sidecar).good());
 
-    // The header carries nonzero digests...
+    // The trailer carries one digest per section: the base and n-mask
+    // words of the one chromosome, the name blob and the directory...
     const std::vector<char> bytes = slurp(sidecar);
-    seq::PackedHeader header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
-    std::uint64_t payload_digest = 0;
-    std::memcpy(&payload_digest, header.reserved, 8);
-    EXPECT_NE(payload_digest, 0u);
+    artifact::ChecksumTrailer trailer;
+    std::memcpy(&trailer, bytes.data() + bytes.size() - sizeof(trailer),
+                sizeof(trailer));
+    EXPECT_EQ(std::memcmp(trailer.magic, artifact::kChecksumMagic,
+                          sizeof(artifact::kChecksumMagic)),
+              0);
+    EXPECT_EQ(trailer.num_digests, 4u);
 
     // ...and a clean reload verifies them.
     const seq::Genome reloaded = seq::load_packed_genome(sidecar);
     EXPECT_EQ(reloaded.total_length(), genome.total_length());
 
-    // A flipped payload byte is refused by the direct loader (the
+    // A flipped word byte is refused by the direct loader (the
     // read_genome_packed wrapper would silently rebuild — which is the
     // production behavior, but hides the rejection under test).
     const std::string corrupt = flip_byte(
@@ -415,22 +404,49 @@ TEST(Checksums, PackedSidecarCarriesDigestsAndRejectsCorruption)
     }
 }
 
-TEST(Checksums, LegacyPackedSidecarLoadsUnverified)
+TEST(Checksums, V1OrZeroDigestPackedSidecarIsRefusedAndRebuilt)
 {
+    // Version 1 kept its digests in the header and loaded a file whose
+    // digests were both zero unverified. Version 2 refuses both kinds
+    // of file; read_genome_packed rebuilds them from the FASTA.
     const std::string fasta = write_fasta("packed_legacy.fa");
     const std::string sidecar = fasta + ".2bit";
-    seq::read_genome_packed(fasta);
+    const seq::Genome genome = seq::read_genome_packed(fasta);
+    const std::vector<char> fresh = slurp(sidecar);
 
-    // Zero both digest fields (as a pre-checksum writer left them) and
-    // the loader must accept the file without verification.
-    std::vector<char> bytes = slurp(sidecar);
+    std::vector<char> v1 = fresh;
     seq::PackedHeader header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
-    std::memset(header.reserved, 0, 16);
-    std::memcpy(bytes.data(), &header, sizeof(header));
-    const std::string legacy = temp_path("packed_zeroed.2bit");
-    spit(legacy, bytes);
-    EXPECT_GT(seq::load_packed_genome(legacy).total_length(), 0u);
+    std::memcpy(&header, v1.data(), sizeof(header));
+    header.version = 1;
+    std::memcpy(v1.data(), &header, sizeof(header));
+
+    std::vector<char> zeroed = fresh;
+    artifact::ChecksumTrailer trailer;
+    std::memcpy(&trailer, zeroed.data() + zeroed.size() - sizeof(trailer),
+                sizeof(trailer));
+    std::fill_n(zeroed.begin() + static_cast<std::ptrdiff_t>(
+                                     trailer.digests_offset),
+                trailer.num_digests * 8, 0);
+    trailer.header_digest = 0;
+    std::memcpy(zeroed.data() + zeroed.size() - sizeof(trailer), &trailer,
+                sizeof(trailer));
+
+    for (const auto& [bytes, fragment] :
+         {std::pair{v1, "unsupported packed genome format version 1"},
+          std::pair{zeroed, "checksum mismatch"}}) {
+        spit(sidecar, bytes);
+        try {
+            seq::load_packed_genome(sidecar);
+            ADD_FAILURE() << "loaded a sidecar refused with " << fragment;
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(fragment),
+                      std::string::npos)
+                << e.what();
+        }
+        const seq::Genome rebuilt = seq::read_genome_packed(fasta);
+        EXPECT_EQ(rebuilt.total_length(), genome.total_length());
+        EXPECT_EQ(slurp(sidecar), fresh);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -544,6 +560,20 @@ TEST(Fsck, TaggedFindingsForEveryFailureMode)
         EXPECT_NE(findings[0].detail.find("--resume drops it"),
                   std::string::npos);
     }
+}
+
+TEST(Fsck, PlainTextFileWritesNothingToStderr)
+{
+    // fsck tries the journal reader on a file of no known kind; the
+    // FatalError it catches there is an expected outcome, not a log
+    // line.
+    const std::string path = temp_path("fsck_quiet.txt");
+    std::ofstream(path) << "plain text\n";
+    ::testing::internal::CaptureStderr();
+    const auto findings = fsck_file(path);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].code, "unknown-type");
 }
 
 TEST(Fsck, FaultProbeFires)

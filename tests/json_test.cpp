@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for util/json.h, the one JSON reader, and a seeded mutation
- * fuzzer over the three readers built on it: serve requests
+ * Tests for util/json.h, the one JSON reader, and the seeded mutation
+ * fuzzer (fuzz_driver.h) over the three readers built on it: serve requests
  * (parse_request), Chrome traces (parse_trace_events) and checkpoint
  * journal lines (parse_journal_line). The property is that every input
  * yields a value or that reader's tagged error (ProtocolError or
@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <typeinfo>
 #include <vector>
 
 #include "batch/checkpoint.h"
@@ -22,6 +20,7 @@
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "fuzz_driver.h"
 
 namespace darwin {
 namespace {
@@ -170,87 +169,32 @@ TEST(JsonFuzz, ProbeRequestBudgetOverflowIsAProtocolError)
 // ------------------------------------------------------------------
 // Seeded mutation fuzzing.
 
-/** One mutation of `text`; `seeds` supplies splice material. */
-std::string
-mutate(std::string text, const std::vector<std::string>& seeds, Rng& rng)
-{
-    const auto at = [&rng](const std::string& s) {
-        return static_cast<std::size_t>(rng.uniform(s.size() + 1));
-    };
-    switch (rng.uniform(5)) {
-    case 0:  // truncation
-        text.resize(at(text));
-        break;
-    case 1:  // bit flip
-        if (!text.empty())
-            text[at(text) % text.size()] ^=
-                static_cast<char>(1u << rng.uniform(8));
-        break;
-    case 2: {  // splice: a slice of another seed at a random point
-        const std::string& donor = seeds[rng.uniform(seeds.size())];
-        const std::size_t from = at(donor);
-        text.insert(at(text),
-                    donor.substr(from, rng.uniform(donor.size() - from + 1)));
-        break;
-    }
-    case 3: {  // oversize number over the next digit run
+/** The JSON-specific mutations: an oversize number over the next
+ *  digit run, and a run of nested openers. */
+const std::vector<test::Mutation> kJsonMutations = {
+    [](std::string& text, Rng& rng) {
         static const char* const kHuge[] = {
             "1e999", "-1e999", "1e30", "18446744073709551616",
             "-9223372036854775809", "4294967296", "1e-400", "0.5",
             "123456789012345678901234567890"};
-        std::size_t begin = text.find_first_of("0123456789", at(text));
+        std::size_t begin =
+            text.find_first_of("0123456789", test::cut_point(text, rng));
         if (begin == std::string::npos)
-            begin = at(text);
+            begin = test::cut_point(text, rng);
         std::size_t end = text.find_first_not_of("0123456789.eE+-", begin);
         if (end == std::string::npos)
             end = text.size();
         text.replace(begin, end - begin, kHuge[rng.uniform(9)]);
-        break;
-    }
-    default: {  // deep nesting
+    },
+    [](std::string& text, Rng& rng) {
         const std::size_t depth = 1 + rng.uniform(json::kMaxDepth * 4);
         const std::string open = rng.chance(0.5) ? "[" : "{\"k\": ";
         std::string prefix;
         for (std::size_t i = 0; i < depth; ++i)
             prefix += open;
-        text.insert(at(text), prefix);
-        break;
-    }
-    }
-    return text;
-}
-
-/**
- * Feed `iterations` mutants of `seeds` to `reader`; anything it throws
- * must be a `Tagged`. Returns how many mutants it accepted.
- */
-template <class Tagged>
-std::size_t
-fuzz(const std::vector<std::string>& seeds, std::uint64_t seed,
-     int iterations, const std::function<void(const std::string&)>& reader)
-{
-    Rng rng(seed);
-    std::size_t accepted = 0;
-    // FatalError logs every rejection; keep thousands of them off the
-    // test output.
-    ::testing::internal::CaptureStderr();
-    for (int i = 0; i < iterations; ++i) {
-        std::string input = seeds[rng.uniform(seeds.size())];
-        const int rounds = 1 + static_cast<int>(rng.uniform(3));
-        for (int r = 0; r < rounds; ++r)
-            input = mutate(std::move(input), seeds, rng);
-        try {
-            reader(input);
-            ++accepted;
-        } catch (const Tagged&) {
-        } catch (const std::exception& error) {
-            ADD_FAILURE() << "untagged " << typeid(error).name() << " ("
-                          << error.what() << ") on: " << input.substr(0, 200);
-        }
-    }
-    ::testing::internal::GetCapturedStderr();
-    return accepted;
-}
+        text.insert(test::cut_point(text, rng), prefix);
+    },
+};
 
 constexpr int kIterations = 20000;
 
@@ -265,8 +209,8 @@ TEST(JsonFuzz, RequestsGiveARequestOrAProtocolError)
         "\"max_heap_bytes\": 4096}}",
         "{\"op\": \"dump_trace\", \"id\": 7, \"out\": \"f\\u002ejson\"}",
     };
-    const std::size_t accepted = fuzz<serve::ProtocolError>(
-        seeds, 0x5e12e, kIterations,
+    const std::size_t accepted = test::fuzz<serve::ProtocolError>(
+        seeds, 0x5e12e, kIterations, kJsonMutations,
         [](const std::string& line) { serve::parse_request(line); });
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, static_cast<std::size_t>(kIterations));
@@ -284,8 +228,8 @@ TEST(JsonFuzz, TracesGiveEventsOrAFatalError)
         outer.end();
     }
     const std::vector<std::string> seeds = {session.to_json()};
-    const std::size_t accepted = fuzz<FatalError>(
-        seeds, 0x7ace, kIterations,
+    const std::size_t accepted = test::fuzz<FatalError>(
+        seeds, 0x7ace, kIterations, kJsonMutations,
         [](const std::string& text) { obs::parse_trace_events(text); });
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, static_cast<std::size_t>(kIterations));
@@ -299,8 +243,8 @@ TEST(JsonFuzz, JournalLinesGiveALineOrAFatalError)
         "{\"pair\":\"p0\",\"status\":\"clean\",\"output\":\"p0.maf\"}",
         "{\"pair\":\"p3\",\"status\":\"quarantined\",\"reason\":\"cells\"}",
     };
-    const std::size_t accepted = fuzz<FatalError>(
-        seeds, 0x10e5, kIterations,
+    const std::size_t accepted = test::fuzz<FatalError>(
+        seeds, 0x10e5, kIterations, kJsonMutations,
         [](const std::string& line) { batch::parse_journal_line(line); });
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, static_cast<std::size_t>(kIterations));

@@ -197,7 +197,7 @@ TEST_F(PackedIo, IngestionMatchesByteReaderAndWritesSidecar)
         for (std::size_t i = 0; i < bc.size(); ++i)
             ASSERT_EQ(pc[i], bc[i]) << "chr " << c << " pos " << i;
     }
-    EXPECT_TRUE(is_packed_file(sidecar_));
+    EXPECT_EQ(artifact::sniff(sidecar_, {&kPackedFormat}), &kPackedFormat);
 }
 
 TEST_F(PackedIo, SidecarIsReusedViaMmapAttach)
