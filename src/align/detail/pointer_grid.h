@@ -140,6 +140,10 @@ class PointerGrid {
  */
 class StripePointerStore {
   public:
+    /** Writable bytes past each opened stripe's last diagonal: a block
+     *  store of up to kSlack lanes may overrun it. */
+    static constexpr std::size_t kSlack = 64;
+
     StripePointerStore(std::vector<std::uint8_t>& pool, std::size_t num_pe)
         : pool_(pool), npe_(num_pe)
     {
@@ -154,7 +158,7 @@ class StripePointerStore {
     std::uint8_t*
     open_stripe(std::size_t diagonals)
     {
-        const std::size_t need = used_ + diagonals * npe_;
+        const std::size_t need = used_ + diagonals * npe_ + kSlack;
         if (pool_.size() < need)
             pool_.resize(need);
         return pool_.data() + used_;

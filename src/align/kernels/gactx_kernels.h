@@ -9,16 +9,20 @@
  * stripe of `num_pe` rows, cell (r, c) on diagonal d = r + c depends
  * only on diagonals d-1 (left and up neighbours, plus the running gap
  * rows) and d-2 (diagonal neighbour), so all lanes of a diagonal update
- * independently and vectorize. Column-granular state — the per-column
- * best (for Vmax and the X-drop stripe termination) and the stripe's
- * last-row V/G frontier — is committed when a column *completes*, i.e.
- * when its last lane computes it at diagonal c + rows - 1; columns the
- * wavefront had started beyond a terminating column are discarded, so
- * the column walk (vmax updates, termination point, cells_computed,
- * stripe_columns) replays the seed engine's sequential order exactly.
+ * independently and vectorize. Column-granular state — the column best
+ * (for Vmax and the X-drop stripe termination), which travels down the
+ * lanes with its column, and the stripe's last-row V/G frontier — is
+ * committed when a column *completes*, i.e. when its last lane computes
+ * it at diagonal c + rows - 1; columns the wavefront had started beyond
+ * a terminating column are discarded, so the column walk (vmax updates,
+ * termination point, cells_computed, stripe_columns) replays the seed
+ * engine's sequential order exactly.
  * The scalar kernels are declared here; the vector tiers' policy is
  * written once in simd_kernels.h and instantiated per ISA, and both run
- * on the shared scaffold in gactx_wavefront.h.
+ * on the shared scaffold in gactx_wavefront.h. Up to kGactXPad rows
+ * per stripe, the vector tiers keep the lane state in registers (the
+ * register walk); the scalar tier, and wider stripes, rotate it through
+ * the lane buffers below.
  *
  * Bit-identity contract: every kernel must return *exactly* the same
  * TileResult as `gactx_reference_align` (the seed engine) for every
@@ -72,14 +76,30 @@ TileResult gactx_wavefront_scalar_score_only(
     std::span<const std::uint8_t> query, const GactXParams& params);
 
 /**
+ * Guard bytes of the padded tile copies, and the most rows per stripe
+ * the register stripe walk (simd_kernels.h) takes, so no block read of
+ * its lanes leaves a copy.
+ */
+inline constexpr std::size_t kGactXPad = 64;
+
+/**
  * Reusable per-thread buffers for the wavefront kernels.
  *
  * The frontier ("BRAM") arrays are indexed by target column; the lane
- * arrays by slot r + 1 (slot 0 carries the previous stripe's frontier
- * values for lane 0, mirroring the systolic array's BRAM port). The
- * kernels maintain the invariant that every slot a later diagonal (or
- * stripe) reads was written earlier in the same call, so none of the
- * buffers is ever cleared — `prepare` only grows capacity. The pointer
+ * arrays of the lane-buffer walk by slot r + 1 (slot 0 carries the
+ * previous stripe's frontier values for lane 0, mirroring the systolic
+ * array's BRAM port; in the column-best buffers it is the -inf a new
+ * column starts from). The register walk keeps the same lane state in
+ * vector registers and reads the tile through the padded copies
+ * instead: `tpad` is the target reversed and premultiplied by
+ * kNumCodes, so a block of lanes on one anti-diagonal reads its target
+ * codes forward, and `qpad` is the query. Code-0 guard bytes —
+ * kGactXPad on both sides of `tpad`, after `qpad` — are what the
+ * walk's phantom lanes and its lanes past the stripe's last column
+ * read. The kernels maintain the invariant that every slot a later
+ * diagonal (or stripe) reads was written earlier in the same call, so
+ * no buffer is ever cleared — `prepare` only grows capacity and, when
+ * the walk reads them (`padded`), refreshes the copies. The pointer
  * pool grows on demand, stripe by stripe, and keeps its size between
  * tiles (at paper defaults at most ~3.8 MB: 1920 columns + 31 skew
  * diagonals, x 32 lanes, x 60 stripes, one byte per cell).
@@ -90,12 +110,16 @@ struct GactXScratch {
     std::vector<Score> v0, v1, v2;      ///< lane V: diag d-2, d-1, current
     std::vector<Score> g0, g1;          ///< lane G: diag d-1, current
     std::vector<Score> h0, h1;          ///< lane H: diag d-1, current
+    std::vector<Score> c0, c1;          ///< lane column best: d-1, current
+    std::vector<std::int32_t> b0, b1;   ///< its smallest row: d-1, current
     std::vector<Score> init_left;       ///< column-0 boundary per lane
-    std::vector<Score> colmax;          ///< per-column running best
-    std::vector<std::int32_t> colbest;  ///< its smallest-row lane
+    std::vector<std::uint8_t> tpad;     ///< reversed target x kNumCodes
+    std::vector<std::uint8_t> qpad;     ///< query
     std::vector<std::uint8_t> ptr_pool; ///< StripePointerStore codes
 
-    void prepare(std::size_t n, std::size_t npe);
+    void prepare(std::span<const std::uint8_t> target,
+                 std::span<const std::uint8_t> query, std::size_t npe,
+                 bool padded);
 };
 
 /** Per-thread scratch instance (kernels may run on pool threads). */

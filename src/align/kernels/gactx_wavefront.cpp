@@ -1,12 +1,12 @@
 /**
  * Scalar GACT-X wavefront kernel and the shared per-thread scratch.
  *
- * The scalar variant instantiates the shared anti-diagonal scaffold
- * with a plain lane loop — same traversal, same buffers, and the exact
- * per-cell arithmetic the SIMD policies reuse for their tails — so
- * `DARWIN_KERNEL=scalar` exercises the wavefront dataflow itself, while
- * the seed column-serial engine survives unregistered as
- * `gactx_reference_align` (gactx_reference.cpp).
+ * The scalar variant runs the shared scaffold's lane-buffer walk — the
+ * same traversal and per-cell arithmetic the vector tiers fall back to
+ * past kGactXPad rows — so `DARWIN_KERNEL=scalar` exercises the
+ * wavefront dataflow itself, while the seed column-serial engine
+ * survives unregistered as `gactx_reference_align`
+ * (gactx_reference.cpp).
  */
 #include "align/kernels/gactx_kernels.h"
 #include "align/kernels/gactx_wavefront.h"
@@ -14,27 +14,31 @@
 namespace darwin::align::kernels {
 
 void
-GactXScratch::prepare(std::size_t n, std::size_t npe)
+GactXScratch::prepare(std::span<const std::uint8_t> target,
+                      std::span<const std::uint8_t> query, std::size_t npe,
+                      bool padded)
 {
-    const auto grow = [](std::vector<Score>& v, std::size_t size) {
+    const std::size_t n = target.size();
+    const auto grow = [](auto& v, std::size_t size) {
         if (v.size() < size)
             v.resize(size);
     };
-    grow(bram_v, n + 1);
-    grow(bram_g, n + 1);
-    grow(next_v, n + 1);
-    grow(next_g, n + 1);
-    grow(v0, npe + 2);
-    grow(v1, npe + 2);
-    grow(v2, npe + 2);
-    grow(g0, npe + 2);
-    grow(g1, npe + 2);
-    grow(h0, npe + 2);
-    grow(h1, npe + 2);
-    grow(init_left, npe);
-    grow(colmax, n + 1);
-    if (colbest.size() < n + 1)
-        colbest.resize(n + 1);
+    for (auto* frontier : {&bram_v, &bram_g, &next_v, &next_g})
+        grow(*frontier, n + 1);
+    for (auto* lane : {&v0, &v1, &v2, &g0, &g1, &h0, &h1, &c0, &c1})
+        grow(*lane, npe + 2);
+    grow(b0, npe + 2);
+    grow(b1, npe + 2);
+    grow(init_left, npe + kGactXPad);
+    if (!padded)
+        return;
+
+    tpad.assign(n + 2 * kGactXPad, 0);
+    for (std::size_t x = 0; x < n; ++x)
+        tpad[kGactXPad + x] =
+            static_cast<std::uint8_t>(target[n - 1 - x] * seq::kNumCodes);
+    qpad.assign(query.size() + kGactXPad, 0);
+    std::copy(query.begin(), query.end(), qpad.begin());
 }
 
 GactXScratch&
@@ -50,12 +54,13 @@ template <bool kScoreOnly>
 struct ScalarPolicy {
     explicit ScalarPolicy(const GactXDiagCtx&) {}
 
+    static bool pads(std::size_t) { return false; }
+
     void
-    diagonal(const GactXDiagCtx& ctx, std::size_t dd, std::size_t rlo,
-             std::size_t rhi) const
+    walk(GactXDiagCtx& ctx, const GactXStripe& st, GactXScratch& ws,
+         GactXColumns& cols) const
     {
-        for (std::size_t r = rlo; r <= rhi; ++r)
-            gactx_cell<kScoreOnly>(ctx, dd, r);
+        gactx_lane_buffer_walk<kScoreOnly>(ctx, st, ws, cols);
     }
 };
 

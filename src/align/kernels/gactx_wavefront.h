@@ -4,17 +4,23 @@
  *
  * `gactx_align_wavefront<Policy>` owns everything that is identical
  * across the scalar and SIMD variants — the stripe walk, the jstart
- * frontier scan, the boundary column, the diagonal loop with its
- * buffer rotation and lane activation, the column-completion bookkeeping
- * that replays the seed engine's sequential vmax/termination order, and
- * the stripe records of the traceback store. A Policy only supplies
- * `diagonal(ctx, dd, rlo, rhi)`: compute lanes rlo..rhi of diagonal dd
- * (slots rlo+1..rhi+1 of the lane buffers), fold each value into the
- * per-column running best, and store each cell's 4-bit pointer code as
- * one byte at `ptr[r]` — the diagonal's lanes are contiguous in the
- * diagonal-major `StripePointerStore`, so a SIMD block is one store.
- * `gactx_cell` is the scalar per-cell body the SIMD policies
- * (simd_kernels.h) reuse for their tails.
+ * frontier scan, the boundary column, the column commit that replays
+ * the seed engine's sequential vmax/termination order
+ * (`GactXColumns::commit`), the frontier swap and the stripe records of
+ * the traceback store. A Policy supplies `walk(ctx, stripe, ws, cols)`:
+ * sweep one stripe's anti-diagonals, storing each cell's 4-bit pointer
+ * code as one byte at `stripe.ptr[dd * npe + r]` (the diagonal's lanes
+ * are contiguous in the diagonal-major `StripePointerStore`, so a SIMD
+ * block is one store), and commit every completed column through
+ * `cols.commit` until it returns true or the last diagonal is done.
+ * Its static `pads(npe)` says whether that walk reads the padded tile
+ * copies, which `GactXScratch::prepare` then builds.
+ *
+ * Two walks exist. `gactx_lane_buffer_walk` keeps the lane state in
+ * slot-indexed buffers that rotate each diagonal and runs `gactx_cell`
+ * on each diagonal's live lanes rlo..rhi; the scalar tier runs it, and
+ * so do the vector tiers past kGactXPad rows per stripe. The register
+ * walk (simd_kernels.h) keeps the same state in vector registers.
  *
  * Coordinate map (see DESIGN.md "Extension kernels"): within a stripe
  * starting at query row i0 with first data column fdc, lane r handles
@@ -26,9 +32,12 @@
  *     g_up  G(r-1, c)  -> gd1[r]
  *     diag  V(r-1, c-1)-> vd2[r]          (lane above, diagonal dd - 2)
  *     own H (r, c-1)   -> hd1[r + 1]
+ *     column best of c over rows 0..r-1 -> cd1[r] (lane above, dd - 1)
  *
  * Slot 0 is refreshed from the previous stripe's frontier whenever lane
  * 0 is active, which is exactly the systolic array's BRAM read port.
+ * The column best travels down the lanes with its column, so the best
+ * of the column completing at diagonal dd is lane rows - 1's.
  */
 #ifndef DARWIN_ALIGN_KERNELS_GACTX_WAVEFRONT_H
 #define DARWIN_ALIGN_KERNELS_GACTX_WAVEFRONT_H
@@ -45,7 +54,7 @@
 
 namespace darwin::align::kernels {
 
-/** Per-stripe state handed to Policy::diagonal (pointers rotate). */
+/** The lane-buffer walk's cell context (its pointers rotate). */
 struct GactXDiagCtx {
     const std::uint8_t* t = nullptr;  ///< target.data()
     const std::uint8_t* q = nullptr;  ///< query.data() + i0 - 1: lane r -> q[r]
@@ -60,18 +69,89 @@ struct GactXDiagCtx {
     Score* gcur = nullptr;
     Score* hd1 = nullptr;
     Score* hcur = nullptr;
-    Score* colmax = nullptr;
-    std::int32_t* colbest = nullptr;
+    Score* cd1 = nullptr;          ///< column best, diagonal dd - 1
+    Score* ccur = nullptr;
+    std::int32_t* bd1 = nullptr;   ///< its row, diagonal dd - 1
+    std::int32_t* bcur = nullptr;
     std::uint8_t* ptr = nullptr;  ///< this diagonal's codes: lane r -> ptr[r]
+};
+
+/** One stripe, as the scaffold hands it to a walk. */
+struct GactXStripe {
+    std::size_t i0 = 0;        ///< first query row (1-based)
+    std::size_t rows = 0;      ///< lanes, at most num_pe
+    std::size_t npe = 0;       ///< num_pe: the store's diagonal stride
+    std::size_t fdc = 0;       ///< target column of c = 0
+    std::size_t num_cols = 0;  ///< data columns fdc..n
+    const Score* init_left = nullptr;  ///< column-0 boundary per lane
+    const Score* bram_v = nullptr;     ///< previous stripe's frontier
+    const Score* bram_g = nullptr;
+    std::size_t bram_start = 0;  ///< its window [bram_start, bram_end]
+    std::size_t bram_end = 0;
+    std::uint8_t* ptr = nullptr;  ///< diagonal-major codes; null score-only
+
+    /** Last diagonal: the last column's last lane. */
+    std::size_t ddmax() const { return (num_cols - 1) + (rows - 1); }
+
+    /** The BRAM port: frontier value at target column j, -inf outside
+     *  the window. */
+    Score
+    port(const Score* frontier, std::size_t j) const
+    {
+        return j >= bram_start && j <= bram_end ? frontier[j]
+                                                : kScoreNegInf;
+    }
+};
+
+/**
+ * The column walk every stripe walk commits through, in sequential
+ * column order: vmax/best update, last-row frontier, and the live
+ * X-drop stripe-termination test. Cells the wavefront has already
+ * started in later columns are discarded on termination: they were
+ * never counted or committed anywhere.
+ */
+struct GactXColumns {
+    Score ydrop = 0;
+    Score vmax = 0;
+    std::size_t best_i = 0;
+    std::size_t best_j = 0;
+    // Per stripe (set by the scaffold):
+    Score* next_v = nullptr;  ///< the frontier being produced
+    Score* next_g = nullptr;
+    std::uint32_t data_columns = 0;  ///< columns committed so far
+
+    /**
+     * The next column of stripe `st` completed with best `best` at
+     * stripe row `row` and last-row values `v`, `g`. Returns true when
+     * the stripe terminates there.
+     */
+    [[gnu::always_inline]] bool
+    commit(const GactXStripe& st, Score best, std::int32_t row, Score v,
+           Score g)
+    {
+        const std::size_t j = st.fdc + data_columns++;
+        if (best > vmax) {
+            vmax = best;
+            best_i = st.i0 + static_cast<std::size_t>(row);
+            best_j = j;
+        }
+        next_v[j] = v;
+        next_g[j] = g;
+        // Termination only applies beyond the previous stripe's
+        // frontier (see the seed engine: within [jstart, bram_end] BRAM
+        // values further right can revive the stripe).
+        return best < vmax - ydrop && j > st.bram_end;
+    }
 };
 
 /**
  * One DP cell, bit-exact to the seed engine's lane body: tie-breaks are
  * `>=` for both gap-open bits and strictly-greater for the V direction
- * precedence Diag < HGap < VGap and for the column best (ascending r
- * per column, so the smallest row among equals wins). `kScoreOnly`
- * skips the pointer store only, so a score-only pass visits the
- * identical cell set and produces the identical score trajectory.
+ * precedence Diag < HGap < VGap and for the column best (folded down
+ * the column in ascending r, so the smallest row among equals wins).
+ * `kScoreOnly` skips the pointer store only, so a score-only pass
+ * visits the identical cell set and produces the identical score
+ * trajectory.
  */
 template <bool kScoreOnly>
 inline void
@@ -108,13 +188,95 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
     c.gcur[s] = g;
     c.hcur[s] = h;
 
-    if (val > c.colmax[col]) {
-        c.colmax[col] = val;
-        c.colbest[col] = static_cast<std::int32_t>(r);
-    }
+    const bool better = val > c.cd1[s - 1];
+    c.ccur[s] = better ? val : c.cd1[s - 1];
+    c.bcur[s] = better ? static_cast<std::int32_t>(r) : c.bd1[s - 1];
 
     if constexpr (!kScoreOnly)
         c.ptr[r] = detail::pack_pointer(vdir, hopen, vopen);
+}
+
+/**
+ * The lane-buffer stripe walk: per diagonal, refresh slot 0 from the
+ * BRAM port, run `gactx_cell` on the live lanes, activate the next
+ * lane, commit the completed column and rotate the buffers.
+ */
+template <bool kScoreOnly>
+[[gnu::always_inline]] inline void
+gactx_lane_buffer_walk(GactXDiagCtx& ctx, const GactXStripe& st,
+                       GactXScratch& ws, GactXColumns& cols)
+{
+    const std::size_t rows = st.rows;
+    const std::size_t num_cols = st.num_cols;
+    const std::size_t ddmax = st.ddmax();
+
+    Score* vd2 = ws.v0.data();
+    Score* vd1 = ws.v1.data();
+    Score* vcur = ws.v2.data();
+    Score* gd1 = ws.g0.data();
+    Score* gcur = ws.g1.data();
+    Score* hd1 = ws.h0.data();
+    Score* hcur = ws.h1.data();
+    Score* cd1 = ws.c0.data();
+    Score* ccur = ws.c1.data();
+    std::int32_t* bd1 = ws.b0.data();
+    std::int32_t* bcur = ws.b1.data();
+    vd1[1] = st.init_left[0];
+    hd1[1] = kScoreNegInf;
+    cd1[0] = kScoreNegInf;  // every column starts at lane 0 from -inf
+    ccur[0] = kScoreNegInf;
+
+    for (std::size_t dd = 0; dd <= ddmax; ++dd) {
+        const std::size_t rlo = (dd >= num_cols) ? dd - (num_cols - 1) : 0;
+        const std::size_t rhi = std::min(rows - 1, dd);
+
+        if (rlo == 0) {
+            // Lane 0's BRAM port at its current column j0 = fdc + dd.
+            const std::size_t j0 = st.fdc + dd;
+            vd1[0] = st.port(st.bram_v, j0);
+            gd1[0] = st.port(st.bram_g, j0);
+            vd2[0] = st.port(st.bram_v, j0 - 1);
+        }
+
+        ctx.vd1 = vd1;
+        ctx.vd2 = vd2;
+        ctx.vcur = vcur;
+        ctx.gd1 = gd1;
+        ctx.gcur = gcur;
+        ctx.hd1 = hd1;
+        ctx.hcur = hcur;
+        ctx.cd1 = cd1;
+        ctx.ccur = ccur;
+        ctx.bd1 = bd1;
+        ctx.bcur = bcur;
+        if (st.ptr != nullptr)
+            ctx.ptr = st.ptr + dd * st.npe;
+        for (std::size_t r = rlo; r <= rhi; ++r)
+            gactx_cell<kScoreOnly>(ctx, dd, r);
+
+        // Activate lane dd+1: this single write is its left neighbour
+        // next diagonal (as vd1) and lane dd+2's diagonal neighbour the
+        // diagonal after (as vd2).
+        if (dd + 1 <= rows - 1) {
+            vcur[dd + 2] = st.init_left[dd + 1];
+            hcur[dd + 2] = kScoreNegInf;
+        }
+
+        // Column dd - (rows - 1) just completed (its last lane ran
+        // this diagonal).
+        if (dd >= rows - 1 &&
+            cols.commit(st, ccur[rows], bcur[rows], vcur[rows], gcur[rows]))
+            return;
+
+        Score* vtmp = vd2;
+        vd2 = vd1;
+        vd1 = vcur;
+        vcur = vtmp;
+        std::swap(gd1, gcur);
+        std::swap(hd1, hcur);
+        std::swap(cd1, ccur);
+        std::swap(bd1, bcur);
+    }
 }
 
 /**
@@ -125,9 +287,9 @@ gactx_cell(const GactXDiagCtx& c, std::size_t dd, std::size_t r)
  * column bests move it, max_score == 0 iff the best cell is the origin
  * iff the CIGAR is empty: a score-only result with max_score == 0 is the
  * complete bit-identical TileResult for that (dead) tile. A kScoreOnly
- * Policy must route cells through gactx_cell<true> (ctx.ptr is
- * null). Always inlined, so an ISA kernel compiles the scaffold with its
- * own target options and inlines its policy (see simd_kernels.h).
+ * Policy must store no pointer codes (stripe.ptr is null). Always
+ * inlined, so an ISA kernel compiles the scaffold with its own target
+ * options and inlines its policy (see simd_kernels.h).
  */
 template <class Policy, bool kScoreOnly = false>
 [[gnu::always_inline]] inline TileResult
@@ -146,7 +308,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         return out;
 
     GactXScratch& ws = gactx_scratch();
-    ws.prepare(n, npe);
+    ws.prepare(target, query, npe, Policy::pads(npe));
     Score* bram_v = ws.bram_v.data();
     Score* bram_g = ws.bram_g.data();
     Score* next_v = ws.next_v.data();
@@ -168,12 +330,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     }
     std::fill(bram_g, bram_g + bram_end + 1, kScoreNegInf);
 
-    Score vmax = 0;
-    std::size_t best_i = 0;
-    std::size_t best_j = 0;
-
     detail::StripePointerStore store(ws.ptr_pool, npe);
-    std::uint8_t* stripe_ptr = nullptr;
     std::uint64_t traceback_bytes = 0;
     bool out_of_memory = false;
 
@@ -182,9 +339,10 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
     ctx.sub = scoring.matrix.front().data();
     ctx.open = scoring.gap_open;
     ctx.extend = scoring.gap_extend;
-    ctx.colmax = ws.colmax.data();
-    ctx.colbest = ws.colbest.data();
     Policy pol(ctx);
+
+    GactXColumns cols;
+    cols.ydrop = ydrop;
 
     for (std::size_t i0 = 1; i0 <= m && !out_of_memory; i0 += npe) {
         // Budget/injection probe once per stripe: the cooperative
@@ -195,7 +353,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         const std::uint64_t stripe_cells_before = out.cells_computed;
         const std::size_t i1 = std::min(m, i0 + npe - 1);
         const std::size_t rows = i1 - i0 + 1;
-        const Score stripe_threshold = vmax - ydrop;
+        const Score stripe_threshold = cols.vmax - ydrop;
 
         // jstart: first column of the previous stripe's stored row whose
         // score still clears the X-drop bound (V >= D, so scanning V and
@@ -207,11 +365,19 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         if (jstart > bram_end)
             break;  // the whole frontier fell below the bound
 
-        const std::size_t fdc = std::max<std::size_t>(jstart, 1);
-        const std::size_t num_cols = n - fdc + 1;
-        const std::size_t ddmax = (num_cols - 1) + (rows - 1);
+        GactXStripe st;
+        st.i0 = i0;
+        st.rows = rows;
+        st.npe = npe;
+        st.fdc = std::max<std::size_t>(jstart, 1);
+        st.num_cols = n - st.fdc + 1;
+        st.init_left = ws.init_left.data();
+        st.bram_v = bram_v;
+        st.bram_g = bram_g;
+        st.bram_start = bram_start;
+        st.bram_end = bram_end;
         if constexpr (!kScoreOnly)
-            stripe_ptr = store.open_stripe(ddmax + 1);
+            st.ptr = store.open_stripe(st.ddmax() + 1);
 
         // Column-0 boundary values per lane (-gap_cost(i0 + r) when the
         // window touches column 0, pruned otherwise). These seed each
@@ -229,15 +395,8 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
                           static_cast<std::ptrdiff_t>(rows),
                       kScoreNegInf);
         }
-        std::fill(ws.colmax.begin(),
-                  ws.colmax.begin() +
-                      static_cast<std::ptrdiff_t>(num_cols),
-                  kScoreNegInf);
 
         std::uint32_t columns = 0;
-        std::uint32_t data_columns = 0;
-        std::size_t last_col = (jstart == 0) ? 0 : jstart - 1;
-
         if (jstart == 0) {
             // Boundary column: one leading-query-gap cell per lane. Its
             // pointers are never stored — the traceback stops at j == 0.
@@ -247,93 +406,15 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
             ++columns;
         }
 
-        Score* vd2 = ws.v0.data();
-        Score* vd1 = ws.v1.data();
-        Score* vcur = ws.v2.data();
-        Score* gd1 = ws.g0.data();
-        Score* gcur = ws.g1.data();
-        Score* hd1 = ws.h0.data();
-        Score* hcur = ws.h1.data();
-        vd1[1] = ws.init_left[0];
-        hd1[1] = kScoreNegInf;
-
         ctx.q = query.data() + (i0 - 1);
-        ctx.fdc = fdc;
+        ctx.fdc = st.fdc;
+        cols.next_v = next_v;
+        cols.next_g = next_g;
+        cols.data_columns = 0;
+        pol.walk(ctx, st, ws, cols);
 
-        bool stripe_done = false;
-        for (std::size_t dd = 0; dd <= ddmax && !stripe_done; ++dd) {
-            const std::size_t rlo =
-                (dd >= num_cols) ? dd - (num_cols - 1) : 0;
-            const std::size_t rhi = std::min(rows - 1, dd);
-
-            if (rlo == 0) {
-                // Lane 0's BRAM port: the previous stripe's frontier at
-                // lane 0's current column j0 = fdc + dd.
-                const std::size_t j0 = fdc + dd;
-                const bool in = j0 >= bram_start && j0 <= bram_end;
-                vd1[0] = in ? bram_v[j0] : kScoreNegInf;
-                gd1[0] = in ? bram_g[j0] : kScoreNegInf;
-                vd2[0] = (j0 > bram_start && j0 <= bram_end + 1)
-                             ? bram_v[j0 - 1]
-                             : kScoreNegInf;
-            }
-
-            ctx.vd1 = vd1;
-            ctx.vd2 = vd2;
-            ctx.vcur = vcur;
-            ctx.gd1 = gd1;
-            ctx.gcur = gcur;
-            ctx.hd1 = hd1;
-            ctx.hcur = hcur;
-            if constexpr (!kScoreOnly)
-                ctx.ptr = stripe_ptr + dd * npe;
-            pol.diagonal(ctx, dd, rlo, rhi);
-
-            // Activate lane dd+1: this single write is its left
-            // neighbour next diagonal (as vd1) and lane dd+2's diagonal
-            // neighbour the diagonal after (as vd2).
-            if (dd + 1 <= rows - 1) {
-                vcur[dd + 2] = ws.init_left[dd + 1];
-                hcur[dd + 2] = kScoreNegInf;
-            }
-
-            // Column dd - (rows - 1) just completed (its last lane ran
-            // this diagonal): commit it in sequential column order —
-            // vmax/best update, last-row frontier, and the live X-drop
-            // stripe-termination test. Cells the wavefront has already
-            // started in later columns are discarded on termination:
-            // they were never counted or committed anywhere.
-            if (dd >= rows - 1) {
-                const std::size_t cdone = dd - (rows - 1);
-                const std::size_t j = fdc + cdone;
-                const Score column_best = ws.colmax[cdone];
-                if (column_best > vmax) {
-                    vmax = column_best;
-                    best_i = i0 + static_cast<std::size_t>(
-                                      ws.colbest[cdone]);
-                    best_j = j;
-                }
-                next_v[j] = vcur[rows];
-                next_g[j] = gcur[rows];
-                ++columns;
-                ++data_columns;
-                last_col = j;
-                // Termination only applies beyond the previous stripe's
-                // frontier (see the seed engine: within [jstart,
-                // bram_end] BRAM values further right can revive the
-                // stripe).
-                if (column_best < vmax - ydrop && j > bram_end)
-                    stripe_done = true;
-            }
-
-            Score* vtmp = vd2;
-            vd2 = vd1;
-            vd1 = vcur;
-            vcur = vtmp;
-            std::swap(gd1, gcur);
-            std::swap(hd1, hcur);
-        }
-
+        const std::uint32_t data_columns = cols.data_columns;
+        columns += data_columns;
         out.stripe_columns.push_back(columns);
         out.cells_computed +=
             static_cast<std::uint64_t>(data_columns) * rows;
@@ -345,7 +426,7 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         const std::uint64_t traceback_before = traceback_bytes;
         traceback_bytes += rows * ((row_len + 1) / 2);
         if constexpr (!kScoreOnly)
-            store.close_stripe(rows, fdc, data_columns);
+            store.close_stripe(rows, st.fdc, data_columns);
         if (traceback_bytes > params.traceback_bytes)
             out_of_memory = true;
         fault::charge_cells(out.cells_computed - stripe_cells_before);
@@ -358,19 +439,19 @@ gactx_align_wavefront(std::span<const std::uint8_t> target,
         std::swap(bram_v, next_v);
         std::swap(bram_g, next_g);
         bram_start = jstart;
-        bram_end = last_col;
+        bram_end = st.fdc + data_columns - 1;  // the last column committed
         if (bram_end < bram_start)
             break;
     }
 
-    out.max_score = vmax;
-    out.target_max = best_j;
-    out.query_max = best_i;
+    out.max_score = cols.vmax;
+    out.target_max = cols.best_j;
+    out.query_max = cols.best_i;
     out.traceback_bytes = traceback_bytes;
     if constexpr (!kScoreOnly) {
-        if (best_i != 0 || best_j != 0)
-            out.cigar =
-                detail::trace_from(store, target, query, best_i, best_j);
+        if (cols.best_i != 0 || cols.best_j != 0)
+            out.cigar = detail::trace_from(store, target, query, cols.best_i,
+                                           cols.best_j);
     }
     return out;
 }

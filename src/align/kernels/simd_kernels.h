@@ -6,9 +6,11 @@
  * paper's systolic arrays likewise take the PE count as a parameter).
  * `SimdKernels<Isa>` holds the banded-SW diagonal policy with its
  * row-major-first best reduction, the ungapped x-drop kernel with its
- * block prefix-sum/prefix-max, and the GACT-X diagonal policy (full and
- * score-only). Every lane op is exact integer arithmetic, so each
- * instantiation is bit-identical to the scalar tier.
+ * block prefix-sum/prefix-max, and the GACT-X stripe policy (full and
+ * score-only): a register-resident stripe walk over up to kGactXPad
+ * rows, in blocks of W lanes.
+ * Every lane op is exact integer arithmetic, so each instantiation is
+ * bit-identical to the scalar tier.
  *
  * The Isa shim supplies the four operations plain vector code would
  * scalarise through general-purpose registers:
@@ -45,6 +47,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "align/kernels/bsw_kernels.h"
@@ -352,18 +355,43 @@ struct SimdKernels {
         return out;
     }
 
+    /** Lane k = v[k - 1], lane 0 = above[W - 1]: one row down a
+     *  column of blocks. */
+    static V
+    down(V v, V above)
+    {
+        constexpr V kIdx =
+            lanes([](std::size_t k) { return k == 0 ? 2 * W - 1 : k - 1; });
+        return __builtin_shuffle(v, above, kIdx);
+    }
+
+    /** Call f(integral_constant<b>) for b = N-1 down to 0, unrolled:
+     *  block b may read block b - 1 before that is updated. */
+    template <std::size_t N, class F>
+    [[gnu::always_inline]] static void
+    for_blocks(F&& f)
+    {
+        [&]<std::size_t... B>(std::index_sequence<B...>) {
+            (f(std::integral_constant<std::size_t, N - 1 - B>{}), ...);
+        }(std::make_index_sequence<N>{});
+    }
+
     /**
-     * GACT-X stripe diagonal in W-lane blocks plus a scalar tail (see
-     * gactx_wavefront.h for the dataflow). Lane k handles stripe row
-     * r + k and target column fdc + dd - r - k: neighbour loads are
-     * contiguous in the slot-indexed lane buffers, and the per-column
-     * best fold hits colmax[dd-r-W+1 .. dd-r] with the values reversed
-     * (strict compare keeps the smallest-row winner). The block's W
-     * pointer codes are contiguous in the diagonal-major store: one
-     * narrowing store. The score-only instantiation elides the codes.
+     * GACT-X stripe walk (see gactx_wavefront.h for the dataflow). When
+     * num_pe <= kGactXPad, every stripe runs the register walk,
+     * instantiated once per block count up to kGactXPad / W; wider
+     * stripes (no production caller) run the scalar lane-buffer walk.
+     * The score-only instantiation elides the pointer codes.
      */
     template <bool kScoreOnly>
     struct GactX {
+        static_assert(W <= detail::StripePointerStore::kSlack);
+
+        /** One block of cells and its W pointer codes. */
+        struct Block {
+            V val, g, h, code;
+        };
+
         V vopen, vext;
         Lut sub;
 
@@ -372,56 +400,166 @@ struct SimdKernels {
         {
         }
 
-        void
-        diagonal(const GactXDiagCtx& c, std::size_t dd, std::size_t rlo,
-                 std::size_t rhi) const
+        /** The lane body of gactx_cell over W lanes. */
+        [[gnu::always_inline]] Block
+        cells(V left, V h_left, V up, V g_up, V diag, V subv) const
         {
-            // One-past-the-end cursors of block r's lane-reversed target
-            // bytes and column slots; each block moves them down W.
-            const std::uint8_t* tend = c.t + (c.fdc + dd - rlo);
-            Score* cmend = c.colmax + (dd - rlo + 1);
-            std::int32_t* cbend = c.colbest + (dd - rlo + 1);
-            std::size_t r = rlo;
-            for (; r + W <= rhi + 1;
-                 r += W, tend -= W, cmend -= W, cbend -= W) {
-                const std::size_t s = r + 1;
-                const V subv = subs(reverse(Isa::widen(tend - W)),
-                                    Isa::widen(c.q + r), sub);
-                const V h_open = load(c.vd1 + s) - vopen;
-                const V h_ext = load(c.hd1 + s) - vext;
-                const V h = max(h_open, h_ext);
-                const V g_open = load(c.vd1 + s - 1) - vopen;
-                const V g_ext = load(c.gd1 + s - 1) - vext;
-                const V g = max(g_open, g_ext);
-                const V dval = load(c.vd2 + s - 1) + subv;
-                const V vh = max(dval, h);
-                const V val = max(vh, g);
-                store(c.vcur + s, val);
-                store(c.gcur + s, g);
-                store(c.hcur + s, h);
-
-                const V valrev = reverse(val);
-                const V cm = load(cmend - W);
-                const V upd = valrev > cm;
-                if (Isa::bits(upd) != 0) {
-                    store(cmend - W, upd ? valrev : cm);
-                    const V rows = splat(static_cast<Score>(r + W - 1));
-                    store(cbend - W,
-                          upd ? rows - lanes([](std::size_t k) { return k; })
-                              : load(cbend - W));
-                }
-
-                if constexpr (!kScoreOnly) {
-                    V code = h > dval ? splat(detail::kHGap)
-                                      : splat(detail::kDiag);
-                    code = g > vh ? splat(detail::kVGap) : code;
-                    code |= ~(h_ext > h_open) & 0x4;  // hopen: h_open >= h_ext
-                    code |= ~(g_ext > g_open) & 0x8;  // vopen
-                    Isa::store_codes(c.ptr + r, code);
-                }
+            const V h_open = left - vopen;
+            const V h_ext = h_left - vext;
+            const V h = max(h_open, h_ext);
+            const V g_open = up - vopen;
+            const V g_ext = g_up - vext;
+            const V g = max(g_open, g_ext);
+            const V dval = diag + subv;
+            const V vh = max(dval, h);
+            const V val = max(vh, g);
+            V code{};
+            if constexpr (!kScoreOnly) {
+                code = h > dval ? splat(detail::kHGap) : splat(detail::kDiag);
+                code = g > vh ? splat(detail::kVGap) : code;
+                code |= ~(h_ext > h_open) & 0x4;  // hopen: h_open >= h_ext
+                code |= ~(g_ext > g_open) & 0x8;  // vopen
             }
-            for (; r <= rhi; ++r)
-                gactx_cell<kScoreOnly>(c, dd, r);
+            return {val, g, h, code};
+        }
+
+        /**
+         * Register walk over NB blocks: V, G, H, the column bests and
+         * the previous diagonal's up neighbours (this diagonal's
+         * diagonal neighbours) stay in registers for the whole stripe.
+         * Up and diagonal neighbours shift in one lane from the block
+         * above; block 0's lane 0 takes the BRAM port. Lanes whose row
+         * is past the diagonal are masked to their column-0 boundary
+         * until they start; lanes at or past `rows` are phantom rows
+         * below the stripe, and lanes past the last column compute on
+         * the guard bytes of the padded tile copies: nothing reads
+         * either. The column completing at diagonal dd is read off
+         * lane rows - 1, which is in the last block.
+         */
+        template <std::size_t NB>
+        void
+        registers(const GactXStripe& stripe, GactXScratch& ws,
+                  GactXColumns& cols) const
+        {
+            // Local copies: the commit's stores may alias the members
+            // and the stripe, which would otherwise be reloaded every
+            // diagonal.
+            const GactX self = *this;
+            const GactXStripe st = stripe;
+            using Blocks = V[NB];
+            const std::size_t rows = st.rows;
+            const std::size_t ddmax = st.ddmax();
+            Score* init = ws.init_left.data();
+            std::fill(init + rows, init + NB * W, kScoreNegInf);
+
+            const V ninf = splat(kScoreNegInf);
+            Blocks qc, initv, vd1, up1, gd1, hd1, best, best_row;
+            for_blocks<NB>([&](auto b) {
+                qc[b] = Isa::widen(ws.qpad.data() + (st.i0 - 1) + b * W);
+                initv[b] = load(init + b * W);
+                vd1[b] = initv[b];
+                gd1[b] = ninf;
+                hd1[b] = ninf;
+                best[b] = ninf;
+                best_row[b] = V{};
+            });
+            // Block b's target codes on diagonal dd start at
+            // tcodes - dd + b * W (tpad is reversed).
+            const std::uint8_t* tcodes =
+                ws.tpad.data() + kGactXPad + (st.num_cols - 1);
+            const V last = splat(static_cast<Score>(rows - 1 - (NB - 1) * W));
+            const auto at_last = [&](V v) {
+                return __builtin_shuffle(v, last)[0];
+            };
+            // The up neighbours of diagonal -1: lane 0's is the port at
+            // column fdc - 1, the diagonal neighbour of diagonal 0.
+            for_blocks<NB>([&](auto b) {
+                constexpr std::size_t kB = decltype(b)::value;
+                if constexpr (kB == 0)
+                    up1[kB] = down(initv[kB],
+                                   splat(st.port(st.bram_v, st.fdc - 1)));
+                else
+                    up1[kB] = down(initv[kB], initv[kB - 1]);
+            });
+
+            // One diagonal; returns true when the stripe terminates.
+            // `ramp` (some lane has not started) masks lanes by row.
+            const auto step = [&](std::size_t dd, auto ramp)
+                                  __attribute__((always_inline)) {
+                const Score up_port = st.port(st.bram_v, st.fdc + dd);
+                const Score g_port = st.port(st.bram_g, st.fdc + dd);
+                for_blocks<NB>([&](auto b) {
+                    constexpr std::size_t kB = decltype(b)::value;
+                    const auto above = [&](const Blocks& x, V port) {
+                        if constexpr (kB == 0)
+                            return port;
+                        else
+                            return x[kB - 1];
+                    };
+                    const V up = down(vd1[kB], above(vd1, splat(up_port)));
+                    const V g_up = down(gd1[kB], above(gd1, splat(g_port)));
+                    const V subv =
+                        self.sub(Isa::widen(tcodes - dd + kB * W) + qc[kB]);
+                    Block x =
+                        self.cells(vd1[kB], hd1[kB], up, g_up, up1[kB], subv);
+                    // The column bests arrive from the row above; strict
+                    // >, so the smallest row keeps a tie.
+                    const V best_up = down(best[kB], above(best, ninf));
+                    const V better = x.val > best_up;
+                    constexpr V kRow = lanes(
+                        [](std::size_t k) { return kB * W + k; });
+                    best[kB] = better ? x.val : best_up;
+                    best_row[kB] = better
+                                       ? kRow
+                                       : down(best_row[kB],
+                                              above(best_row, V{}));
+                    if constexpr (decltype(ramp)::value) {
+                        const V live = kRow <= splat(static_cast<Score>(dd));
+                        x.val = live ? x.val : initv[kB];
+                        x.g = live ? x.g : ninf;
+                        x.h = live ? x.h : ninf;
+                    }
+                    vd1[kB] = x.val;
+                    gd1[kB] = x.g;
+                    hd1[kB] = x.h;
+                    up1[kB] = up;
+                    if constexpr (!kScoreOnly)
+                        Isa::store_codes(st.ptr + dd * st.npe + kB * W,
+                                         x.code);
+                });
+                if (decltype(ramp)::value && dd < rows - 1)
+                    return false;
+                return cols.commit(st, at_last(best[NB - 1]),
+                                   at_last(best_row[NB - 1]),
+                                   at_last(vd1[NB - 1]), at_last(gd1[NB - 1]));
+            };
+
+            // Until diagonal NB * W - 2 some lane has not started.
+            std::size_t dd = 0;
+            for (const std::size_t ramp_end = std::min(ddmax + 1, NB * W - 1);
+                 dd < ramp_end; ++dd)
+                if (step(dd, std::true_type{}))
+                    return;
+            for (; dd <= ddmax; ++dd)
+                if (step(dd, std::false_type{}))
+                    return;
+        }
+
+        /** Whether stripes of npe rows run the register walk, which
+         *  reads the padded tile copies. */
+        static bool pads(std::size_t npe) { return npe <= kGactXPad; }
+
+        void
+        walk(GactXDiagCtx& ctx, const GactXStripe& st, GactXScratch& ws,
+             GactXColumns& cols) const
+        {
+            if (!pads(st.npe))
+                return gactx_lane_buffer_walk<kScoreOnly>(ctx, st, ws, cols);
+            const std::size_t nb = (st.rows + W - 1) / W;
+            [&]<std::size_t... B>(std::index_sequence<B...>) {
+                ((nb == B + 1 ? registers<B + 1>(st, ws, cols) : void()),
+                 ...);
+            }(std::make_index_sequence<kGactXPad / W>{});
         }
     };
 

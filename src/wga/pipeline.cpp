@@ -488,8 +488,9 @@ WgaPipeline::run_impl(const Sequence& target, const Sequence& query,
 
     if (metrics != nullptr) {
         // Which kernel implementation the filter and extension stages
-        // dispatch to (id: 0 scalar, 1 sse42, 2 avx2). All kernels are
-        // bit-identical, so every other wga.* value is kernel-invariant.
+        // dispatch to (id: 0 scalar, 1 sse42, 2 avx2, 3 avx512). All
+        // kernels are bit-identical, so every other wga.* value is
+        // kernel-invariant.
         const int kernel_id =
             align::kernels::KernelRegistry::instance().active().id;
         metrics->gauge("wga.filter.kernel").set(kernel_id);

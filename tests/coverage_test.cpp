@@ -17,6 +17,7 @@
 #include "wga/chain_io.h"
 #include "wga/maf.h"
 #include "wga/params.h"
+#include "scratch_dir.h"
 
 namespace darwin {
 namespace {
@@ -196,7 +197,8 @@ TEST(Fasta, GenomeFileRoundTrip)
     seq::Genome genome("g");
     genome.add_chromosome(seq::Sequence("chrA", "ACGTACGTNNACGT"));
     genome.add_chromosome(seq::Sequence("chrB", "TTTTGGGG"));
-    const std::string path = "/tmp/darwin_test_genome.fa";
+    const test::ScratchDir dir("fasta_round_trip");
+    const std::string path = dir.file("genome.fa");
     seq::write_genome_file(path, genome);
     const auto loaded = seq::read_genome(path, "g2");
     ASSERT_EQ(loaded.num_chromosomes(), 2u);

@@ -19,8 +19,8 @@
  * The GACT-X extension kernels get the same treatment: the seed
  * column-serial stripe engine survives as `gactx_reference_align`, and
  * thousands of seeded tiles (random, related, synth-evolved; num_pe in
- * {1, 7, 32, 64}; ydrop sweeps; degenerate/empty spans; traceback-OOM
- * budgets; full paper-size tiles run on fresh threads) are swept through
+ * {1, 7, 17, 32, 40, 64, 80}; ydrop sweeps; degenerate/empty spans;
+ * traceback-OOM budgets; full paper-size tiles run on fresh threads) are swept through
  * every registered wavefront kernel, asserting the *entire* TileResult — max score, the (target_max,
  * query_max) tie-break, cells_computed, stripe_columns,
  * traceback_bytes, and the CIGAR — matches the seed engine exactly.
@@ -405,8 +405,11 @@ expect_score_only_matches_full(std::span<const std::uint8_t> t,
 
 TEST(GactXKernelDiff, RandomTileSweep)
 {
+    // 17 and 40 are no multiple of any tier's lane count: partial
+    // blocks of phantom lanes at every register-walk block count. 80 is
+    // past kGactXPad rows: every tier runs the lane-buffer walk.
     auto params = GactXParams{};
-    const std::size_t npes[] = {1, 7, 32, 64};
+    const std::size_t npes[] = {1, 7, 17, 32, 40, 64, 80};
     const Score ydrops[] = {30, 500, 9430};
     const std::size_t sizes[] = {0, 1, 3, 17, 64, 129};
     Rng rng(6006);
@@ -447,7 +450,8 @@ TEST(GactXKernelDiff, RelatedPairSweep)
     Rng rng(7007);
     for (const double sub_rate : sub_rates) {
         for (const Score ydrop : ydrops) {
-            for (const std::size_t npe : {1u, 7u, 32u, 64u}) {
+            for (const std::size_t npe :
+                 {1u, 7u, 17u, 32u, 40u, 64u, 80u}) {
                 for (int rep = 0; rep < 6; ++rep) {
                     const auto t = random_codes(193, 4, rng);  // odd
                     const auto q = mutated_copy(t, sub_rate, 0.03, rng);

@@ -37,6 +37,7 @@
 #include "util/strings.h"
 #include "wga/maf.h"
 #include "wga/pipeline.h"
+#include "scratch_dir.h"
 
 namespace darwin::serve {
 namespace {
@@ -187,6 +188,7 @@ TEST(Breaker, HalfOpenProbeOutcomeClosesOrReopens)
 // synthetic-pair fixture pattern as serve_test.cpp.
 
 struct OverloadFixture {
+    test::ScratchDir dir{"overload"};  ///< inputs, references, outputs
     std::string target_path;
     std::string query_path;
     std::string reference_maf;           ///< full-fidelity one-shot MAF
@@ -201,12 +203,10 @@ struct OverloadFixture {
         const auto pair = synth::make_species_pair(
             synth::paper_species_pairs().front(), shape, 777);
 
-        const std::string dir = ::testing::TempDir();
-        const std::string tag = "overload_" + std::to_string(::getpid());
-        target_path = dir + "/" + tag + "_target.fa";
-        query_path = dir + "/" + tag + "_query.fa";
-        reference_maf = dir + "/" + tag + "_reference.maf";
-        degraded_reference_maf = dir + "/" + tag + "_degraded.maf";
+        target_path = dir.file("target.fa");
+        query_path = dir.file("query.fa");
+        reference_maf = dir.file("reference.maf");
+        degraded_reference_maf = dir.file("degraded_reference.maf");
         seq::write_genome_file(target_path, pair.target.genome);
         seq::write_genome_file(query_path, pair.query.genome);
 
@@ -333,7 +333,7 @@ TEST(Admission, QueueBoundShedsWithRetryAfterHint)
     Server server(options);
     Collector collector;
 
-    const std::string out = ::testing::TempDir() + "/overload_q.maf";
+    const std::string out = fixture().dir.file("q.maf");
     ASSERT_TRUE(server.submit(
         align_line("a", out, ", \"budget\": {\"max_cells\": 1}"),
         collector.sink()));
@@ -381,7 +381,7 @@ TEST(Admission, InflightBpCapShedsButLoneOversizedRequestRuns)
     Server server(options);
     Collector collector;
 
-    const std::string out = ::testing::TempDir() + "/overload_bp.maf";
+    const std::string out = fixture().dir.file("bp.maf");
     // First align: over the cap on its own, but in-flight work is zero,
     // so it is admitted (a sizing mistake must not become an outage).
     ASSERT_TRUE(server.submit(
@@ -429,7 +429,7 @@ TEST(Deadline, ExpiredInQueueIsShedWithoutRunning)
     Server server(options);
     Collector collector;
 
-    const std::string out = ::testing::TempDir() + "/overload_dl.maf";
+    const std::string out = fixture().dir.file("dl.maf");
     ASSERT_TRUE(server.submit(
         align_line("slow", out, ", \"budget\": {\"max_cells\": 1}"),
         collector.sink()));
@@ -458,7 +458,7 @@ TEST(Deadline, ExpiredInQueueIsShedWithoutRunning)
 TEST(Deadline, ClampsWallBudgetForRunningRequests)
 {
     Server server(ServerOptions{});
-    const std::string out = ::testing::TempDir() + "/overload_clamp.maf";
+    const std::string out = fixture().dir.file("clamp.maf");
     // 1 ms of deadline cannot cover a real align: the wall budget is
     // clamped to the time remaining and trips with the walltime tag.
     const std::string resp = server.handle_line(
@@ -494,7 +494,7 @@ TEST(BreakerServe, TripsOnBudgetFailuresAndServesDegraded)
     Server server(options);
 
     // Two full-fidelity budget trips open the breaker.
-    const std::string out = ::testing::TempDir() + "/overload_trip.maf";
+    const std::string out = fixture().dir.file("trip.maf");
     for (int i = 0; i < 2; ++i) {
         const std::string resp = server.handle_line(align_line(
             strprintf("t%d", i), out,
@@ -509,8 +509,7 @@ TEST(BreakerServe, TripsOnBudgetFailuresAndServesDegraded)
 
     // The next request is served degraded — flagged in the response,
     // counted, and byte-identical to the serial apply_degrade'd run.
-    const std::string degraded_out =
-        ::testing::TempDir() + "/overload_degraded.maf";
+    const std::string degraded_out = fixture().dir.file("degraded.maf");
     const std::string resp =
         server.handle_line(align_line("d", degraded_out));
     ASSERT_NE(resp.find("\"status\": \"ok\""), std::string::npos) << resp;
@@ -541,7 +540,7 @@ TEST(BreakerServe, DisabledBreakerNeverDegrades)
     options.breaker.min_samples = 1;
     options.breaker.trip_ratio = 0.1;
     Server server(options);
-    const std::string out = ::testing::TempDir() + "/overload_nobrk.maf";
+    const std::string out = fixture().dir.file("nobrk.maf");
     for (int i = 0; i < 3; ++i) {
         server.handle_line(align_line(strprintf("n%d", i), out,
                                       ", \"budget\": {\"max_cells\": 1}"));
