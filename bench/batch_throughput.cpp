@@ -17,17 +17,9 @@
  *
  *   batch_throughput --threads 4 --size 60000
  *
- * --streaming switches the batch arm to the out-of-core dataflow
- * (sharded seeding, spill-to-disk hit and candidate channels);
- * --budget-heap M arms each pair's
- * CancelToken with an M-MiB heap budget, so the run *proves* the
- * bounded-residency claim — a budget overrun cancels the pair and the
- * identity check fails the bench. The serial arm stays the in-RAM
- * path, so the streaming results are also asserted identical to the
- * in-RAM reference:
- *
- *   batch_throughput --streaming --budget-heap 64 --size 2000000 \
- *       --pairs 1 --seeds-per-pair 1
+ * --budget-heap M arms each pair's CancelToken with an M-MiB heap
+ * budget; a budget overrun cancels the pair and the identity check
+ * fails the bench.
  */
 #include "bench_common.h"
 
@@ -78,18 +70,9 @@ main(int argc, char** argv)
                     "manifest entries per species pair");
     args.add_option("pairs", "0",
                     "species pairs from the paper manifest (0 = all)");
-    args.add_flag("streaming",
-                  "run the batch arm on the out-of-core dataflow (packed "
-                  "genomes, sharded seeding, bounded hit/candidate "
-                  "channels)");
-    args.add_option("stream-shard-bp", "8388608",
-                    "--streaming target bp per seeding shard");
     args.add_option("budget-heap", "0",
                     "per-pair heap budget in MiB enforced via the pair's "
                     "CancelToken (0 = unlimited)");
-    args.add_option("spill-dir", "",
-                    "--streaming overflow spill directory ('' = system "
-                    "temp dir)");
     args.add_option("json", "", "also write the JSON report to this file");
     if (!args.parse(argc, argv))
         return 1;
@@ -148,10 +131,6 @@ main(int argc, char** argv)
     options.num_threads = threads;
     const auto budget_heap_mb = args.get_uint("budget-heap");
     options.pair_budget.max_heap_bytes = budget_heap_mb * (1ull << 20);
-    const bool streaming = args.get_flag("streaming");
-    options.streaming = streaming;
-    options.streaming_params.shard_bp = args.get_uint("stream-shard-bp");
-    options.streaming_params.spill_dir = args.get("spill-dir");
     batch::MetricsRegistry metrics;
     batch::BatchScheduler scheduler(options, &metrics);
     Timer batch_timer;
@@ -180,14 +159,6 @@ main(int argc, char** argv)
         const auto* hist = metrics.find_histogram(name);
         return hist != nullptr ? hist->sum() : 0.0;
     };
-    // wga.heap.* gauges carry the last finished pair's streaming
-    // residency; with a shared manifest shape every pair's fixed
-    // capacities are the same, so "last" is representative.
-    const auto heap_gauge = [&metrics](const char* name) {
-        const auto* gauge = metrics.find_gauge(name);
-        return static_cast<long long>(gauge != nullptr ? gauge->value()
-                                                       : 0);
-    };
     std::ostringstream json;
     json << "{\n"
          << "  " << bench::json_stamp() << ",\n"
@@ -195,19 +166,7 @@ main(int argc, char** argv)
          << "  \"threads\": " << threads << ",\n"
          << "  \"host_cores\": " << host_cores << ",\n"
          << "  \"genome_bp\": " << shape.chromosome_length << ",\n"
-         << "  \"streaming\": " << (streaming ? "true" : "false") << ",\n"
          << "  \"budget_heap_mb\": " << budget_heap_mb << ",\n"
-         << "  \"heap\": {"
-         << "\"hit_stream_bytes\": "
-         << heap_gauge("wga.heap.hit_stream_bytes")
-         << ", \"candidate_buffer_bytes\": "
-         << heap_gauge("wga.heap.candidate_buffer_bytes")
-         << ", \"charged_bytes\": "
-         << heap_gauge("wga.heap.charged_bytes")
-         << ", \"spilled_bytes\": "
-         << heap_gauge("wga.heap.spilled_bytes")
-         << ", \"spill_episodes\": "
-         << heap_gauge("wga.heap.spill_episodes") << "},\n"
          << "  \"identical\": true,\n"
          << "  \"serial_seconds\": " << strprintf("%.4f", serial_seconds)
          << ",\n"

@@ -20,9 +20,14 @@
  *    per-stripe column counts for GACT-X). Each GACT-X kernel is also
  *    timed score-only; its `pointer_overhead` (full over score-only
  *    seconds per tile) is the standing cost of the traceback pointers.
+ *    Every figure is timed in kRepeats windows of at least kMinSeconds
+ *    after one warm-up pass: the JSON reports the median window, and
+ *    each kernel's `min`/`max` give the spread. Speedups and the gate
+ *    use medians.
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -295,18 +300,103 @@ make_tile_pool()
     return pool;
 }
 
-struct BswTiming {
-    double seconds_per_tile = 0.0;
-    double cells_per_second = 0.0;
+/** Timed windows per figure (see the file comment). */
+constexpr int kRepeats = 5;
+
+/** Median and range of one figure over kRepeats timed windows. */
+struct Spread {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+Spread
+spread_of(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+/** Run `window` (returning one window's figure) kRepeats times. */
+template <class Window>
+Spread
+repeat_windows(const Window& window)
+{
+    std::vector<double> samples;
+    for (int r = 0; r < kRepeats; ++r)
+        samples.push_back(window());
+    return spread_of(std::move(samples));
+}
+
+/** Per-tile seconds and cells/s of one kernel over a tile pool. */
+struct PoolTiming {
+    Spread seconds_per_tile;
+    Spread cells_per_second;
     std::uint64_t checksum = 0;  ///< bit-identity guard across kernels
 };
 
-BswTiming
+/**
+ * Time `run_pool(checksum, cells)` (one pass over a `pool_size`-tile
+ * pool): one warm-up pass records the checksum and the pass's cells,
+ * then each of kRepeats windows repeats the pool until kMinSeconds have
+ * passed. Kernels are deterministic, so every pass computes the same
+ * cells and cells/s follows from seconds per tile.
+ */
+template <class RunPool>
+PoolTiming
+time_pool(const RunPool& run_pool, std::size_t pool_size)
+{
+    using Clock = std::chrono::steady_clock;
+    PoolTiming timing;
+    std::uint64_t cells = 0;
+    run_pool(&timing.checksum, &cells);  // warmup + checksum
+    const double cells_per_tile =
+        static_cast<double>(cells) / static_cast<double>(pool_size);
+
+    std::uint64_t dummy = 0;
+    timing.seconds_per_tile = repeat_windows([&] {
+        std::uint64_t tiles = 0;
+        const auto start = Clock::now();
+        double elapsed = 0.0;
+        do {
+            run_pool(&dummy, &cells);
+            tiles += pool_size;
+            elapsed = std::chrono::duration<double>(Clock::now() - start)
+                          .count();
+        } while (elapsed < kMinSeconds);
+        return elapsed / static_cast<double>(tiles);
+    });
+    benchmark::DoNotOptimize(dummy);
+    const Spread& seconds = timing.seconds_per_tile;
+    timing.cells_per_second = {cells_per_tile / seconds.median,
+                               cells_per_tile / seconds.max,
+                               cells_per_tile / seconds.min};
+    return timing;
+}
+
+/** `"key": median, "key_min": min, "key_max": max` at `digits`
+ *  decimals. */
+std::string
+spread_json(const char* key, const Spread& spread, int digits)
+{
+    return strprintf("\"%s\": %.*f, \"%s_min\": %.*f, \"%s_max\": %.*f",
+                     key, digits, spread.median, key, digits, spread.min,
+                     key, digits, spread.max);
+}
+
+/** A PoolTiming's JSON members. */
+std::string
+pool_json(const PoolTiming& timing)
+{
+    return spread_json("seconds_per_tile", timing.seconds_per_tile, 9) +
+           ", " + spread_json("cells_per_second", timing.cells_per_second, 0);
+}
+
+PoolTiming
 time_bsw(align::kernels::BswKernelFn kernel,
          const std::vector<TilePair>& pool,
          const align::ScoringParams& scoring)
 {
-    using Clock = std::chrono::steady_clock;
     const auto run_pool = [&](std::uint64_t* checksum,
                               std::uint64_t* cells) {
         for (const TilePair& pair : pool) {
@@ -319,26 +409,7 @@ time_bsw(align::kernels::BswKernelFn kernel,
             *cells += r.cells_computed;
         }
     };
-
-    BswTiming timing;
-    std::uint64_t cells = 0;
-    run_pool(&timing.checksum, &cells);  // warmup + checksum
-
-    std::uint64_t tiles = 0;
-    std::uint64_t dummy = 0;
-    cells = 0;
-    const auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-        run_pool(&dummy, &cells);
-        tiles += pool.size();
-        elapsed = std::chrono::duration<double>(Clock::now() - start)
-                      .count();
-    } while (elapsed < kMinSeconds);
-    benchmark::DoNotOptimize(dummy);
-    timing.seconds_per_tile = elapsed / static_cast<double>(tiles);
-    timing.cells_per_second = static_cast<double>(cells) / elapsed;
-    return timing;
+    return time_pool(run_pool, pool.size());
 }
 
 // GACT-X extension-kernel pool: full-size extension tiles (1920 bases by
@@ -360,18 +431,11 @@ make_gactx_pool(const align::GactXParams& params)
     return pool;
 }
 
-struct GactxTiming {
-    double seconds_per_tile = 0.0;
-    double cells_per_second = 0.0;
-    std::uint64_t checksum = 0;  ///< covers every TileResult field
-};
-
-GactxTiming
+PoolTiming
 time_gactx(align::kernels::GactXKernelFn kernel,
            const std::vector<TilePair>& pool,
            const align::GactXParams& params)
 {
-    using Clock = std::chrono::steady_clock;
     const auto run_pool = [&](std::uint64_t* checksum,
                               std::uint64_t* cells) {
         for (const TilePair& pair : pool) {
@@ -396,25 +460,7 @@ time_gactx(align::kernels::GactXKernelFn kernel,
         }
     };
 
-    GactxTiming timing;
-    std::uint64_t cells = 0;
-    run_pool(&timing.checksum, &cells);  // warmup + checksum
-
-    std::uint64_t tiles = 0;
-    std::uint64_t dummy = 0;
-    cells = 0;
-    const auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-        run_pool(&dummy, &cells);
-        tiles += pool.size();
-        elapsed = std::chrono::duration<double>(Clock::now() - start)
-                      .count();
-    } while (elapsed < kMinSeconds);
-    benchmark::DoNotOptimize(dummy);
-    timing.seconds_per_tile = elapsed / static_cast<double>(tiles);
-    timing.cells_per_second = static_cast<double>(cells) / elapsed;
-    return timing;
+    return time_pool(run_pool, pool.size());
 }
 
 struct UngappedWorkload {
@@ -422,7 +468,8 @@ struct UngappedWorkload {
     std::vector<std::uint8_t> query;
 };
 
-double
+/** Seconds per pass over the workload's seed positions. */
+Spread
 time_ungapped(align::kernels::UngappedKernelFn kernel,
               const UngappedWorkload& w,
               const align::ScoringParams& scoring, std::uint64_t* checksum)
@@ -441,17 +488,20 @@ time_ungapped(align::kernels::UngappedKernelFn kernel,
     run_once(checksum);  // warmup + checksum
 
     std::uint64_t dummy = 0;
-    std::uint64_t reps = 0;
-    const auto start = Clock::now();
-    double elapsed = 0.0;
-    do {
-        run_once(&dummy);
-        ++reps;
-        elapsed = std::chrono::duration<double>(Clock::now() - start)
-                      .count();
-    } while (elapsed < kMinSeconds);
+    const Spread seconds = repeat_windows([&] {
+        std::uint64_t reps = 0;
+        const auto start = Clock::now();
+        double elapsed = 0.0;
+        do {
+            run_once(&dummy);
+            ++reps;
+            elapsed = std::chrono::duration<double>(Clock::now() - start)
+                          .count();
+        } while (elapsed < kMinSeconds);
+        return elapsed / static_cast<double>(reps);
+    });
     benchmark::DoNotOptimize(dummy);
-    return elapsed / static_cast<double>(reps);
+    return seconds;
 }
 
 int
@@ -463,13 +513,13 @@ run_kernel_comparison(bool emit_json, double check_speedup)
 
     // Seed baseline: the row-major kernel this repo shipped with before
     // the wavefront rewrite (kept as the differential reference).
-    const BswTiming baseline =
+    const PoolTiming baseline =
         time_bsw(&bsw_rowmajor_reference, pool, scoring);
 
     struct Row {
         const char* name;
         int id;
-        BswTiming timing;
+        PoolTiming timing;
         double speedup;
     };
     std::vector<Row> rows;
@@ -478,8 +528,8 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         if (!k.usable())
             continue;
         Row row{k.name, k.id, time_bsw(k.bsw, pool, scoring), 0.0};
-        row.speedup = baseline.seconds_per_tile /
-                      row.timing.seconds_per_tile;
+        row.speedup = baseline.seconds_per_tile.median /
+                      row.timing.seconds_per_tile.median;
         if (row.timing.checksum != baseline.checksum)
             identical = false;
         rows.push_back(row);
@@ -494,13 +544,13 @@ run_kernel_comparison(bool emit_json, double check_speedup)
     // (kept as gactx_reference_align, the differential baseline).
     const align::GactXParams gactx_params;  // paper defaults: 1920b tiles
     const auto gactx_pool = make_gactx_pool(gactx_params);
-    const GactxTiming gactx_baseline =
+    const PoolTiming gactx_baseline =
         time_gactx(&gactx_reference_align, gactx_pool, gactx_params);
     struct GRow {
         const char* name;
         int id;
-        GactxTiming timing;
-        GactxTiming score_only;
+        PoolTiming timing;
+        PoolTiming score_only;
         double speedup;
     };
     std::vector<GRow> grows;
@@ -511,8 +561,8 @@ run_kernel_comparison(bool emit_json, double check_speedup)
                  time_gactx(k.gactx, gactx_pool, gactx_params),
                  time_gactx(k.gactx_score_only, gactx_pool, gactx_params),
                  0.0};
-        row.speedup = gactx_baseline.seconds_per_tile /
-                      row.timing.seconds_per_tile;
+        row.speedup = gactx_baseline.seconds_per_tile.median /
+                      row.timing.seconds_per_tile.median;
         // Score-only results carry no CIGAR, so they are checked
         // against each other rather than against the seed engine.
         if (row.timing.checksum != gactx_baseline.checksum ||
@@ -534,11 +584,11 @@ run_kernel_comparison(bool emit_json, double check_speedup)
     uw.query.resize(uw.target.size(),
                     0);  // keep seed coordinates in range
     std::uint64_t ungapped_ref_sum = 0;
-    const double ungapped_scalar_s = time_ungapped(
+    const Spread ungapped_scalar_s = time_ungapped(
         &ungapped_xdrop_scalar, uw, scoring, &ungapped_ref_sum);
     struct URow {
         const char* name;
-        double seconds;
+        Spread seconds;
         double speedup;
     };
     std::vector<URow> urows{{"scalar", ungapped_scalar_s, 1.0}};
@@ -546,10 +596,10 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         if (!k.usable() || k.id == 0)
             continue;
         std::uint64_t sum = 0;
-        const double s = time_ungapped(k.ungapped, uw, scoring, &sum);
+        const Spread s = time_ungapped(k.ungapped, uw, scoring, &sum);
         if (sum != ungapped_ref_sum)
             identical = false;
-        urows.push_back({k.name, s, ungapped_scalar_s / s});
+        urows.push_back({k.name, s, ungapped_scalar_s.median / s.median});
     }
 
     // Seed kmer extraction: byte-per-base assembly vs the packed
@@ -558,8 +608,8 @@ run_kernel_comparison(bool emit_json, double check_speedup)
     // lanes, and the packed path pays the n-word lookups.
     struct SRow {
         std::size_t k;
-        double bytes_seconds = 0.0;   // per extraction
-        double packed_seconds = 0.0;  // per extraction
+        Spread bytes_seconds{};   // per extraction
+        Spread packed_seconds{};  // per extraction
         double speedup = 0.0;
     };
     std::vector<SRow> srows;
@@ -581,20 +631,23 @@ run_kernel_comparison(bool emit_json, double check_speedup)
             std::uint64_t byte_sum = 0;
             std::uint64_t packed_sum = 0;
             const auto time_arm = [&](auto&& extract, std::uint64_t* sum) {
-                std::uint64_t n = 0;
-                const auto start = Clock::now();
-                double elapsed = 0.0;
-                do {
-                    for (std::size_t pos = 0; pos < limit; pos += 3) {
-                        *sum += extract(pos);
-                        ++n;
-                    }
-                    elapsed = std::chrono::duration<double>(Clock::now() -
-                                                            start)
-                                  .count();
-                } while (elapsed < kMinSeconds);
+                const Spread seconds = repeat_windows([&] {
+                    std::uint64_t n = 0;
+                    const auto start = Clock::now();
+                    double elapsed = 0.0;
+                    do {
+                        for (std::size_t pos = 0; pos < limit; pos += 3) {
+                            *sum += extract(pos);
+                            ++n;
+                        }
+                        elapsed = std::chrono::duration<double>(
+                                      Clock::now() - start)
+                                      .count();
+                    } while (elapsed < kMinSeconds);
+                    return elapsed / static_cast<double>(n);
+                });
                 benchmark::DoNotOptimize(*sum);
-                return elapsed / static_cast<double>(n);
+                return seconds;
             };
             row.bytes_seconds = time_arm(
                 [&](std::size_t pos) { return byte_kmer(codes, pos, k); },
@@ -615,8 +668,9 @@ run_kernel_comparison(bool emit_json, double check_speedup)
             }
             if (byte_pass != packed_pass)
                 identical = false;
-            row.speedup = row.packed_seconds > 0.0
-                              ? row.bytes_seconds / row.packed_seconds
+            row.speedup = row.packed_seconds.median > 0.0
+                              ? row.bytes_seconds.median /
+                                    row.packed_seconds.median
                               : 0.0;
             srows.push_back(row);
         }
@@ -627,20 +681,18 @@ run_kernel_comparison(bool emit_json, double check_speedup)
         std::printf("  \"bench\": \"micro_kernels\",\n");
         std::printf("  \"tile_size\": %zu, \"band\": %zu, \"pairs\": %zu,\n",
                     kTileSize, kBand, kNumPairs);
+        std::printf("  \"repeats\": %d,\n", kRepeats);
         std::printf("  \"bit_identical\": %s,\n",
                     identical ? "true" : "false");
         std::printf("  \"bsw\": {\n");
-        std::printf("    \"baseline_rowmajor\": {\"seconds_per_tile\": "
-                    "%.9f, \"cells_per_second\": %.0f},\n",
-                    baseline.seconds_per_tile, baseline.cells_per_second);
+        std::printf("    \"baseline_rowmajor\": {%s},\n",
+                    pool_json(baseline).c_str());
         std::printf("    \"kernels\": [\n");
         for (std::size_t i = 0; i < rows.size(); ++i)
-            std::printf("      {\"name\": \"%s\", \"id\": %d, "
-                        "\"seconds_per_tile\": %.9f, \"cells_per_second\": "
-                        "%.0f, \"speedup_vs_seed\": %.3f}%s\n",
+            std::printf("      {\"name\": \"%s\", \"id\": %d, %s, "
+                        "\"speedup_vs_seed\": %.3f}%s\n",
                         rows[i].name, rows[i].id,
-                        rows[i].timing.seconds_per_tile,
-                        rows[i].timing.cells_per_second, rows[i].speedup,
+                        pool_json(rows[i].timing).c_str(), rows[i].speedup,
                         i + 1 < rows.size() ? "," : "");
         std::printf("    ],\n");
         std::printf("    \"best_vectorized_speedup\": %.3f\n  },\n",
@@ -650,44 +702,42 @@ run_kernel_comparison(bool emit_json, double check_speedup)
                     "%zu,\n",
                     gactx_params.tile_size, gactx_params.num_pe,
                     kNumGactxPairs);
-        std::printf("    \"baseline_seed_engine\": {\"seconds_per_tile\": "
-                    "%.9f, \"cells_per_second\": %.0f},\n",
-                    gactx_baseline.seconds_per_tile,
-                    gactx_baseline.cells_per_second);
+        std::printf("    \"baseline_seed_engine\": {%s},\n",
+                    pool_json(gactx_baseline).c_str());
         std::printf("    \"kernels\": [\n");
         for (std::size_t i = 0; i < grows.size(); ++i)
-            std::printf("      {\"name\": \"%s\", \"id\": %d, "
-                        "\"seconds_per_tile\": %.9f, \"cells_per_second\": "
-                        "%.0f, \"speedup_vs_seed\": %.3f, "
-                        "\"score_only\": {\"seconds_per_tile\": %.9f, "
-                        "\"cells_per_second\": %.0f}, "
+            std::printf("      {\"name\": \"%s\", \"id\": %d, %s, "
+                        "\"speedup_vs_seed\": %.3f, "
+                        "\"score_only\": {%s}, "
                         "\"pointer_overhead\": %.3f}%s\n",
                         grows[i].name, grows[i].id,
-                        grows[i].timing.seconds_per_tile,
-                        grows[i].timing.cells_per_second, grows[i].speedup,
-                        grows[i].score_only.seconds_per_tile,
-                        grows[i].score_only.cells_per_second,
-                        grows[i].timing.seconds_per_tile /
-                            grows[i].score_only.seconds_per_tile,
+                        pool_json(grows[i].timing).c_str(), grows[i].speedup,
+                        pool_json(grows[i].score_only).c_str(),
+                        grows[i].timing.seconds_per_tile.median /
+                            grows[i].score_only.seconds_per_tile.median,
                         i + 1 < grows.size() ? "," : "");
         std::printf("    ],\n");
         std::printf("    \"best_vectorized_speedup\": %.3f\n  },\n",
                     best_gactx);
         std::printf("  \"ungapped\": [\n");
         for (std::size_t i = 0; i < urows.size(); ++i)
-            std::printf("    {\"name\": \"%s\", \"seconds_per_call\": "
-                        "%.9f, \"speedup_vs_scalar\": %.3f}%s\n",
-                        urows[i].name, urows[i].seconds, urows[i].speedup,
-                        i + 1 < urows.size() ? "," : "");
+            std::printf("    {\"name\": \"%s\", %s, "
+                        "\"speedup_vs_scalar\": %.3f}%s\n",
+                        urows[i].name,
+                        spread_json("seconds_per_call", urows[i].seconds, 9)
+                            .c_str(),
+                        urows[i].speedup, i + 1 < urows.size() ? "," : "");
         std::printf("  ],\n");
         std::printf("  \"seed_extract\": [\n");
         for (std::size_t i = 0; i < srows.size(); ++i)
-            std::printf("    {\"k\": %zu, \"bytes_seconds\": %.11f, "
-                        "\"packed_seconds\": %.11f, "
-                        "\"packed_speedup\": %.3f}%s\n",
-                        srows[i].k, srows[i].bytes_seconds,
-                        srows[i].packed_seconds, srows[i].speedup,
-                        i + 1 < srows.size() ? "," : "");
+            std::printf(
+                "    {\"k\": %zu, %s, %s, \"packed_speedup\": %.3f}%s\n",
+                srows[i].k,
+                spread_json("bytes_seconds", srows[i].bytes_seconds, 11)
+                    .c_str(),
+                spread_json("packed_seconds", srows[i].packed_seconds, 11)
+                    .c_str(),
+                srows[i].speedup, i + 1 < srows.size() ? "," : "");
         std::printf("  ]\n}\n");
     }
 

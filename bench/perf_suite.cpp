@@ -5,7 +5,7 @@
  * single machine-readable report (`BENCH_10.json` at the repo root by
  * convention), so successive PRs leave a comparable speedup trail.
  *
- * Six sections:
+ * Five sections:
  *   micro_kernels       the google-benchmark kernel microbenches, run as
  *                       a subprocess with --benchmark_format=json
  *   batch_throughput    serial-vs-batch-engine wall clock, run as a
@@ -19,15 +19,6 @@
  *                       slow-request accounting, a 1 Hz Prometheus
  *                       scraper thread) vs telemetry off, on identical
  *                       requests against a shared persistent index
- *   bounded_memory      in-process: one synthetic pair aligned by the
- *                       in-RAM byte pipeline vs the out-of-core
- *                       streaming dataflow (2-bit packed genomes,
- *                       sharded seeding, spill-backed hit/candidate
- *                       channels) under an armed per-pair heap budget
- *                       — MAF bytes asserted identical, the dataflow's
- *                       fixed residency gated at 16 MiB, streaming
- *                       extension throughput gated against the in-RAM
- *                       arm
  *   overload            in-process: a one-worker server with a shallow
  *                       admission queue floods with ~4x the aligns it
  *                       can hold — serves some, sheds the rest with
@@ -36,15 +27,13 @@
  *                       circuit breaker and the next align is served
  *                       degraded
  *
- * Four sections assert acceptance bars and make the suite exit nonzero
+ * Three sections assert acceptance bars and make the suite exit nonzero
  * when missed, so CI can gate on them: index_reuse must cut per-pair
  * seeding latency by at least 5x, telemetry_overhead must stay under 2%
- * (and leave the served MAF byte-identical), bounded_memory must finish
- * under its armed heap budget with byte-identical MAF, at most 16 MiB
- * of fixed dataflow residency, and no worse than 0.3x the in-RAM
- * pipeline's tiles/sec, and overload must answer every flooded request
- * (some shed with a positive retry hint) and serve degraded after a
- * breaker trip.
+ * (and leave the served MAF byte-identical), and overload must answer
+ * every flooded request (some shed with a positive retry hint) and
+ * serve degraded after a breaker trip. Serve responses are read with
+ * json::parse (util/json.h).
  *
  *   perf_suite --out BENCH_10.json
  */
@@ -61,7 +50,6 @@
 #include <sstream>
 #include <thread>
 
-#include "fault/cancel.h"
 #include "index/index_io.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
@@ -70,9 +58,9 @@
 #include "seed/seed_index.h"
 #include "seq/fasta.h"
 #include "serve/server.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/timer.h"
-#include "wga/maf.h"
 
 using namespace darwin;
 
@@ -104,6 +92,42 @@ run_capture(const std::string& command)
     if (brace == std::string::npos)
         fatal(strprintf("no JSON in output of: %s", command.c_str()));
     return output.substr(brace);
+}
+
+/** The fields of a serve response line the sections read. */
+struct ServeReply {
+    bool ok = false;             ///< "status": "ok"
+    std::string reason;          ///< an error response's "reason"
+    std::int64_t retry_after_ms = 0;
+    bool degraded = false;
+};
+
+ServeReply
+parse_reply(const std::string& response)
+{
+    json::Value value;
+    try {
+        value = json::parse(response);
+    } catch (const json::ParseError& error) {
+        fatal(strprintf("malformed serve response (%s): %s", error.what(),
+                        response.c_str()));
+    }
+    const auto string_of = [&value](const char* key) {
+        const json::Value* field = value.find(key);
+        return field != nullptr && field->kind == json::Value::Kind::String
+                   ? field->string
+                   : std::string();
+    };
+    ServeReply reply;
+    reply.ok = string_of("status") == "ok";
+    reply.reason = string_of("reason");
+    if (const json::Value* hint = value.find("retry_after_ms"))
+        reply.retry_after_ms =
+            json::as_integer<std::int64_t>(*hint).value_or(0);
+    if (const json::Value* degraded = value.find("degraded"))
+        reply.degraded = degraded->kind == json::Value::Kind::Bool &&
+                         degraded->boolean;
+    return reply;
 }
 
 struct IndexReuseReport {
@@ -313,7 +337,7 @@ run_telemetry_overhead(std::size_t pair_bp, std::size_t num_requests,
             Timer timer;
             const std::string response = server.handle_line(line);
             const double seconds = timer.seconds();
-            if (response.find("\"status\": \"ok\"") == std::string::npos)
+            if (!parse_reply(response).ok)
                 fatal(strprintf("telemetry_overhead align failed: %s",
                                 response.c_str()));
             if (best == 0.0 || seconds < best)
@@ -357,133 +381,6 @@ run_telemetry_overhead(std::size_t pair_bp, std::size_t num_requests,
     for (const auto& path :
          {target_fa, query_fa, dwi, out_off, out_on})
         std::filesystem::remove(path);
-    return report;
-}
-
-struct BoundedMemoryReport {
-    std::size_t pair_bp = 0;
-    std::uint64_t budget_bytes = 0;
-    std::uint64_t shard_bp = 0;
-    std::uint64_t charged_bytes = 0;   // cumulative transient estimate
-    std::uint64_t residency_bytes = 0; // fixed dataflow buffers (gauges)
-    std::uint64_t spilled_bytes = 0;   // overflow that went to disk
-    std::uint64_t spill_episodes = 0;
-    std::uint64_t num_shards = 0;
-    double inram_seconds = 0.0;
-    double streaming_seconds = 0.0;
-    std::uint64_t extension_tiles = 0;
-    bool identical_maf = false;
-    bool under_budget = false;  // completed without a heap cancellation
-
-    double inram_tiles_per_sec() const
-    {
-        return inram_seconds > 0.0
-                   ? static_cast<double>(extension_tiles) / inram_seconds
-                   : 0.0;
-    }
-    double streaming_tiles_per_sec() const
-    {
-        return streaming_seconds > 0.0
-                   ? static_cast<double>(extension_tiles) /
-                         streaming_seconds
-                   : 0.0;
-    }
-    double relative_throughput() const
-    {
-        return inram_tiles_per_sec() > 0.0
-                   ? streaming_tiles_per_sec() / inram_tiles_per_sec()
-                   : 0.0;
-    }
-};
-
-/**
- * The out-of-core claim, measured: the same pair aligned by the in-RAM
- * byte pipeline and by a streaming run with the shard size forced small
- * enough that several shard tables come and go, under a CancelToken
- * armed with the heap budget. The budget is *enforced*, not observed —
- * an overrun cancels the run mid-flight and the section fails — and
- * the MAF bytes of the two arms must match exactly. The tiles/sec gate
- * catches the failure mode bounded residency invites: a dataflow that
- * stays under budget by re-reading or re-computing its way to a crawl.
- *
- * Two memory axes are reported (DESIGN.md §12): residency_bytes is the
- * streaming dataflow's fixed in-memory footprint (the wga.heap.*
- * gauges — hit channel window + candidate chunk) and is gated hard at
- * 16 MiB regardless of genome size; charged_bytes is the CancelToken's
- * cumulative transient-allocation estimate, dominated by per-tile
- * extension traceback and therefore proportional to aligned bases —
- * the budget must be calibrated to the workload, and the default here
- * covers the default pair size with headroom.
- */
-BoundedMemoryReport
-run_bounded_memory(std::size_t pair_bp, std::uint64_t budget_mb,
-                   std::uint64_t shard_bp, std::uint64_t seed)
-{
-    synth::AncestorConfig shape;
-    shape.num_chromosomes = 1;
-    shape.chromosome_length = pair_bp;
-    shape.exons_per_chromosome = pair_bp / 2'500;
-    const auto pair = synth::make_species_pair(
-        synth::paper_species_pairs().front(), shape, seed);
-
-    BoundedMemoryReport report;
-    report.pair_bp = pair_bp;
-    report.budget_bytes = budget_mb << 20;
-    report.shard_bp = shard_bp;
-
-    const auto params = wga::WgaParams::darwin_defaults();
-    const wga::WgaPipeline pipeline(params);
-
-    Timer timer;
-    const wga::WgaResult inram =
-        pipeline.run(pair.target.genome, pair.query.genome);
-    report.inram_seconds = timer.seconds();
-    report.extension_tiles = inram.stats.extend.extension.tiles;
-
-    wga::StreamingParams sp;
-    sp.shard_bp = shard_bp;
-    wga::WgaResult streamed;
-    obs::MetricsRegistry metrics;
-    fault::CancelToken token;
-    fault::Budget budget;
-    budget.max_heap_bytes = report.budget_bytes;
-    token.arm(budget);
-    {
-        const fault::ContextScope scope(&token, 0);
-        timer.reset();
-        try {
-            streamed = pipeline.run(pair.target.genome, pair.query.genome,
-                                    {.metrics = &metrics, .streaming = &sp});
-            report.under_budget = true;
-        } catch (const fault::CancelledError& error) {
-            std::fprintf(stderr,
-                         "bounded_memory: heap budget overrun at probe "
-                         "%s\n",
-                         error.probe().c_str());
-        }
-        report.streaming_seconds = timer.seconds();
-    }
-    report.charged_bytes = token.heap_bytes_charged();
-    const auto gauge = [&metrics](const char* name) {
-        const auto* g = metrics.find_gauge(name);
-        return static_cast<std::uint64_t>(g != nullptr ? g->value() : 0);
-    };
-    report.spilled_bytes = gauge("wga.heap.spilled_bytes");
-    report.spill_episodes = gauge("wga.heap.spill_episodes");
-    report.residency_bytes = gauge("wga.heap.hit_stream_bytes") +
-                             gauge("wga.heap.candidate_buffer_bytes");
-    report.num_shards = (pair.target.genome.flattened().size() +
-                         shard_bp - 1) / shard_bp;
-
-    if (report.under_budget) {
-        std::ostringstream a;
-        std::ostringstream b;
-        wga::write_maf(a, inram.alignments, pair.target.genome,
-                       pair.query.genome);
-        wga::write_maf(b, streamed.alignments, pair.target.genome,
-                       pair.query.genome);
-        report.identical_maf = a.str() == b.str() && !a.str().empty();
-    }
     return report;
 }
 
@@ -578,19 +475,14 @@ run_overload(std::size_t pair_bp, std::size_t burst, std::uint64_t seed)
                 align_line(strprintf("f%zu", r), out, ""),
                 [&, submitted = flood_timer.seconds()](
                     const std::string& response) {
+                    const ServeReply reply = parse_reply(response);
                     std::lock_guard<std::mutex> lock(mutex);
                     ++answered;
-                    if (response.find("\"reason\": \"overloaded\"") !=
-                        std::string::npos) {
+                    if (reply.reason == "overloaded") {
                         ++report.shed;
-                        const auto key =
-                            response.find("\"retry_after_ms\": ");
-                        if (report.retry_after_ms == 0 &&
-                            key != std::string::npos)
-                            report.retry_after_ms = std::atoll(
-                                response.c_str() + key + 18);
-                    } else if (response.find("\"status\": \"ok\"") !=
-                               std::string::npos) {
+                        if (report.retry_after_ms == 0)
+                            report.retry_after_ms = reply.retry_after_ms;
+                    } else if (reply.ok) {
                         ++report.accepted;
                         accepted_seconds.push_back(
                             flood_timer.seconds() - submitted);
@@ -628,11 +520,9 @@ run_overload(std::size_t pair_bp, std::size_t burst, std::uint64_t seed)
         if (const auto* trips =
                 server.metrics().find_counter("serve.breaker.trips"))
             report.breaker_trips = trips->value();
-        const std::string response = server.handle_line(align_line(
-            "degraded", dir + "/perf_suite_overload_degraded.maf", ""));
-        report.degraded_served =
-            response.find("\"status\": \"ok\"") != std::string::npos &&
-            response.find("\"degraded\": true") != std::string::npos;
+        const ServeReply reply = parse_reply(server.handle_line(align_line(
+            "degraded", dir + "/perf_suite_overload_degraded.maf", "")));
+        report.degraded_served = reply.ok && reply.degraded;
         server.stop();
     }
 
@@ -690,24 +580,6 @@ run_suite(const ArgParser& args, const char* argv0)
                  telemetry.off_seconds, telemetry.on_seconds,
                  telemetry.overhead() * 100.0);
 
-    const BoundedMemoryReport bounded = run_bounded_memory(
-        args.get_uint("bounded-bp"), args.get_uint("bounded-budget-mb"),
-        args.get_uint("bounded-shard-bp"), args.get_uint("seed"));
-    std::fprintf(stderr,
-                 "bounded_memory: in-RAM %.0f tiles/s, streaming %.0f "
-                 "tiles/s (%.2fx) over %zu bp; %.1f MiB resident, "
-                 "%.1f MiB charged of %.0f MiB budget, %.1f MiB "
-                 "spilled across %llu episodes, %llu shards\n",
-                 bounded.inram_tiles_per_sec(),
-                 bounded.streaming_tiles_per_sec(),
-                 bounded.relative_throughput(), bounded.pair_bp,
-                 static_cast<double>(bounded.residency_bytes) / (1 << 20),
-                 static_cast<double>(bounded.charged_bytes) / (1 << 20),
-                 static_cast<double>(bounded.budget_bytes) / (1 << 20),
-                 static_cast<double>(bounded.spilled_bytes) / (1 << 20),
-                 static_cast<unsigned long long>(bounded.spill_episodes),
-                 static_cast<unsigned long long>(bounded.num_shards));
-
     const OverloadReport overload = run_overload(
         args.get_uint("overload-bp"), args.get_uint("overload-burst"),
         args.get_uint("seed"));
@@ -759,35 +631,6 @@ run_suite(const ArgParser& args, const char* argv0)
          << (telemetry.identical_output ? "true" : "false") << ",\n"
          << "    \"meets_2pct\": "
          << (telemetry.overhead() < 0.02 ? "true" : "false") << "\n"
-         << "  },\n"
-         << "  \"bounded_memory\": {\n"
-         << "    \"pair_bp\": " << bounded.pair_bp << ",\n"
-         << "    \"budget_bytes\": " << bounded.budget_bytes << ",\n"
-         << "    \"shard_bp\": " << bounded.shard_bp << ",\n"
-         << "    \"num_shards\": " << bounded.num_shards << ",\n"
-         << "    \"charged_bytes\": " << bounded.charged_bytes << ",\n"
-         << "    \"residency_bytes\": " << bounded.residency_bytes
-         << ",\n"
-         << "    \"spilled_bytes\": " << bounded.spilled_bytes << ",\n"
-         << "    \"spill_episodes\": " << bounded.spill_episodes << ",\n"
-         << "    \"extension_tiles\": " << bounded.extension_tiles
-         << ",\n"
-         << "    \"inram_tiles_per_sec\": "
-         << strprintf("%.1f", bounded.inram_tiles_per_sec()) << ",\n"
-         << "    \"streaming_tiles_per_sec\": "
-         << strprintf("%.1f", bounded.streaming_tiles_per_sec()) << ",\n"
-         << "    \"relative_throughput\": "
-         << strprintf("%.3f", bounded.relative_throughput()) << ",\n"
-         << "    \"under_budget\": "
-         << (bounded.under_budget ? "true" : "false") << ",\n"
-         << "    \"identical_maf\": "
-         << (bounded.identical_maf ? "true" : "false") << ",\n"
-         << "    \"meets_residency_16mb\": "
-         << (bounded.residency_bytes <= (16ull << 20) ? "true" : "false")
-         << ",\n"
-         << "    \"meets_0_3x\": "
-         << (bounded.relative_throughput() >= 0.3 ? "true" : "false")
-         << "\n"
          << "  },\n"
          << "  \"overload\": {\n"
          << "    \"pair_bp\": " << overload.pair_bp << ",\n"
@@ -844,35 +687,6 @@ run_suite(const ArgParser& args, const char* argv0)
                      telemetry.overhead() * 100.0);
         return 1;
     }
-    if (!bounded.under_budget) {
-        std::fprintf(stderr,
-                     "ERROR: streaming run exceeded its %.0f MiB heap "
-                     "budget\n",
-                     static_cast<double>(bounded.budget_bytes) /
-                         (1 << 20));
-        return 1;
-    }
-    if (!bounded.identical_maf) {
-        std::fprintf(stderr,
-                     "ERROR: streaming MAF differs from the in-RAM "
-                     "pipeline's\n");
-        return 1;
-    }
-    if (bounded.residency_bytes > (16ull << 20)) {
-        std::fprintf(stderr,
-                     "ERROR: streaming dataflow residency %.1f MiB is "
-                     "above the 16 MiB bar\n",
-                     static_cast<double>(bounded.residency_bytes) /
-                         (1 << 20));
-        return 1;
-    }
-    if (bounded.relative_throughput() < 0.3) {
-        std::fprintf(stderr,
-                     "ERROR: streaming throughput %.2fx of in-RAM is "
-                     "below the 0.3x bar\n",
-                     bounded.relative_throughput());
-        return 1;
-    }
     if (!overload.every_request_answered()) {
         std::fprintf(stderr,
                      "ERROR: overload flood leaked requests (%zu served "
@@ -923,15 +737,6 @@ main(int argc, char** argv)
                     "telemetry_overhead chromosome length");
     args.add_option("telemetry-requests", "8",
                     "telemetry_overhead aligns per timed pass");
-    args.add_option("bounded-bp", "120000",
-                    "bounded_memory chromosome length");
-    args.add_option("bounded-budget-mb", "1024",
-                    "bounded_memory armed heap budget (MiB) — covers the "
-                    "cumulative transient estimate, dominated by "
-                    "extension traceback at the default pair size");
-    args.add_option("bounded-shard-bp", "16384",
-                    "bounded_memory target bp per seeding shard (small "
-                    "enough that several shard tables cycle through)");
     args.add_option("overload-bp", "20000",
                     "overload chromosome length");
     args.add_option("overload-burst", "12",

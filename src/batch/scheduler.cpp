@@ -58,20 +58,10 @@ class Engine {
             require(job.target != nullptr && job.query != nullptr,
                     "batch: job missing target/query genome");
             // Each run reads the flattening its target's storage selects
-            // (WgaPipeline::run). Streaming pairs build their own
-            // transient shard tables (no cached index, no digest), so a
-            // packed one needs no byte flattening at all.
-            const bool packed = job.target->packed();
-            if (packed) {
+            // (WgaPipeline::run); the cached index is built over bytes.
+            if (job.target->packed()) {
                 job.target->flattened_packed();
                 job.query->flattened_packed();
-            }
-            if (options_.streaming) {
-                if (!packed) {
-                    job.target->flattened();
-                    job.query->flattened();
-                }
-                continue;
             }
             job.target->flattened();
             job.query->flattened();
@@ -246,11 +236,6 @@ class Engine {
                                record.stage.c_str()));
                 degraded = true;
                 params = apply_degrade(options_.params, options_.degrade);
-                // Streaming runs reject a per-chunk hit cap (defined over
-                // whole query chunks, which band sharding splits); the
-                // band and ydrop degrades still bound the retry's work.
-                if (options_.streaming)
-                    params.dsoft.max_hits_per_chunk = 0;
                 continue;
             }
             record.cells_charged = tokens_[idx].cells_charged();
@@ -273,11 +258,6 @@ class Engine {
     run_attempt(const BatchJob& job, const wga::WgaParams& params)
     {
         const wga::WgaPipeline pipeline(params, options_.chain_params);
-        if (options_.streaming) {
-            return pipeline.run(*job.target, *job.query,
-                                {.metrics = &metrics_,
-                                 .streaming = &options_.streaming_params});
-        }
         // Acquire the target's index from the cache: the first pair of a
         // target builds it, the rest (and the degraded retry, which
         // leaves the seed shape untouched) reuse it. The acquire is the

@@ -90,25 +90,6 @@ struct BatchOptions {
     DegradePolicy degrade;
 
     /**
-     * Bounded-memory mode: run each pair whole through
-     * WgaPipeline::run with RunOptions::streaming — the seed table
-     * built one band shard at a time, hits and candidates through
-     * spill-to-disk channels — instead of the in-RAM run over a cached
-     * prebuilt index. Results stay bit-identical (both
-     * modes reproduce the serial pipeline exactly); what changes is the
-     * residency envelope: no whole-target seed table and no
-     * materialized hit or candidate vectors, so the per-pair
-     * footprint is bounded by `streaming_params` regardless of genome
-     * size. Pair isolation, budgets, degraded retries and quarantine
-     * work unchanged. The shared index cache is bypassed — shard
-     * tables are transient by design. Requires gapped filter params
-     * and dsoft.max_hits_per_chunk == 0 (the streaming contract;
-     * FatalError otherwise).
-     */
-    bool streaming = false;
-    wga::StreamingParams streaming_params;
-
-    /**
      * Optional shared seed-index cache. When set (e.g. by a daemon that
      * also serves one-shot queries), the engine acquires target indexes
      * from it; when null, the engine uses a run-local cache sized to the

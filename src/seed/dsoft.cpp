@@ -113,20 +113,10 @@ DsoftSeeder::DsoftSeeder(const SeedIndex& index, DsoftParams params)
     require(params_.min_hits_per_band > 0, "DsoftSeeder: h must be > 0");
 }
 
-DsoftSeeder::DsoftSeeder(const SeedIndex& index, DsoftParams params,
-                         std::uint64_t band_lo_bp, std::uint64_t band_hi_bp)
-    : DsoftSeeder(index, params)
-{
-    require(band_lo_bp < band_hi_bp, "DsoftSeeder: empty band window");
-    band_lo_bp_ = band_lo_bp;
-    band_hi_bp_ = band_hi_bp;
-}
-
 template <class Source>
 std::vector<SeedHit>
 DsoftSeeder::seed_chunk_impl(const Source& query, std::size_t chunk_begin,
-                             std::size_t chunk_end, SeedingStats* stats,
-                             bool charge_heap) const
+                             std::size_t chunk_end, SeedingStats* stats) const
 {
     fault::poll("seed.chunk");
     const SeedPattern& pattern = index_.pattern();
@@ -145,11 +135,6 @@ DsoftSeeder::seed_chunk_impl(const Source& query, std::size_t chunk_begin,
             const std::uint64_t projected =
                 static_cast<std::uint64_t>(t) + (chunk_end - q);
             const std::uint64_t band = projected / params_.bin_size;
-            // Banded (sharded) seeding: hits outside the owned band
-            // window belong to a neighboring shard.
-            const std::uint64_t band_bp = band * params_.bin_size;
-            if (band_bp < band_lo_bp_ || band_bp >= band_hi_bp_)
-                continue;
             ++local.seed_hits;
             BandSlot& state = bands.find_or_insert(band);
             if (state.hits == 0)
@@ -191,8 +176,7 @@ DsoftSeeder::seed_chunk_impl(const Source& query, std::size_t chunk_begin,
     }
     if (stats)
         stats->merge(local);
-    if (charge_heap)
-        fault::charge_heap_bytes(out.size() * sizeof(SeedHit));
+    fault::charge_heap_bytes(out.size() * sizeof(SeedHit));
     return out;
 }
 
@@ -239,14 +223,12 @@ DsoftSeeder::seed_all_impl(const Source& query, std::size_t query_size,
 
 std::vector<SeedHit>
 DsoftSeeder::seed_chunk(seq::BaseView query, std::size_t chunk_begin,
-                        std::size_t chunk_end, SeedingStats* stats,
-                        bool charge_heap) const
+                        std::size_t chunk_end, SeedingStats* stats) const
 {
     if (query.packed())
         return seed_chunk_impl(*query.packed_sequence(), chunk_begin,
-                               chunk_end, stats, charge_heap);
-    return seed_chunk_impl(query.bytes(), chunk_begin, chunk_end, stats,
-                           charge_heap);
+                               chunk_end, stats);
+    return seed_chunk_impl(query.bytes(), chunk_begin, chunk_end, stats);
 }
 
 std::vector<SeedHit>

@@ -82,33 +82,18 @@ class DsoftSeeder {
     DsoftSeeder(const SeedIndex& index, DsoftParams params);
 
     /**
-     * Banded seeder for sharded runs: only diagonal bands whose start
-     * (band * bin_size) falls in [band_lo_bp, band_hi_bp) accumulate
-     * and emit. With a shard-sliced index (sharded_index.h) this
-     * reproduces exactly the owned-band subset of the monolithic run.
-     */
-    DsoftSeeder(const SeedIndex& index, DsoftParams params,
-                std::uint64_t band_lo_bp, std::uint64_t band_hi_bp);
-
-    /**
      * Seed one query chunk [chunk_begin, chunk_end) of `query` (byte
      * or packed storage); seed_all runs the same chunk loop over whole
      * sequences, with identical hits for equal bases.
-     * Emits at most one SeedHit per qualifying diagonal band.
-     *
-     * `charge_heap` controls whether the returned vector is charged
-     * against the caller's fault heap budget. True fits callers that
-     * *retain* the hits (the classic pipeline accumulates every
-     * chunk's hits, so cumulative charges track residency); the
-     * streaming dataflow passes false — its chunks are transient,
-     * drained into a fixed-capacity channel and freed, so it charges
-     * the high-water of one chunk itself.
+     * Emits at most one SeedHit per qualifying diagonal band, and
+     * charges the returned vector against the caller's fault heap
+     * budget. Charges are cumulative per chunk: the budget bounds every
+     * chunk's hits a run produces, whether or not it still holds them.
      */
     std::vector<SeedHit> seed_chunk(seq::BaseView query,
                                     std::size_t chunk_begin,
                                     std::size_t chunk_end,
-                                    SeedingStats* stats = nullptr,
-                                    bool charge_heap = true) const;
+                                    SeedingStats* stats = nullptr) const;
 
     /**
      * Seed a whole query sequence, optionally across a thread pool.
@@ -130,8 +115,7 @@ class DsoftSeeder {
     std::vector<SeedHit> seed_chunk_impl(const Source& query,
                                          std::size_t chunk_begin,
                                          std::size_t chunk_end,
-                                         SeedingStats* stats,
-                                         bool charge_heap = true) const;
+                                         SeedingStats* stats) const;
 
     template <class Source>
     std::vector<SeedHit> seed_all_impl(const Source& query,
@@ -141,8 +125,6 @@ class DsoftSeeder {
 
     const SeedIndex& index_;
     DsoftParams params_;
-    std::uint64_t band_lo_bp_ = 0;
-    std::uint64_t band_hi_bp_ = ~0ull;
 };
 
 }  // namespace darwin::seed

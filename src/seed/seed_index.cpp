@@ -55,26 +55,22 @@ SeedIndex::num_windows(std::size_t target_size) const
 
 template <class Source>
 void
-SeedIndex::build_from(const Source& source, std::size_t lo, std::size_t hi,
-                      std::span<const std::uint32_t> cutoff)
+SeedIndex::build_from(const Source& source, std::size_t windows)
 {
     require(max_bucket_ > 0, "SeedIndex: max_bucket must be positive");
     const auto key_bits = static_cast<std::uint32_t>(2 * pattern_.weight());
-    dir_bits_ = directory_bits(key_bits, hi - lo);
+    dir_bits_ = directory_bits(key_bits, windows);
     suffix_bits_ = key_bits - dir_bits_;
     const std::size_t slices = std::size_t{1} << dir_bits_;
-    const auto keep = [&](std::size_t pos, SeedKey key) {
-        return cutoff.empty() || pos < cutoff[key];
-    };
 
     // Pass 1: slice sizes, then prefix sums so dir[s] is slice s's start.
     std::vector<std::uint32_t>& dir = owned_dir_;
     dir.assign(slices + 1, 0);
-    for (std::size_t pos = lo; pos < hi; ++pos) {
+    for (std::size_t pos = 0; pos < windows; ++pos) {
         const auto key = pattern_.key_at(source, pos);
         if (!key)
             ++skipped_;
-        else if (keep(pos, *key))
+        else
             ++dir[(*key >> suffix_bits_) + 1];
     }
     for (std::size_t s = 1; s <= slices; ++s)
@@ -87,9 +83,9 @@ SeedIndex::build_from(const Source& source, std::size_t lo, std::size_t hi,
     owned_positions_.resize(total);
     owned_suffixes_.resize(suffix_bits_ != 0 ? total : 0);
     const std::uint32_t suffix_mask = (1u << suffix_bits_) - 1;
-    for (std::size_t pos = lo; pos < hi; ++pos) {
+    for (std::size_t pos = 0; pos < windows; ++pos) {
         const auto key = pattern_.key_at(source, pos);
-        if (!key || !keep(pos, *key))
+        if (!key)
             continue;
         const std::uint32_t at = dir[*key >> suffix_bits_]++;
         owned_positions_[at] = static_cast<std::uint32_t>(pos);
@@ -152,27 +148,20 @@ SeedIndex::build_from(const Source& source, std::size_t lo, std::size_t hi,
     repeats_view_ = {owned_repeats_.data(), owned_repeats_.size()};
 }
 
-template void SeedIndex::build_from(const seq::PackedSequence&, std::size_t,
-                                    std::size_t,
-                                    std::span<const std::uint32_t>);
-template void SeedIndex::build_from(const std::span<const std::uint8_t>&,
-                                    std::size_t, std::size_t,
-                                    std::span<const std::uint32_t>);
-
 SeedIndex::SeedIndex(const seq::Sequence& target, const SeedPattern& pattern,
                      std::uint32_t max_bucket)
     : SeedIndex(pattern, max_bucket)
 {
     const std::span<const std::uint8_t> codes{target.codes().data(),
                                               target.size()};
-    build_from(codes, 0, num_windows(target.size()), {});
+    build_from(codes, num_windows(target.size()));
 }
 
 SeedIndex::SeedIndex(const seq::PackedSequence& target,
                      const SeedPattern& pattern, std::uint32_t max_bucket)
     : SeedIndex(pattern, max_bucket)
 {
-    build_from(target, 0, num_windows(target.size()), {});
+    build_from(target, num_windows(target.size()));
 }
 
 SeedIndex

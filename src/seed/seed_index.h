@@ -38,8 +38,6 @@
 
 namespace darwin::seed {
 
-class ShardedSeedIndexBuilder;
-
 /** Key-sorted position index for one target sequence. */
 class SeedIndex {
   public:
@@ -132,23 +130,15 @@ class SeedIndex {
     }
 
   private:
-    friend class ShardedSeedIndexBuilder;
-
     explicit SeedIndex(SeedPattern pattern, std::uint32_t max_bucket)
         : pattern_(std::move(pattern)), max_bucket_(max_bucket)
     {
     }
 
-    /**
-     * The one table build: index the window starts [lo, hi) of
-     * `source` (anything pattern_.key_at accepts). With a non-empty
-     * `cutoff` (one entry per key) a window survives only when its
-     * position is below its key's cutoff — the sharded builder's global
-     * truncation predicate.
-     */
+    /** The one table build: index the first `windows` window starts
+     *  of `source` (anything pattern_.key_at accepts). */
     template <class Source>
-    void build_from(const Source& source, std::size_t lo, std::size_t hi,
-                    std::span<const std::uint32_t> cutoff);
+    void build_from(const Source& source, std::size_t windows);
 
     /** Directory width for `windows` window starts: the smallest
      *  b >= key_bits - 8 with 2^b >= windows, capped at key_bits. */

@@ -11,7 +11,7 @@
  *
  * A genome stores its chromosomes either byte-per-base (the historical
  * mode, kept for small inputs and existing callers) or 2-bit packed
- * (PackedSequence, the bounded-memory mode behind large-genome runs).
+ * (PackedSequence, a quarter of the bytes; `--packed` ingestion).
  * The two modes never mix within one genome. Coordinate queries
  * (flat_offset / resolve / flat_length) work in both modes without
  * materializing any bases; byte accessors on a packed genome decode

@@ -118,8 +118,8 @@ Genome load_packed_genome(const std::string& path,
 /**
  * Read a FASTA as a packed Genome with a `.2bit` sidecar next to it:
  * a sidecar whose digest matches the FASTA bytes is mmap-reused; a
- * missing, stale, or corrupt sidecar is rebuilt by streaming the
- * mmap'd FASTA into packed words and written tmp+rename. Set
+ * missing, stale, or corrupt sidecar is rebuilt by packing the
+ * mmap'd FASTA into words and written tmp+rename. Set
  * `sidecar_path` to override the default `<fasta>.2bit` (useful when
  * the FASTA's directory is read-only); empty disables the cache
  * entirely (parse-only).

@@ -2,9 +2,8 @@
  * @file
  * Bounded multi-producer multi-consumer work queue with backpressure and
  * shutdown semantics. The serve daemon queues admitted requests in one,
- * and the streaming pipeline's BoundedStream builds on it, so that a
- * fast producer blocks (instead of ballooning memory) when a slow
- * consumer falls behind.
+ * so that a fast producer blocks (instead of ballooning memory) when a
+ * slow consumer falls behind.
  *
  * Shutdown model: close() stops further pushes but lets consumers drain
  * every item that was accepted before the close; pop() returns nullopt

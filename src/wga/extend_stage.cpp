@@ -92,32 +92,15 @@ ExtendStage::extend_all(const std::vector<FilterCandidate>& candidates,
                         const align::TileAligner& aligner,
                         ExtendStats* stats, ThreadPool* pool)
 {
-    std::size_t cursor = 0;
-    return extend_stream(
-        [&candidates, &cursor]() -> std::optional<FilterCandidate> {
-            if (cursor >= candidates.size())
-                return std::nullopt;
-            return candidates[cursor++];
-        },
-        aligner, stats, pool);
-}
-
-std::vector<align::Alignment>
-ExtendStage::extend_stream(
-    const std::function<std::optional<FilterCandidate>()>& next,
-    const align::TileAligner& aligner, ExtendStats* stats,
-    ThreadPool* pool)
-{
     std::vector<align::Alignment> out;
     ExtendStats local;
-    std::optional<FilterCandidate> pending = next();
-    while (pending) {
+    std::size_t cursor = 0;
+    while (cursor < candidates.size()) {
         fault::poll("extend.anchor");
         // Select the next wave of unabsorbed anchors.
         std::vector<FilterCandidate> wave;
-        while (pending && wave.size() < kWave) {
-            const FilterCandidate candidate = *pending;
-            pending = next();
+        while (cursor < candidates.size() && wave.size() < kWave) {
+            const FilterCandidate& candidate = candidates[cursor++];
             ++local.anchors_in;
             if (absorbed(candidate.anchor_t, candidate.anchor_q)) {
                 ++local.absorbed;

@@ -13,8 +13,6 @@
 #ifndef DARWIN_WGA_EXTEND_STAGE_H
 #define DARWIN_WGA_EXTEND_STAGE_H
 
-#include <functional>
-#include <optional>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -80,20 +78,6 @@ class ExtendStage {
      */
     std::vector<align::Alignment> extend_all(
         const std::vector<FilterCandidate>& candidates,
-        const align::TileAligner& aligner, ExtendStats* stats = nullptr,
-        ThreadPool* pool = nullptr);
-
-    /**
-     * Pull-based extend_all: candidates arrive one at a time from
-     * `next` (nullopt = exhausted) instead of a materialized vector.
-     * The caller must deliver them in CandidateOrder; given that, the
-     * output is identical to extend_all over the equivalent vector.
-     * The pipeline feeds it from a sorted vector or, streaming, from
-     * its candidate spill buffer, so at most one wave of anchors need
-     * be resident.
-     */
-    std::vector<align::Alignment> extend_stream(
-        const std::function<std::optional<FilterCandidate>()>& next,
         const align::TileAligner& aligner, ExtendStats* stats = nullptr,
         ThreadPool* pool = nullptr);
 

@@ -18,8 +18,7 @@ FilterStage::FilterStage(const WgaParams& params, seq::BaseView target,
     if (params_.filter_mode == FilterMode::Ungapped &&
         (target_.packed() || query_.packed()))
         fatal("filter: ungapped (LASTZ) mode requires byte-backed "
-              "sequences; the packed/streaming path supports gapped "
-              "filtering only");
+              "sequences; packed storage supports gapped filtering only");
 }
 
 std::optional<FilterCandidate>

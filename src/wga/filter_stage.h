@@ -47,10 +47,10 @@ struct FilterStats {
 
 /**
  * Canonical extension order: descending filter score, ties broken by
- * anchor position. filter_all sorts with it and the streaming run's
- * sort-spill drain merges by it, so streamed filtering yields the
- * in-RAM candidate order (and therefore the extension stage's output)
- * exactly.
+ * anchor position. It is total over a candidate's fields, so filter_all
+ * and the pipeline's batched seed_and_filter, which both sort with it,
+ * yield one candidate order (and therefore one extension output) for
+ * any hit order or batching.
  */
 struct CandidateOrder {
     bool

@@ -47,7 +47,7 @@ struct PipelineStats {
 
     /**
      * Accumulate another stats block (workload counters and stage
-     * seconds). Used to combine per-strand and per-shard accounting;
+     * seconds). Used to combine per-stage and per-strand accounting;
      * note that when strands run concurrently the summed stage seconds
      * are CPU-time-like rather than wall-clock.
      */
@@ -61,27 +61,6 @@ struct WgaResult {
     /** Chains over those alignments, sorted by descending score. */
     std::vector<chain::Chain> chains;
     PipelineStats stats;
-};
-
-/** Bounded-memory dataflow knobs (RunOptions::streaming). */
-struct StreamingParams {
-    /** Band-start basepairs owned per target index shard; at most one
-     *  shard's seed table is resident at a time. */
-    std::uint64_t shard_bp = 8ull << 20;
-
-    /** In-memory window of the seed-hit channel (SeedHit records);
-     *  overflow spills to disk. */
-    std::size_t hit_stream_capacity = 1 << 16;
-
-    /** In-memory chunk of the candidate sort-spill buffer
-     *  (FilterCandidate records). */
-    std::size_t candidate_chunk = 1 << 14;
-
-    /** Hits pulled from the channel per filter_hits batch. */
-    std::size_t filter_batch = 2048;
-
-    /** Spill directory ("" = system temp dir). */
-    std::string spill_dir;
 };
 
 /** How one WgaPipeline::run executes. Every field is optional. */
@@ -104,22 +83,6 @@ struct RunOptions {
      * pipeline's seed pattern (FatalError otherwise).
      */
     const seed::SeedIndex* index = nullptr;
-
-    /**
-     * Bounded-memory run for large genomes: the target's seed table is
-     * built one band shard at a time (seed/sharded_index.h), D-SOFT
-     * hits flow through a fixed-capacity spill-to-disk channel to the
-     * filter, and passing candidates accumulate in a sort-spill buffer
-     * whose drain feeds extension. Strands run one after the other.
-     * Output is bit-identical to the in-RAM run; only
-     * stats.seeding.seed_lookups grows (each shard re-scans the query).
-     * Requires gapped filtering and dsoft.max_hits_per_chunk == 0 (the
-     * per-chunk cap is defined on whole chunks, which sharding splits),
-     * and excludes `index`. The fixed buffer capacities are charged
-     * against the installed fault::CancelToken heap budget; residency
-     * and spill telemetry land in the wga.heap.* gauges.
-     */
-    const StreamingParams* streaming = nullptr;
 };
 
 /** The full aligner. */
@@ -142,8 +105,8 @@ class WgaPipeline {
      * bytes (a packed genome decodes them on first use).
      *
      * When a trace session is installed (obs::TraceSession::install),
-     * the run records "pipeline", "index" and per-strand
-     * "seed"/"filter"/"extend" spans, then "chain", in the "wga"
+     * the run records "pipeline", "index", per-batch "seed"/"filter"
+     * and per-strand "extend" spans, then "chain", in the "wga"
      * category.
      */
     WgaResult run(const seq::Genome& target, const seq::Genome& query,
@@ -159,6 +122,35 @@ class WgaPipeline {
     WgaParams params_;
     chain::ChainParams chain_params_;
 };
+
+/**
+ * Query chunks per seed+filter batch of a strand pass: 16 kbp of query
+ * at the presets' 64 bp D-SOFT chunks. An internal constant, not an
+ * option: output does not depend on it.
+ */
+inline constexpr std::size_t kSeedFilterBatchChunks = 256;
+
+/**
+ * The seed and filter half of one strand pass, run over batches of
+ * `batch_chunks` D-SOFT query chunks. Each batch seeds its chunks in
+ * parallel (DsoftSeeder::seed_chunk), filters their hits at once and
+ * keeps only the passing candidates, so no more than one batch of seed
+ * hits is ever resident. D-SOFT bins hits per query chunk, so hits of
+ * different chunks never interact and batching cannot change the
+ * result: the returned candidates, sorted once by CandidateOrder, and
+ * the seeding/filter stats and heap charges equal those of seed_all +
+ * filter_all over the whole query for every `batch_chunks`.
+ *
+ * Adds the seeding and filter counters plus the summed seed and filter
+ * seconds to *stats. Fault markers name "seed" or "filter" as each batch
+ * moves between them; the "wga.seed"/"wga.filter" probes are visited
+ * once per call. Each batch records a "seed" and a "filter" span.
+ * WgaPipeline::run calls it with kSeedFilterBatchChunks.
+ */
+std::vector<FilterCandidate> seed_and_filter(
+    const WgaParams& params, const seed::SeedIndex& index,
+    seq::BaseView target, seq::BaseView query, align::Strand strand,
+    std::size_t batch_chunks, PipelineStats* stats, ThreadPool* pool);
 
 /**
  * Publish a stats block into a registry under `<prefix>.*` names —

@@ -10,10 +10,9 @@
  * and chain files, the alignment count and the matched bp. ce11-cb4
  * runs through every way WgaPipeline::run can execute a preset: byte
  * and packed storage, with or without a thread pool, a prebuilt or a
- * persisted index (save_index -> load_index), the streaming dataflow
- * and the batch engine. The three dm6 pairs run through the plain run
- * and a persisted index. The pinned matched bp must also keep the
- * paper's Table III ordering.
+ * persisted index (save_index -> load_index), and the batch engine.
+ * The three dm6 pairs run through the plain run and a persisted index.
+ * The pinned matched bp must also keep the paper's Table III ordering.
  *
  * A failing case here is a behaviour change. Re-pin only with a
  * CHANGES.md line saying what changed in the alignments and why.
@@ -177,15 +176,14 @@ run_with_saved_index(const WgaPipeline& pipeline,
  *  engine on two workers (the second entry shares the first's genomes
  *  and target index); both results must match the golden. */
 void
-expect_batch_golden(const WgaParams& params, bool streaming,
-                    const Golden& golden, const char* entry_point,
+expect_batch_golden(const WgaParams& params, const Golden& golden,
+                    const char* entry_point,
                     const seq::Genome& target = golden_pair().target.genome,
                     const seq::Genome& query = golden_pair().query.genome)
 {
     batch::BatchOptions options;
     options.params = params;
     options.num_threads = 2;
-    options.streaming = streaming;
     batch::BatchScheduler scheduler(options);
     const auto results = scheduler.run({{"golden#0", &target, &query},
                                         {"golden#1", &target, &query}});
@@ -216,27 +214,12 @@ TEST(Golden, DarwinPresetCe11Cb4)
     expect_golden(run_with_built_index(pipeline, packed_target, packed_query),
                   golden, "packed genomes, prebuilt index");
     expect_golden(run_with_saved_index(pipeline), golden, "saved index");
-    // The streaming stress configuration: shards, the hit channel and
-    // the candidate buffer all small enough to cycle, spill and merge.
-    StreamingParams streaming;
-    streaming.shard_bp = 7000;
-    streaming.hit_stream_capacity = 64;
-    streaming.candidate_chunk = 16;
-    streaming.filter_batch = 32;
-    expect_golden(pipeline.run(target, query, {.streaming = &streaming}),
-                  golden, "streaming stress configuration");
-    expect_golden(pipeline.run(packed_target, packed_query,
-                               {.pool = &pool, .streaming = &streaming}),
-                  golden, "packed genomes, streaming on a pool");
-    expect_batch_golden(pipeline.params(), false, golden, "BatchScheduler");
-    expect_batch_golden(pipeline.params(), true, golden,
-                        "BatchScheduler streaming");
-    expect_batch_golden(pipeline.params(), false, golden,
+    expect_golden(pipeline.run(packed_target, packed_query, {.pool = &pool}),
+                  golden, "packed genomes on a pool");
+    expect_batch_golden(pipeline.params(), golden, "BatchScheduler");
+    expect_batch_golden(pipeline.params(), golden,
                         "BatchScheduler, packed genomes", packed_target,
                         packed_query);
-    expect_batch_golden(pipeline.params(), true, golden,
-                        "BatchScheduler streaming, packed genomes",
-                        packed_target, packed_query);
 }
 
 TEST(Golden, LastzPresetCe11Cb4)
@@ -250,7 +233,7 @@ TEST(Golden, LastzPresetCe11Cb4)
         run_with_built_index(pipeline, pair.target.genome, pair.query.genome),
         golden, "prebuilt index");
     expect_golden(run_with_saved_index(pipeline), golden, "saved index");
-    expect_batch_golden(pipeline.params(), false, golden, "BatchScheduler");
+    expect_batch_golden(pipeline.params(), golden, "BatchScheduler");
 }
 
 /** One dm6 pair under both presets, through the plain run and the

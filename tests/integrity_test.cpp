@@ -4,9 +4,8 @@
  * container (util/artifact.h) appends to `.dwi` and `.2bit` files and
  * requires on load, crafted `.dwi` tables with valid checksums but
  * inconsistent sections, the refusal and rebuild of version-1 and
- * zero-digest sidecars, the `darwin-wga-index fsck` validator over
- * every artifact kind, and the stream.spill_* fault probes (a spill
- * I/O fault quarantines the pair, it does not kill the process).
+ * zero-digest sidecars, and the `darwin-wga-index fsck` validator over
+ * every artifact kind.
  */
 #include <gtest/gtest.h>
 
@@ -19,17 +18,14 @@
 #include <vector>
 
 #include "batch/checkpoint.h"
-#include "batch/scheduler.h"
 #include "fault/fault_plan.h"
 #include "index/format.h"
 #include "index/fsck.h"
 #include "index/index_io.h"
-#include "obs/metrics.h"
 #include "seed/seed_index.h"
 #include "seq/packed_io.h"
 #include "seq/packed_sequence.h"
 #include "seq/sequence.h"
-#include "synth/species.h"
 #include "util/artifact.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -583,58 +579,6 @@ TEST(Fsck, FaultProbeFires)
     EXPECT_THROW(fsck_file(temp_path("whatever")),
                  fault::InjectedFault);
     fault::install_fault_plan(nullptr);
-}
-
-// ---------------------------------------------------------------------
-// Spill fault probes: an injected spill-write fault quarantines the
-// pair in a streaming batch run; the process and sibling pairs are
-// untouched.
-
-TEST(SpillFaults, SpillWriteFaultQuarantinesThePairNotTheProcess)
-{
-    synth::AncestorConfig shape;
-    shape.num_chromosomes = 1;
-    shape.chromosome_length = 15'000;
-    shape.exons_per_chromosome = 10;
-    const auto specs = synth::paper_species_pairs();
-    std::vector<synth::SpeciesPair> pairs;
-    for (int i = 0; i < 2; ++i)
-        pairs.push_back(synth::make_species_pair(
-            specs[i % specs.size()], shape, 4'321 + i));
-
-    std::vector<batch::BatchJob> jobs;
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        jobs.push_back({strprintf("pair%zu", i), &pairs[i].target.genome,
-                        &pairs[i].query.genome});
-
-    batch::BatchOptions options;
-    options.params = wga::WgaParams::darwin_defaults();
-    options.num_threads = 2;
-    options.streaming = true;
-    // Tiny capacities force the hit stream to spill on this input —
-    // the same settings stream_test uses to exercise the spill path.
-    options.streaming_params.shard_bp = 7'000;
-    options.streaming_params.hit_stream_capacity = 64;
-    options.streaming_params.candidate_chunk = 16;
-    options.streaming_params.filter_batch = 32;
-
-    const auto plan =
-        fault::FaultPlan::parse("stream.spill_write:throw:pair=1");
-    fault::install_fault_plan(&plan);
-    obs::MetricsRegistry metrics;
-    batch::BatchScheduler scheduler(options, &metrics);
-    const auto results = scheduler.run(jobs);
-    fault::install_fault_plan(nullptr);
-
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].status, fault::PairStatus::Clean)
-        << results[0].quarantine.message;
-    EXPECT_EQ(results[1].status, fault::PairStatus::Quarantined)
-        << "the spill-write fault must quarantine pair 1";
-    EXPECT_NE(results[1].quarantine.message.find("injected"),
-              std::string::npos)
-        << results[1].quarantine.message;
-    EXPECT_GE(plan.injected(), 1u);
 }
 
 }  // namespace

@@ -214,19 +214,6 @@ main(int argc, char** argv)
     args.add_option("outdir", "batch_out", "output directory");
     args.add_option("threads", "0",
                     "worker threads, one pair each (0 = all cores)");
-    args.add_flag("streaming",
-                  "bounded-memory mode: run each pair whole through "
-                  "the streaming pipeline (seed table built one band "
-                  "shard at a time, hits and candidates through "
-                  "spill-to-disk channels). "
-                  "Output is bit-identical; gapped (darwin) preset "
-                  "only");
-    args.add_option("stream-shard-bp", "8388608",
-                    "band-start bp per target seed-table shard in "
-                    "--streaming mode");
-    args.add_option("spill-dir", "",
-                    "--streaming overflow spill directory ('' = system "
-                    "temp dir)");
     args.add_option("preset", "darwin",
                     "parameter preset: darwin | lastz");
     args.add_flag("both-strands", "also align the reverse complement");
@@ -303,9 +290,6 @@ main(int argc, char** argv)
             args.get_uint("pair-max-heap-mb") *
             (1ull << 20);
         options.degraded_retry = !args.get_flag("no-retry");
-        options.streaming = args.get_flag("streaming");
-        options.streaming_params.shard_bp = args.get_uint("stream-shard-bp");
-        options.streaming_params.spill_dir = args.get("spill-dir");
 
         std::vector<batch::BatchJob> jobs;
         std::unordered_map<std::string, const ManifestEntry*> by_name;

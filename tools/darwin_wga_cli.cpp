@@ -58,19 +58,6 @@ cmd_align(int argc, char** argv)
                   "a .2bit sidecar next to the input) and align over "
                   "packed words; output is bit-identical. Gapped "
                   "(darwin) preset only");
-    args.add_flag("streaming",
-                  "bounded-memory run for large genomes: 2-bit "
-                  "storage, the seed table built one band shard at a "
-                  "time, hits and candidates through spill-to-disk "
-                  "channels. Implies --packed ingestion; output is "
-                  "bit-identical. Gapped (darwin) preset only");
-    args.add_option("stream-shard-bp", "8388608",
-                    "band-start bp per target shard in --streaming "
-                    "mode (smaller = less resident memory, more query "
-                    "re-scans)");
-    args.add_option("spill-dir", "",
-                    "--streaming overflow spill directory ('' = "
-                    "system temp dir)");
     tools::add_obs_options(args);
     if (!args.parse(argc, argv))
         return 1;
@@ -93,12 +80,8 @@ cmd_align(int argc, char** argv)
     if (args.get_flag("no-transitions"))
         params.dsoft.transitions = false;
     const std::uint64_t threads = args.get_uint("threads");
-    wga::StreamingParams sp;
-    sp.shard_bp = args.get_uint("stream-shard-bp");
-    sp.spill_dir = args.get("spill-dir");
 
-    const bool streaming = args.get_flag("streaming");
-    const bool packed = args.get_flag("packed") || streaming;
+    const bool packed = args.get_flag("packed");
     const auto target = packed
                             ? seq::read_genome_packed(args.get("target"))
                             : seq::read_genome(args.get("target"));
@@ -127,10 +110,7 @@ cmd_align(int argc, char** argv)
     // Storage follows the genomes, so --packed ingestion aligns over
     // 2-bit words.
     const wga::WgaResult result = pipeline.run(
-        target, query,
-        {.pool = &pool,
-         .metrics = &metrics_registry,
-         .streaming = streaming ? &sp : nullptr});
+        target, query, {.pool = &pool, .metrics = &metrics_registry});
     obs_setup.finish();
     if (signals.interrupted())
         return 130;
