@@ -12,12 +12,15 @@
  * filter stage dominates runtime), so the kernel is score-only (no
  * traceback) and runs in O(B) memory per row.
  *
- * `banded_smith_waterman()` is a façade over the kernel dispatch
- * registry (align/kernels/kernel_registry.h): the actual implementation
- * — tuned scalar wavefront, SSE4.2 or AVX2 — is chosen at runtime from
- * the CPU's capabilities and may be overridden with `DARWIN_KERNEL`.
- * All implementations are bit-identical: same
- * max score, same xmax cell, same cells_computed.
+ * `banded_smith_waterman_batch()` runs a batch of independent tiles,
+ * the way the paper's co-processor feeds many BSW arrays at once, and
+ * `banded_smith_waterman()` is its one-tile form. Both are façades over
+ * the kernel dispatch registry (align/kernels/kernel_registry.h): the
+ * implementation — the row-major scalar kernel, or SSE4.2, AVX2 or
+ * AVX-512 with one tile per SIMD lane — is chosen at runtime from the
+ * CPU's capabilities and may be overridden with `DARWIN_KERNEL`. All
+ * implementations are bit-identical per tile: same max score, same xmax
+ * cell, same cells_computed, whatever the batch around the tile.
  *
  * Boundary semantics (every kernel must agree; enforced by
  * tests/kernel_diff_test.cpp against a naive full-matrix reference):
@@ -62,8 +65,15 @@ struct BswResult {
     bool operator==(const BswResult&) const = default;
 };
 
+/** One tile of a batch: spans over the caller's bases, valid for the
+ *  call. */
+struct BswTile {
+    std::span<const std::uint8_t> target;
+    std::span<const std::uint8_t> query;
+};
+
 /**
- * Run banded Smith-Waterman over a tile.
+ * Run banded Smith-Waterman over a tile (a batch of one).
  *
  * @param target Tile slice of the target.
  * @param query  Tile slice of the query (the band is centered on the
@@ -77,6 +87,17 @@ BswResult banded_smith_waterman(std::span<const std::uint8_t> target,
                                 std::span<const std::uint8_t> query,
                                 const ScoringParams& scoring,
                                 std::size_t band);
+
+/**
+ * Run banded Smith-Waterman over every tile: out[i] is tiles[i]'s
+ * result, exactly as banded_smith_waterman() would return it. Each tile
+ * polls the `filter.tile` probe before the batch runs and charges its
+ * cells after it, so a budget or a cancellation stops the caller at
+ * batch granularity.
+ */
+void banded_smith_waterman_batch(std::span<const BswTile> tiles,
+                                 const ScoringParams& scoring,
+                                 std::size_t band, BswResult* out);
 
 }  // namespace darwin::align
 

@@ -1,14 +1,21 @@
 /**
- * Row-major banded Smith-Waterman — the original (seed) kernel layout,
- * kept as the baseline for bench/micro_kernels and as a second reference
- * in the differential tests. One fix over the seed version: the diagonal
- * read of a column-1 cell now sees the V(i-1, 0) = 0 boundary instead of
- * -inf, per the boundary semantics documented in banded_sw.h.
+ * Row-major banded Smith-Waterman — the original (seed) kernel layout:
+ * the scalar tier (one tile after another), the baseline for
+ * bench/micro_kernels and a second reference in the differential tests.
+ * One fix over the seed version: the diagonal read of a column-1 cell
+ * now sees the V(i-1, 0) = 0 boundary instead of -inf, per the boundary
+ * semantics documented in banded_sw.h.
+ *
+ * Also the baseline half of the batched vector kernels: the in-band
+ * cell count and the lane packing (BswLanes), which transposes a pass's
+ * tiles into lane-interleaved buffers for simd_kernels.h.
  */
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "align/kernels/bsw_kernels.h"
+#include "seq/alphabet.h"
 
 namespace darwin::align::kernels {
 
@@ -97,6 +104,132 @@ bsw_rowmajor_reference(std::span<const std::uint8_t> target,
         std::swap(g_prev, g_cur);
     }
     return out;
+}
+
+void
+bsw_rowmajor_batch(std::span<const BswTile> tiles,
+                   const ScoringParams& scoring, std::size_t band,
+                   BswResult* out)
+{
+    for (std::size_t i = 0; i < tiles.size(); ++i)
+        out[i] = bsw_rowmajor_reference(tiles[i].target, tiles[i].query,
+                                        scoring, band);
+}
+
+namespace {
+
+/** Sum over d = 0..B of max(0, min(a, b - d)): the cells on the B + 1
+ *  diagonals j - i = d (a = m, b = n) or i - j = d (a = n, b = m). */
+std::uint64_t
+half_band_cells(std::uint64_t a, std::uint64_t b, std::uint64_t band)
+{
+    if (a == 0 || b == 0)
+        return 0;
+    // Diagonals d <= b - a hold a cells each; from there on, b - d.
+    std::uint64_t cells = 0;
+    std::uint64_t first = 0;
+    if (b >= a) {
+        cells = (std::min(band, b - a) + 1) * a;
+        first = b - a + 1;
+    }
+    const std::uint64_t last = std::min(band, b - 1);
+    if (first <= last)
+        cells += (last - first + 1) * (2 * b - first - last) / 2;
+    return cells;
+}
+
+}  // namespace
+
+std::uint64_t
+bsw_band_cells(std::size_t n, std::size_t m, std::size_t band)
+{
+    // Both halves count the main diagonal's min(n, m) cells.
+    return half_band_cells(m, n, band) + half_band_cells(n, m, band) -
+           std::min(n, m);
+}
+
+bool
+BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
+               std::size_t width, std::size_t tile_band,
+               const ScoringParams& scoring, BswResult* out)
+{
+    used = 0;
+    n = 0;
+    m = 0;
+    for (; *next < tiles.size() && used < width; ++*next) {
+        const BswTile& tile_i = tiles[*next];
+        const std::size_t tn = tile_i.target.size();
+        const std::size_t tm = tile_i.query.size();
+        if (tn == 0 || tm == 0) {
+            out[*next] = BswResult{};
+            continue;
+        }
+        if (std::max(tn, tm) > kMaxTile) {
+            out[*next] = bsw_rowmajor_reference(tile_i.target, tile_i.query,
+                                                scoring, tile_band);
+            continue;
+        }
+        out[*next] = BswResult{};
+        out[*next].cells_computed = bsw_band_cells(tn, tm, tile_band);
+        tile[used] = *next;
+        n_lane[used] = static_cast<Score>(tn);
+        m_lane[used] = static_cast<Score>(tm);
+        n = std::max(n, tn);
+        m = std::max(m, tm);
+        ++used;
+    }
+    if (used == 0)
+        return false;
+
+    ragged = false;
+    for (std::size_t l = 0; l < used; ++l)
+        ragged |= n_lane[l] != static_cast<Score>(n) ||
+                  m_lane[l] != static_cast<Score>(m);
+    // Spare lanes rerun lane 0's tile, so a full-size pass stays even.
+    for (std::size_t l = used; l < width; ++l) {
+        tile[l] = tile[0];
+        n_lane[l] = n_lane[0];
+        m_lane[l] = m_lane[0];
+    }
+    // Every cell of an n x m tile has |i - j| < max(n, m).
+    band = std::min(tile_band, std::max(n, m));
+
+    codes_.resize((n + m) * width);
+    if (ragged)  // shorter lanes read code 0 past their ends
+        std::fill(codes_.begin(), codes_.end(), std::uint8_t{0});
+    std::uint8_t* tc = codes_.data();
+    std::uint8_t* qc = tc + n * width;
+    for (std::size_t l = 0; l < width; ++l) {
+        const BswTile& tile_l = tiles[tile[l]];
+        for (std::size_t p = 0; p < tile_l.target.size(); ++p)
+            tc[p * width + l] =
+                static_cast<std::uint8_t>(tile_l.target[p] * seq::kNumCodes);
+        for (std::size_t p = 0; p < tile_l.query.size(); ++p)
+            qc[p * width + l] = tile_l.query[p];
+    }
+    t = tc;
+    q = qc;
+
+    // Two band rows of 2B + 2 vectors, 64-byte aligned.
+    constexpr std::size_t kAlign = 64 / sizeof(Score);
+    const std::size_t row = (2 * band + 2) * width;
+    rows_.resize(2 * row + kAlign);
+    const auto addr = reinterpret_cast<std::uintptr_t>(rows_.data());
+    v = rows_.data() + (kAlign - addr / sizeof(Score) % kAlign) % kAlign;
+    g = v + row;
+    for (std::size_t k = 0; k <= 2 * band + 1; ++k) {
+        const Score row0 = k >= band && k <= 2 * band ? 0 : kScoreNegInf;
+        std::fill_n(v + k * width, width, row0);
+        std::fill_n(g + k * width, width, kScoreNegInf);
+    }
+    return true;
+}
+
+BswLanes&
+bsw_lanes()
+{
+    thread_local BswLanes lanes;
+    return lanes;
 }
 
 }  // namespace darwin::align::kernels

@@ -23,7 +23,7 @@ KernelRegistry::KernelRegistry(const CpuFeatures& cpu) {
     // linking silently drops unreferenced registrars). Ids are stable —
     // they are published as the wga.filter.kernel gauge value.
     static constexpr KernelOps kScalar{
-        &bsw_wavefront_scalar, &ungapped_xdrop_scalar,
+        &bsw_rowmajor_batch, &ungapped_xdrop_scalar,
         &gactx_wavefront_scalar, &gactx_wavefront_scalar_score_only};
     const struct {
         const char* name;

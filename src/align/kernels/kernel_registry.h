@@ -12,12 +12,14 @@
  * kernels in bsw_kernels.h / gactx_kernels.h; sse42, avx2 and avx512
  * are one width-generic source (simd_kernels.h) instantiated at 4, 8
  * and 16 lanes. Every entry fills all four slots, so there is no
- * per-kernel fallback.
+ * per-kernel fallback. The BSW slot takes a batch of tiles: the vector
+ * tiers run one tile per lane, the scalar tier one tile after another.
  *
- * `banded_smith_waterman()`, `ungapped_xdrop_extend()` and
- * `GactXTileAligner::align_tile()` are thin façades over the active
- * entry, so every caller (wga/filter_stage, wga/extend_stage, the batch
- * scheduler, benches) transparently picks up the fast path. The active
+ * `banded_smith_waterman_batch()` (and its one-tile form),
+ * `ungapped_xdrop_extend()` and `GactXTileAligner::align_tile()` are
+ * thin façades over the active entry, so every caller (wga/filter_stage,
+ * wga/extend_stage, the batch scheduler, benches) transparently picks
+ * up the fast path. The active
  * id (0 scalar, 1 sse42, 2 avx2, 3 avx512) is published as the
  * `wga.filter.kernel` and `wga.extend.kernel` gauges.
  */
@@ -35,10 +37,10 @@
 
 namespace darwin::align::kernels {
 
-using BswKernelFn = BswResult (*)(std::span<const std::uint8_t> target,
-                                  std::span<const std::uint8_t> query,
-                                  const ScoringParams& scoring,
-                                  std::size_t band);
+/** Banded SW over a batch of tiles: out[i] is tiles[i]'s result. */
+using BswKernelFn = void (*)(std::span<const BswTile> tiles,
+                             const ScoringParams& scoring, std::size_t band,
+                             BswResult* out);
 
 using UngappedKernelFn = UngappedResult (*)(
     std::span<const std::uint8_t> target,

@@ -4,11 +4,11 @@
  * types and instantiated per ISA: kernels_sse42.cpp at W = 4 lanes,
  * kernels_avx2.cpp at W = 8 and kernels_avx512.cpp at W = 16 (the
  * paper's systolic arrays likewise take the PE count as a parameter).
- * `SimdKernels<Isa>` holds the banded-SW diagonal policy with its
- * row-major-first best reduction, the ungapped x-drop kernel with its
- * block prefix-sum/prefix-max, and the GACT-X stripe policy (full and
- * score-only): a register-resident stripe walk over up to kGactXPad
- * rows, in blocks of W lanes.
+ * `SimdKernels<Isa>` holds the batched banded-SW kernel (one filter
+ * tile per lane, walked row by row in band coordinates), the ungapped
+ * x-drop kernel with its block prefix-sum/prefix-max, and the GACT-X
+ * stripe policy (full and score-only): a register-resident stripe walk
+ * over up to kGactXPad rows, in blocks of W lanes.
  * Every lane op is exact integer arithmetic, so each instantiation is
  * bit-identical to the scalar tier.
  *
@@ -35,9 +35,10 @@
  * trace_from, gactx_cell, ...) can become the COMDAT copy the linker
  * keeps. The region is GCC on x86-64 only; elsewhere the registry
  * gets nullptr stubs and runs the scalar tier.
- * The walks (bsw_align_wavefront, gactx_align_wavefront) are
- * always_inline, so they compile into the ISA entry points with the
- * ISA's options and inline the policies below.
+ * The GACT-X walk (gactx_align_wavefront) is always_inline, so it
+ * compiles into the ISA entry points with the ISA's options and inlines
+ * the policy below. The BSW lane packing (BswLanes::pack) is baseline
+ * code outside the region; the kernel reads its buffers by pointer.
  */
 #ifndef DARWIN_ALIGN_KERNELS_SIMD_KERNELS_H
 #define DARWIN_ALIGN_KERNELS_SIMD_KERNELS_H
@@ -146,84 +147,99 @@ struct SimdKernels {
         return sub(tc * seq::kNumCodes + qc);
     }
 
-    /** Horizontal max: log2(W) lane-swap steps (S = W/2, ..., 1). */
-    template <std::size_t S = W / 2>
-    static Score
-    hmax(V v)
+    /**
+     * Batched banded SW: W tiles per pass, one per lane (BswLanes holds
+     * the layout). Row i walks band slots k = k_lo..k_hi (j = i + k - B)
+     * and updates the band row in place: cell k reads its diagonal
+     * neighbour V(i-1, j-1) at slot k and its up neighbours V/G(i-1, j)
+     * at slot k + 1 before it overwrites slot k, and its left neighbour
+     * from the running V/H registers. That is the row-major reference's
+     * cell order, so a per-lane strictly-greater best update keeps its
+     * xmax; the best's position is the cell's row-major index
+     * i * (2B + 2) + k. Cells past a shorter lane's tile compute on
+     * padding codes; no in-tile cell reads them, since every dependency
+     * points up or left, and a ragged pass masks them out of the best.
+     */
+    template <bool kRagged>
+    static void
+    bsw_pass(const BswLanes& lanes, const Lut& sub, V vopen, V vext,
+             BswResult* out)
     {
-        constexpr V kSwap = lanes([](std::size_t k) { return k ^ S; });
-        v = max(v, __builtin_shuffle(v, kSwap));
-        if constexpr (S > 1)
-            return hmax<S / 2>(v);
-        return v[0];
+        const std::size_t band = lanes.band;
+        const std::size_t n = lanes.n;
+        const std::size_t stride = 2 * band + 2;
+        const V ninf = splat(kScoreNegInf);
+        const V nv = load(lanes.n_lane);
+        const V mv = load(lanes.m_lane);
+        Score* const vrow = lanes.v;
+        Score* const grow = lanes.g;
+        V best{};
+        V best_at{};
+        // Rows past n + B hold no in-band cell.
+        for (std::size_t i = 1; i <= lanes.m && i <= n + band; ++i) {
+            const std::size_t k_lo = i <= band ? band + 1 - i : 0;
+            const std::size_t k_hi = std::min(2 * band, n + band - i);
+            const V qv = Isa::widen(lanes.q + (i - 1) * W);
+            const std::uint8_t* tp = lanes.t + (i + k_lo - band - 1) * W;
+            // Column 0 (V = 0) or the band edge (-inf) on the left.
+            V left = i <= band + 1 ? V{} : ninf;
+            V h = ninf;
+            V diag = load(vrow + k_lo * W);
+            V at = splat(static_cast<Score>(i * stride + k_lo));
+            // Row-major index of each lane's last in-tile cell of row i.
+            V last{};
+            if constexpr (kRagged)
+                last = splat(static_cast<Score>(i)) <= mv
+                           ? nv + static_cast<Score>(i * stride + band - i)
+                           : splat(-1);
+            for (std::size_t k = k_lo; k <= k_hi; ++k, tp += W) {
+                const V up = load(vrow + (k + 1) * W);
+                const V g_up = load(grow + (k + 1) * W);
+                h = max(left - vopen, h - vext);
+                const V g = max(up - vopen, g_up - vext);
+                const V dval = max(diag + sub(Isa::widen(tp) + qv), V{});
+                const V val = max(max(dval, g), h);
+                store(vrow + k * W, val);
+                store(grow + k * W, g);
+                V better = val > best;
+                if constexpr (kRagged)
+                    better &= at <= last;
+                best = better ? val : best;
+                best_at = better ? at : best_at;
+                at += 1;
+                left = val;
+                diag = up;
+            }
+            if (k_lo > 0)  // V(i, 0), the next row's first diagonal read
+                store(vrow + (k_lo - 1) * W, V{});
+        }
+        for (std::size_t l = 0; l < lanes.used; ++l) {
+            BswResult& r = out[lanes.tile[l]];
+            r.max_score = best[l];
+            if (best[l] > 0) {
+                const auto at = static_cast<std::size_t>(best_at[l]);
+                r.query_max = at / stride;
+                r.target_max = r.query_max + at % stride - band;
+            }
+        }
     }
 
-    /**
-     * Banded-SW diagonal in W-lane blocks plus a scalar tail. Lane k
-     * handles cell (i + k, d - i - k): contiguous loads of the three
-     * neighbour diagonals, query codes load forward from q[i - 1],
-     * target codes are the W bytes ending at t[d - i - 1], reversed.
-     */
-    struct Bsw {
-        V vopen, vext;
-        Lut sub;
-
-        explicit Bsw(const BswDiagCtx& c)
-            : vopen(splat(c.open)), vext(splat(c.extend)), sub(c.sub)
-        {
-        }
-
-        void
-        diagonal(const BswDiagCtx& c, std::size_t d, std::size_t lo,
-                 std::size_t hi, BswBest& best) const
-        {
-            V bestv = splat(best.score);
-            // One past block i's lane-reversed target bytes; moves down W.
-            const std::uint8_t* tend = c.t + (d - lo);
-            std::size_t i = lo;
-            for (; i + W <= hi + 1; i += W, tend -= W) {
-                const V subv = subs(reverse(Isa::widen(tend - W)),
-                                    Isa::widen(c.q + (i - 1)), sub);
-                const V h = max(load(c.vd1 + i) - vopen,
-                                load(c.hd1 + i) - vext);
-                const V g = max(load(c.vd1 + i - 1) - vopen,
-                                load(c.gd1 + i - 1) - vext);
-                const V val =
-                    max(max(load(c.vd2 + i - 1) + subv, V{}), max(h, g));
-                store(c.vcur + i, val);
-                store(c.gcur + i, g);
-                store(c.hcur + i, h);
-
-                // Row-major-first max reduction (see BswBest::consider).
-                if (Isa::bits(val > bestv) != 0) {
-                    best.score = hmax(val);
-                    bestv = splat(best.score);
-                    best.i = i + static_cast<std::size_t>(
-                                     __builtin_ctz(Isa::bits(val == bestv)));
-                    best.j = d - best.i;
-                } else if (best.score > 0 && best.i > i) {
-                    const unsigned eq = Isa::bits(val == bestv);
-                    if (eq != 0) {
-                        const std::size_t ci =
-                            i + static_cast<std::size_t>(__builtin_ctz(eq));
-                        if (ci < best.i) {
-                            best.i = ci;
-                            best.j = d - ci;
-                        }
-                    }
-                }
-            }
-            for (; i <= hi; ++i)
-                bsw_cell(c, d, i, best);
-        }
-    };
-
-    static BswResult
-    bsw(std::span<const std::uint8_t> target,
-        std::span<const std::uint8_t> query, const ScoringParams& scoring,
-        std::size_t band)
+    static void
+    bsw(std::span<const BswTile> tiles, const ScoringParams& scoring,
+        std::size_t band, BswResult* out)
     {
-        return bsw_align_wavefront<Bsw>(target, query, scoring, band);
+        static_assert(W <= BswLanes::kMaxLanes);
+        const Lut sub(scoring.matrix.front().data());
+        const V vopen = splat(scoring.gap_open);
+        const V vext = splat(scoring.gap_extend);
+        BswLanes& lanes = bsw_lanes();
+        std::size_t next = 0;
+        while (lanes.pack(tiles, &next, W, band, scoring, out)) {
+            if (lanes.ragged)
+                bsw_pass<true>(lanes, sub, vopen, vext, out);
+            else
+                bsw_pass<false>(lanes, sub, vopen, vext, out);
+        }
     }
 
     /**

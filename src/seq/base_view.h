@@ -90,11 +90,20 @@ class BaseView {
     materialize(std::size_t start, std::size_t len,
                 std::vector<std::uint8_t>* scratch) const
     {
+        if (packed_)
+            scratch->resize(len);
+        return materialize(start, len, scratch->data());
+    }
+
+    /** As above, decoding into `len` bytes at `scratch` in packed mode. */
+    std::span<const std::uint8_t>
+    materialize(std::size_t start, std::size_t len,
+                std::uint8_t* scratch) const
+    {
         if (!packed_)
             return bytes_.subspan(start, len);
-        scratch->resize(len);
-        packed_->decode(start, len, scratch->data());
-        return {scratch->data(), len};
+        packed_->decode(start, len, scratch);
+        return {scratch, len};
     }
 
   private:

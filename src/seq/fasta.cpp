@@ -44,7 +44,7 @@ read_fasta(std::istream& in, const std::string& source)
             flush();
             name = trim(line.substr(1));
             // Use only the first whitespace-delimited token as the name.
-            const auto space = name.find_first_of(" \t");
+            const auto space = name.find_first_of(" \t\r\v\f");
             if (space != std::string::npos)
                 name = name.substr(0, space);
             if (name.empty())

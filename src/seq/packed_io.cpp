@@ -62,7 +62,7 @@ parse_fasta_packed(const std::uint8_t* data, std::size_t size,
         if (line[0] == '>') {
             flush();
             std::string header = trim(std::string(line + 1, len - 1));
-            const auto space = header.find_first_of(" \t");
+            const auto space = header.find_first_of(" \t\r\v\f");
             if (space != std::string::npos)
                 header = header.substr(0, space);
             if (header.empty())

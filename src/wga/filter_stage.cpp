@@ -1,7 +1,6 @@
 #include "wga/filter_stage.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "align/ungapped_xdrop.h"
 #include "fault/cancel.h"
@@ -24,41 +23,66 @@ FilterStage::FilterStage(const WgaParams& params, seq::BaseView target,
 std::optional<FilterCandidate>
 FilterStage::filter(const seed::SeedHit& hit, FilterStats* stats) const
 {
-    fault::poll("filter.hit");
-    FilterStats local;
     std::optional<FilterCandidate> out;
-    ++local.tiles;
-
-    if (params_.filter_mode == FilterMode::Gapped) {
-        const TileWindow w = gapped_window(hit);
-        // Byte mode materializes zero-copy subspans; packed mode
-        // decodes only this tile's window (O(Tf) scratch per call).
-        std::vector<std::uint8_t> target_scratch;
-        std::vector<std::uint8_t> query_scratch;
-        const align::BswResult bsw = align::banded_smith_waterman(
-            target_.materialize(w.t0, w.tlen, &target_scratch),
-            query_.materialize(w.q0, w.qlen, &query_scratch),
-            params_.scoring, params_.filter_band);
-        local.cells += bsw.cells_computed;
-        if (bsw.max_score >= params_.filter_threshold) {
-            out = FilterCandidate{w.t0 + bsw.target_max,
-                                  w.q0 + bsw.query_max, bsw.max_score};
-        }
-    } else {
-        const align::UngappedResult ext = align::ungapped_xdrop_extend(
-            target_.bytes(), query_.bytes(), hit.target_pos, hit.query_pos,
-            seed_span_, params_.scoring, params_.ungapped_xdrop);
-        local.cells += ext.cells_computed;
-        if (ext.score >= params_.filter_threshold) {
-            out = FilterCandidate{ext.anchor_t, ext.anchor_q, ext.score};
-        }
-    }
-
-    if (out)
-        ++local.passed;
+    FilterStats local;
+    filter_span({&hit, 1}, &out, &local);
     if (stats)
         stats->merge(local);
     return out;
+}
+
+void
+FilterStage::filter_span(std::span<const seed::SeedHit> hits,
+                         std::optional<FilterCandidate>* slots,
+                         FilterStats* stats) const
+{
+    stats->tiles += hits.size();
+    if (params_.filter_mode == FilterMode::Ungapped) {
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            fault::poll("filter.hit");
+            const align::UngappedResult ext = align::ungapped_xdrop_extend(
+                target_.bytes(), query_.bytes(), hits[i].target_pos,
+                hits[i].query_pos, seed_span_, params_.scoring,
+                params_.ungapped_xdrop);
+            stats->cells += ext.cells_computed;
+            if (ext.score >= params_.filter_threshold) {
+                slots[i] = FilterCandidate{ext.anchor_t, ext.anchor_q,
+                                           ext.score};
+                ++stats->passed;
+            }
+        }
+        return;
+    }
+
+    // Cut every hit's tile: zero-copy subspans in byte mode, a decode
+    // into this call's scratch (Tf bytes per side per hit) in packed
+    // mode. Then one batch call runs them all.
+    const std::size_t tf = params_.filter_tile;
+    const bool packed = target_.packed() || query_.packed();
+    std::vector<std::uint8_t> scratch(packed ? 2 * tf * hits.size() : 0);
+    std::vector<TileWindow> windows(hits.size());
+    std::vector<align::BswTile> tiles(hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        fault::poll("filter.hit");
+        const TileWindow& w = windows[i] = gapped_window(hits[i]);
+        std::uint8_t* dst = packed ? scratch.data() + 2 * tf * i : nullptr;
+        tiles[i] = {target_.materialize(w.t0, w.tlen, dst),
+                    query_.materialize(w.q0, w.qlen, packed ? dst + tf
+                                                            : nullptr)};
+    }
+    std::vector<align::BswResult> results(hits.size());
+    align::banded_smith_waterman_batch(tiles, params_.scoring,
+                                       params_.filter_band, results.data());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        const align::BswResult& bsw = results[i];
+        stats->cells += bsw.cells_computed;
+        if (bsw.max_score >= params_.filter_threshold) {
+            slots[i] = FilterCandidate{windows[i].t0 + bsw.target_max,
+                                       windows[i].q0 + bsw.query_max,
+                                       bsw.max_score};
+            ++stats->passed;
+        }
+    }
 }
 
 FilterStage::TileWindow
@@ -83,25 +107,23 @@ FilterStage::filter_hits(const std::vector<seed::SeedHit>& hits,
                          FilterStats* stats, ThreadPool* pool) const
 {
     std::vector<std::optional<FilterCandidate>> slots(hits.size());
-
+    const std::size_t tasks = (hits.size() + kTaskHits - 1) / kTaskHits;
+    std::vector<FilterStats> task_stats(tasks);
+    const auto run_task = [&](std::size_t task) {
+        const std::size_t first = task * kTaskHits;
+        const std::size_t count = std::min(kTaskHits, hits.size() - first);
+        filter_span({hits.data() + first, count}, slots.data() + first,
+                    &task_stats[task]);
+    };
     if (pool) {
-        std::atomic<std::uint64_t> tiles{0}, cells{0}, passed{0};
-        pool->parallel_for(0, hits.size(), [&](std::size_t i) {
-            FilterStats local;
-            slots[i] = filter(hits[i], &local);
-            tiles.fetch_add(local.tiles, std::memory_order_relaxed);
-            cells.fetch_add(local.cells, std::memory_order_relaxed);
-            passed.fetch_add(local.passed, std::memory_order_relaxed);
-        });
-        if (stats) {
-            stats->tiles += tiles.load();
-            stats->cells += cells.load();
-            stats->passed += passed.load();
-        }
+        pool->parallel_for(0, tasks, run_task, 1);
     } else {
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            slots[i] = filter(hits[i], stats);
+        for (std::size_t task = 0; task < tasks; ++task)
+            run_task(task);
     }
+    if (stats)
+        for (const FilterStats& task : task_stats)
+            stats->merge(task);
     return slots;
 }
 

@@ -6,13 +6,16 @@
  * runs banded Smith-Waterman; the hit passes iff Vmax >= Hf and the
  * anchor is xmax (paper §III-C). Ungapped mode is the LASTZ baseline:
  * X-drop extension along the diagonal, anchor at the midpoint of the best
- * segment. This stage dominates WGA runtime, so it is parallelized over
- * candidates by the pipeline.
+ * segment. This stage dominates WGA runtime, so filter_hits runs it in
+ * tasks of kTaskHits hits, across the pool when one is given; a gapped
+ * task runs its tiles as one batch through the BSW kernel, which puts
+ * one tile in each SIMD lane.
  */
 #ifndef DARWIN_WGA_FILTER_STAGE_H
 #define DARWIN_WGA_FILTER_STAGE_H
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "align/banded_sw.h"
@@ -84,15 +87,25 @@ class FilterStage {
     {
     }
 
+    /**
+     * Hits per filter_hits task. A task polls `filter.hit` once per hit,
+     * then runs its tiles as one batch (each tile polls `filter.tile`
+     * and charges its cells), so a budget or a cancellation takes effect
+     * at the granularity of one task. A constant, so results and
+     * counters do not depend on the thread count.
+     */
+    static constexpr std::size_t kTaskHits = 32;
+
     /** Filter one seed hit; nullopt when it fails the threshold. */
     std::optional<FilterCandidate> filter(const seed::SeedHit& hit,
                                           FilterStats* stats = nullptr) const;
 
     /**
      * Filter hits preserving hit order: slot i is hit i's candidate
-     * (nullopt when it failed). Hits are filtered one at a time, across
-     * the pool when one is given. Both filter_all and the pipeline's
-     * strand runner route through this.
+     * (nullopt when it failed), exactly as filter(hits[i]) returns it.
+     * Hits are filtered in tasks of kTaskHits, across the pool when one
+     * is given. Both filter_all and the pipeline's strand runner route
+     * through this.
      */
     std::vector<std::optional<FilterCandidate>> filter_hits(
         const std::vector<seed::SeedHit>& hits, FilterStats* stats = nullptr,
@@ -116,6 +129,11 @@ class FilterStage {
         std::size_t qlen = 0;
     };
     TileWindow gapped_window(const seed::SeedHit& hit) const;
+
+    /** Filter `hits` into slots[0, hits.size()), adding to `stats`. */
+    void filter_span(std::span<const seed::SeedHit> hits,
+                     std::optional<FilterCandidate>* slots,
+                     FilterStats* stats) const;
 
     const WgaParams& params_;
     seq::BaseView target_;

@@ -3,8 +3,9 @@
  * Unit tests for the fault-tolerance layer (src/fault/ and the batch
  * pieces that ride on it): CancelToken budgets, ContextScope threading,
  * deterministic FaultPlan parsing/firing, degraded-retry parameters,
- * the checkpoint journal, hardened manifest/FASTA ingestion, and the
- * WorkQueue/ThreadPool behavior under thrown faults.
+ * the checkpoint journal, hardened manifest/FASTA ingestion, the
+ * WorkQueue/ThreadPool behavior under thrown faults, and seeded
+ * mutation fuzzing of the FASTA reader and the DARWIN_FAULT parser.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +30,8 @@
 #include "util/strings.h"
 #include "util/thread_pool.h"
 #include "util/work_queue.h"
+
+#include "fuzz_driver.h"
 
 namespace darwin {
 namespace {
@@ -733,6 +736,95 @@ TEST(ThreadPoolFaults, InjectedFaultPlanPropagatesThroughPool)
     std::atomic<int> after{0};
     pool.parallel_for(0, 8, [&](std::size_t) { after.fetch_add(1); });
     EXPECT_EQ(after.load(), 8);
+}
+
+// ------------------------------------------------------------ fuzzing
+// Seeded mutation fuzzing (fuzz_driver.h) of two text readers: FASTA
+// ingestion and DARWIN_FAULT specs. Each mutant gives a value or a
+// FatalError, nothing else.
+
+constexpr int kFuzzIterations = 20000;
+
+/** FASTA mutations: a header line, a stray character, a CR or a blank
+ *  line at a random point. */
+const std::vector<test::Mutation> kFastaMutations = {
+    [](std::string& text, Rng& rng) {
+        static const char* const kHeaders[] = {">", ">r\n", "\n>x y\n",
+                                               "\n>\n", "\n;c\n"};
+        text.insert(test::cut_point(text, rng), kHeaders[rng.uniform(5)]);
+    },
+    [](std::string& text, Rng& rng) {
+        static const char kChars[] = "ACGTNRYKMacgtn-*0 \t\r\v\x80";
+        text.insert(test::cut_point(text, rng), 1,
+                    kChars[rng.uniform(sizeof kChars - 1)]);
+    },
+};
+
+TEST(FastaFuzz, RecordsRoundTripOrAFatalError)
+{
+    const std::vector<std::string> seeds = {
+        ">chr1 description\nACGTNacgtn\nRYKMSWBDHV\n;comment\n>chr2\nTTGA\n",
+        ">s\r\nACGT\r\nAC\r\n\r\n>t\tx\nG\n",
+    };
+    const std::size_t accepted = test::fuzz<FatalError>(
+        seeds, 0xfa57a, kFuzzIterations, kFastaMutations,
+        [](const std::string& text) {
+            std::istringstream in(text);
+            const auto records = seq::read_fasta(in, "fuzz");
+            // What was read writes back and reads the same.
+            std::ostringstream out;
+            seq::write_fasta(out, records);
+            std::istringstream again(out.str());
+            const auto reread = seq::read_fasta(again, "fuzz");
+            ASSERT_EQ(reread.size(), records.size()) << text;
+            for (std::size_t i = 0; i < records.size(); ++i) {
+                EXPECT_EQ(reread[i].name(), records[i].name()) << text;
+                EXPECT_EQ(reread[i].codes(), records[i].codes()) << text;
+            }
+        });
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, static_cast<std::size_t>(kFuzzIterations));
+}
+
+/** Fault-spec mutations: an odd number in place of the next digit run,
+ *  and a separator or key at a random point. */
+const std::vector<test::Mutation> kFaultSpecMutations = {
+    [](std::string& text, Rng& rng) {
+        static const char* const kNumbers[] = {
+            "18446744073709551616", "-1", "1e999", "nan", "", "0x10",
+            "4294967296", "0.5", "inf"};
+        std::size_t begin =
+            text.find_first_of("0123456789", test::cut_point(text, rng));
+        if (begin == std::string::npos)
+            begin = test::cut_point(text, rng);
+        std::size_t end = text.find_first_not_of("0123456789.", begin);
+        if (end == std::string::npos)
+            end = text.size();
+        text.replace(begin, end - begin, kNumbers[rng.uniform(9)]);
+    },
+    [](std::string& text, Rng& rng) {
+        static const char* const kTokens[] = {";", ":", "=", "*", " ",
+                                              ":pair=", ":p=", ":ms=",
+                                              "stall", "oom"};
+        text.insert(test::cut_point(text, rng), kTokens[rng.uniform(10)]);
+    },
+};
+
+TEST(FaultSpecFuzz, PlanOrAFatalError)
+{
+    const std::vector<std::string> seeds = {
+        "filter.tile:throw:pair=0;extend.stripe:throw:pair=2",
+        "wga.*:stall:ms=100:count=0; batch.prepare:oom:after=3",
+        "seed.chunk:throw:p=0.25:seed=7:count=2",
+    };
+    const std::size_t accepted = test::fuzz<FatalError>(
+        seeds, 0xfa017, kFuzzIterations, kFaultSpecMutations,
+        [](const std::string& spec) {
+            const auto plan = fault::FaultPlan::parse(spec);
+            EXPECT_EQ(plan.specs().size(), plan.num_entries()) << spec;
+        });
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, static_cast<std::size_t>(kFuzzIterations));
 }
 
 }  // namespace

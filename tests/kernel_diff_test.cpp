@@ -8,10 +8,13 @@
  * kernel — defines the boundary semantics documented in banded_sw.h.
  * Thousands of seeded-Rng tiles (uniform-random over 2- and 4-letter
  * alphabets, mutated copies, and synth-evolved pairs across the paper's
- * Fig. 8 distance range; bands 0..64; tile sizes including 0, 1, odd,
- * and larger than the band) are swept through every registered BSW
- * kernel plus the row-major reference, asserting the *entire* BswResult
- * (max score, xmax cell, cells_computed) matches the naive matrix.
+ * Fig. 8 distance range; bands 0..64 and wider than the tile; tile sizes
+ * including 0, 1, odd, larger than the band, and full 320-base filter
+ * tiles mixed with truncated ones) are swept through the batch entry of
+ * every registered BSW kernel plus the row-major reference, in batches
+ * of 1 and of W - 1, W, W + 1 and 2W + 3 tiles for every lane count W,
+ * asserting the *entire* BswResult (max score, xmax cell,
+ * cells_computed) of every tile matches the naive matrix.
  * The ungapped x-drop kernels are diffed against the scalar kernel the
  * same way. One sweep repeats all of it under an asymmetric matrix with
  * 25 distinct entries, so each tier's substitution index order shows.
@@ -28,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,34 +146,110 @@ std::vector<std::pair<std::string, kernels::BswKernelFn>>
 bsw_contenders()
 {
     std::vector<std::pair<std::string, kernels::BswKernelFn>> out;
-    out.emplace_back("rowmajor", &kernels::bsw_rowmajor_reference);
+    out.emplace_back("rowmajor", &kernels::bsw_rowmajor_batch);
     for (const KernelImpl& k : KernelRegistry::instance().kernels())
         if (k.usable())
             out.emplace_back(k.name, k.bsw);
     return out;
 }
 
-void
-expect_bsw_identical(std::span<const std::uint8_t> t,
-                     std::span<const std::uint8_t> q,
-                     const ScoringParams& scoring, std::size_t band,
-                     const std::string& context)
-{
-    const BswResult ref = banded_reference(t, q, scoring, band);
-    for (const auto& [name, fn] : bsw_contenders()) {
-        const BswResult got = fn(t, q, scoring, band);
-        EXPECT_EQ(got.max_score, ref.max_score)
-            << name << " " << context << " band=" << band;
-        EXPECT_EQ(got.target_max, ref.target_max)
-            << name << " " << context << " band=" << band;
-        EXPECT_EQ(got.query_max, ref.query_max)
-            << name << " " << context << " band=" << band;
-        EXPECT_EQ(got.cells_computed, ref.cells_computed)
-            << name << " " << context << " band=" << band;
-        if (got != ref)
-            return;  // one detailed failure is enough
+/** Batch sizes: 1, then W - 1, W, W + 1 and 2W + 3 for W = 4, 8, 16
+ *  (the sse42, avx2 and avx512 lane counts). */
+constexpr std::size_t kBatchSizes[] = {1, 3, 4, 5, 11, 7, 8,
+                                       9, 19, 15, 16, 17, 35};
+
+/**
+ * A sweep's BSW cases, run through every contender's batch entry: the
+ * cases of one band go in consecutive batches whose sizes cycle through
+ * kBatchSizes, so tiles of different shapes share a pass, and each
+ * tile's whole BswResult must equal the naive matrix's.
+ */
+class BswSweep {
+  public:
+    explicit BswSweep(const ScoringParams& scoring) : scoring_(scoring) {}
+
+    void
+    add(std::vector<std::uint8_t> t, std::vector<std::uint8_t> q,
+        std::size_t band, std::string context)
+    {
+        cases_.push_back({std::move(t), std::move(q), band,
+                          std::move(context)});
     }
-}
+
+    std::size_t size() const { return cases_.size(); }
+
+    void
+    check() const
+    {
+        std::vector<BswResult> ref;
+        std::vector<std::size_t> bands;
+        for (const Case& c : cases_) {
+            ref.push_back(banded_reference(sp(c.t), sp(c.q), scoring_,
+                                           c.band));
+            if (std::find(bands.begin(), bands.end(), c.band) == bands.end())
+                bands.push_back(c.band);
+        }
+        for (const auto& [name, fn] : bsw_contenders()) {
+            for (const std::size_t band : bands) {
+                std::vector<std::size_t> ids;
+                for (std::size_t i = 0; i < cases_.size(); ++i)
+                    if (cases_[i].band == band)
+                        ids.push_back(i);
+                std::size_t size_at = 0;
+                for (std::size_t first = 0; first < ids.size();) {
+                    const std::size_t count = std::min(
+                        kBatchSizes[size_at++ % std::size(kBatchSizes)],
+                        ids.size() - first);
+                    if (!run_batch(name, fn, ref, band,
+                                   {ids.data() + first, count}))
+                        return;  // one detailed failure is enough
+                    first += count;
+                }
+            }
+        }
+    }
+
+  private:
+    struct Case {
+        std::vector<std::uint8_t> t;
+        std::vector<std::uint8_t> q;
+        std::size_t band;
+        std::string context;
+    };
+
+    bool
+    run_batch(const std::string& name, kernels::BswKernelFn fn,
+              const std::vector<BswResult>& ref, std::size_t band,
+              std::span<const std::size_t> ids) const
+    {
+        std::vector<BswTile> tiles;
+        for (const std::size_t i : ids)
+            tiles.push_back({sp(cases_[i].t), sp(cases_[i].q)});
+        std::vector<BswResult> got(ids.size());
+        fn(tiles, scoring_, band, got.data());
+        for (std::size_t b = 0; b < ids.size(); ++b) {
+            const BswResult& want = ref[ids[b]];
+            if (got[b] == want)
+                continue;
+            const Case& c = cases_[ids[b]];
+            ADD_FAILURE() << name << " " << c.context << " band=" << band
+                          << " n=" << c.t.size() << " m=" << c.q.size()
+                          << " (tile " << b << " of a batch of "
+                          << ids.size() << "): score " << got[b].max_score
+                          << " vs " << want.max_score << ", xmax ("
+                          << got[b].query_max << ", " << got[b].target_max
+                          << ") vs (" << want.query_max << ", "
+                          << want.target_max << "), cells "
+                          << got[b].cells_computed << " vs "
+                          << want.cells_computed;
+            return false;
+        }
+        return true;
+    }
+
+    ScoringParams scoring_;
+    std::vector<Case> cases_;
+};
 
 TEST(KernelDiff, RandomTileSweep)
 {
@@ -176,26 +257,23 @@ TEST(KernelDiff, RandomTileSweep)
     const std::size_t bands[] = {0, 1, 2, 3, 7, 32, 64};
     const std::size_t sizes[] = {0, 1, 3, 16, 33, 64};
     Rng rng(1001);
-    int tiles = 0;
+    BswSweep sweep(scoring);
     for (const std::uint32_t alphabet : {2u, 4u}) {
         for (const std::size_t n : sizes) {
             for (const std::size_t m : sizes) {
                 for (const std::size_t band : bands) {
                     for (int rep = 0; rep < 2; ++rep) {
-                        const auto t = random_codes(n, alphabet, rng);
-                        const auto q = random_codes(m, alphabet, rng);
-                        expect_bsw_identical(
-                            sp(t), sp(q), scoring, band,
-                            "random a" + std::to_string(alphabet) + " n=" +
-                                std::to_string(n) + " m=" +
-                                std::to_string(m));
-                        ++tiles;
+                        auto t = random_codes(n, alphabet, rng);
+                        auto q = random_codes(m, alphabet, rng);
+                        sweep.add(std::move(t), std::move(q), band,
+                                  "random a" + std::to_string(alphabet));
                     }
                 }
             }
         }
     }
-    EXPECT_GT(tiles, 1000);
+    EXPECT_GT(sweep.size(), 1000u);
+    sweep.check();
 }
 
 TEST(KernelDiff, RelatedPairSweep)
@@ -204,17 +282,18 @@ TEST(KernelDiff, RelatedPairSweep)
     const std::size_t bands[] = {0, 8, 32, 64};
     const double sub_rates[] = {0.05, 0.15, 0.30, 0.50};
     Rng rng(2002);
+    BswSweep sweep(scoring);
     for (const double sub_rate : sub_rates) {
         for (const std::size_t band : bands) {
             for (int rep = 0; rep < 12; ++rep) {
-                const auto t = random_codes(97, 4, rng);  // odd, > band
-                const auto q = mutated_copy(t, sub_rate, 0.02, rng);
-                expect_bsw_identical(sp(t), sp(q), scoring, band,
-                                     "related sub=" +
-                                         std::to_string(sub_rate));
+                auto t = random_codes(97, 4, rng);  // odd, > band
+                auto q = mutated_copy(t, sub_rate, 0.02, rng);
+                sweep.add(std::move(t), std::move(q), band,
+                          "related sub=" + std::to_string(sub_rate));
             }
         }
     }
+    sweep.check();
 }
 
 TEST(KernelDiff, UnitScoringTieBreakSweep)
@@ -223,13 +302,15 @@ TEST(KernelDiff, UnitScoringTieBreakSweep)
     // is exactly what stresses the xmax tie-break reduction.
     const auto scoring = ScoringParams::unit(1, -1, 2, 1);
     Rng rng(3003);
+    BswSweep sweep(scoring);
     for (const std::size_t band : {0u, 1u, 5u, 17u, 64u}) {
         for (int rep = 0; rep < 40; ++rep) {
-            const auto t = random_codes(61, 2, rng);
-            const auto q = random_codes(59, 2, rng);
-            expect_bsw_identical(sp(t), sp(q), scoring, band, "unit2");
+            auto t = random_codes(61, 2, rng);
+            auto q = random_codes(59, 2, rng);
+            sweep.add(std::move(t), std::move(q), band, "unit2");
         }
     }
+    sweep.check();
 }
 
 TEST(KernelDiff, SynthEvolvedPairSweep)
@@ -242,6 +323,7 @@ TEST(KernelDiff, SynthEvolvedPairSweep)
     config.chromosome_length = 6000;
     config.exons_per_chromosome = 5;
     Rng rng(4004);
+    BswSweep sweep(scoring);
     for (const auto& spec : synth::paper_species_pairs()) {
         const auto pair = synth::make_species_pair(spec, config, 77);
         const auto& t = pair.target.genome.chromosome(0).codes();
@@ -255,9 +337,34 @@ TEST(KernelDiff, SynthEvolvedPairSweep)
             const std::vector<std::uint8_t> qq(q.begin() + off,
                                                q.begin() + off + tile);
             for (const std::size_t band : {8u, 32u})
-                expect_bsw_identical(sp(tt), sp(qq), scoring, band,
-                                     "evolved " + spec.pair_name);
+                sweep.add(tt, qq, band, "evolved " + spec.pair_name);
         }
+    }
+    sweep.check();
+}
+
+TEST(KernelDiff, OversizeTilesRunTheReference)
+{
+    // A tile longer than BswLanes::kMaxTile runs the row-major
+    // reference instead of a lane (lanes hold a cell's row-major index
+    // in an int32, which fits up to kMaxTile at any band), between two
+    // tiles that take lanes.
+    const auto scoring = ScoringParams::paper_defaults();
+    Rng rng(7007);
+    const auto big_t = random_codes(kernels::BswLanes::kMaxTile + 1, 4, rng);
+    const auto big_q = mutated_copy(big_t, 0.1, 0.01, rng);
+    const auto small = random_codes(97, 4, rng);
+    const BswTile tiles[] = {{sp(small), sp(small)},
+                             {sp(big_t), sp(big_q)},
+                             {sp(small), sp(big_q)}};
+    for (const auto& [name, fn] : bsw_contenders()) {
+        BswResult got[3];
+        fn(std::span<const BswTile>(tiles), scoring, 8, got);
+        for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(got[i], kernels::bsw_rowmajor_reference(
+                                  tiles[i].target, tiles[i].query, scoring,
+                                  8))
+                << name << " tile " << i;
     }
 }
 
@@ -669,6 +776,7 @@ TEST(KernelDiff, AsymmetricMatrixSweep)
     params.scoring = scoring;
     params.ydrop = 600;
     Rng rng(1313);
+    BswSweep sweep(scoring);
     int scored = 0;  // tiles with a positive GACT-X maximum
     for (int rep = 0; rep < 120; ++rep) {
         // All five codes, N included, so every table entry is read.
@@ -678,7 +786,7 @@ TEST(KernelDiff, AsymmetricMatrixSweep)
         const std::string context = "asymmetric rep=" + std::to_string(rep);
 
         for (const std::size_t band : {8u, 33u})
-            expect_bsw_identical(sp(t), sp(q), scoring, band, context);
+            sweep.add(t, q, band, context);
 
         const std::size_t seed_len = rep % 3 == 0 ? 0 : 12;
         const std::size_t seed_t = rng.uniform(
@@ -713,6 +821,37 @@ TEST(KernelDiff, AsymmetricMatrixSweep)
         }
     }
     EXPECT_GT(scored, 60);
+    sweep.check();
+}
+
+TEST(KernelDiff, MixedBatchSweep)
+{
+    // Filter-sized batches as the filter stage cuts them: full 320-base
+    // tiles mixed with tiles truncated at a sequence end (on one side or
+    // both, so n != m), and empty spans, in random order within each
+    // batch, so a vector pass holds lanes of different shapes. Bands 0,
+    // 1, the paper's 32, and wider than the tile.
+    const auto scoring = ScoringParams::paper_defaults();
+    constexpr std::size_t kTile = 320;
+    Rng rng(6006);
+    BswSweep sweep(scoring);
+    for (const std::size_t band : {0u, 1u, 32u, 400u}) {
+        for (int rep = 0; rep < 48; ++rep) {
+            auto t = random_codes(kTile, 4, rng);
+            auto q = mutated_copy(t, rep % 2 == 0 ? 0.1 : 0.4, 0.02, rng);
+            q.resize(std::min(q.size(), kTile));
+            const std::uint64_t shape = rng.uniform(8);
+            if (shape == 0 || shape == 2)
+                t.resize(rng.uniform(kTile));
+            if (shape == 1 || shape == 2)
+                q.resize(rng.uniform(kTile));
+            if (shape == 3)
+                (rng.chance(0.5) ? t : q).clear();
+            sweep.add(std::move(t), std::move(q), band,
+                      "mixed shape=" + std::to_string(shape));
+        }
+    }
+    sweep.check();
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <sstream>
 
 #include "align/gactx.h"
+#include "seed/seed_pattern.h"
+#include "seq/packed_sequence.h"
 #include "synth/species.h"
 #include "util/rng.h"
 #include "wga/extend_stage.h"
@@ -166,6 +168,73 @@ TEST(FilterStage, ParallelMatchesSerial)
     }
     EXPECT_EQ(s1.tiles, s2.tiles);
     EXPECT_EQ(s1.passed, s2.passed);
+}
+
+TEST(FilterStage, BatchedTasksMatchPerHitFilter)
+{
+    // Hits within Tf/2 of either end of either sequence cut truncated
+    // tiles, so the batches of filter_hits' tasks mix tile shapes.
+    // Serial and pooled, over byte and packed views, every slot and the
+    // summed FilterStats must equal per-hit filter() on the byte view.
+    const auto pair = make_planted(1500, 1200, 0.1, 0.01, 107);
+    const auto params = WgaParams::darwin_defaults();
+    const std::size_t half = params.filter_tile / 2;
+    const std::size_t span = seed::SeedPattern(params.seed_pattern).span();
+    Rng rng(108);
+    const auto position = [&](std::size_t size) -> std::uint64_t {
+        switch (rng.uniform(3)) {
+        case 0:
+            return rng.uniform(half);
+        case 1:
+            return size - span - rng.uniform(half);
+        default:
+            return rng.uniform(size - span);
+        }
+    };
+    std::vector<seed::SeedHit> hits;
+    while (hits.size() < 3 * FilterStage::kTaskHits + 5)
+        hits.push_back(
+            {position(pair.target.size()), position(pair.query.size())});
+    for (std::size_t off = 50; off + 100 < pair.length; off += 61)
+        hits.push_back({pair.t_start + off, pair.q_start + off});
+
+    const auto packed_t = seq::PackedSequence::pack("t", sp(pair.target));
+    const auto packed_q = seq::PackedSequence::pack("q", sp(pair.query));
+    const FilterStage bytes(params, sp(pair.target), sp(pair.query));
+    const FilterStage packed(params, seq::BaseView(packed_t),
+                             seq::BaseView(packed_q));
+
+    FilterStats want;
+    std::vector<std::optional<FilterCandidate>> expected;
+    for (const seed::SeedHit& hit : hits)
+        expected.push_back(bytes.filter(hit, &want));
+    ASSERT_GT(want.passed, 0u);
+    ASSERT_LT(want.passed, hits.size());
+
+    ThreadPool pool(3);
+    for (const FilterStage* stage : {&bytes, &packed}) {
+        for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            const std::string what = std::string(stage == &bytes ? "byte"
+                                                                 : "packed") +
+                                     (threads ? " pooled" : " serial");
+            FilterStats got;
+            const auto slots = stage->filter_hits(hits, &got, threads);
+            ASSERT_EQ(slots.size(), hits.size()) << what;
+            for (std::size_t i = 0; i < hits.size(); ++i) {
+                ASSERT_EQ(slots[i].has_value(), expected[i].has_value())
+                    << what << " hit " << i;
+                if (!slots[i])
+                    continue;
+                EXPECT_EQ(slots[i]->anchor_t, expected[i]->anchor_t) << what;
+                EXPECT_EQ(slots[i]->anchor_q, expected[i]->anchor_q) << what;
+                EXPECT_EQ(slots[i]->filter_score, expected[i]->filter_score)
+                    << what;
+            }
+            EXPECT_EQ(got.tiles, want.tiles) << what;
+            EXPECT_EQ(got.cells, want.cells) << what;
+            EXPECT_EQ(got.passed, want.passed) << what;
+        }
+    }
 }
 
 TEST(ExtendStage, AbsorbsDuplicateAnchors)
