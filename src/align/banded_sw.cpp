@@ -2,6 +2,7 @@
 
 #include "align/kernels/kernel_registry.h"
 #include "fault/cancel.h"
+#include "util/logging.h"
 
 namespace darwin::align {
 
@@ -25,8 +26,12 @@ banded_smith_waterman_batch(std::span<const BswTile> tiles,
     // band width), so per-tile polling and charging keep the probe and
     // budget accounting of a one-tile call without touching the
     // kernels' inner loops.
-    for (std::size_t i = 0; i < tiles.size(); ++i)
+    for (const BswTile& tile : tiles) {
+        require(tile.target.size() <= kBswMaxTile &&
+                    tile.query.size() <= kBswMaxTile,
+                "banded_smith_waterman: tile longer than kBswMaxTile");
         fault::poll("filter.tile");
+    }
     // Thin façade: dispatch to the active registry kernel. Every kernel
     // is bit-identical (tests/kernel_diff_test.cpp), so callers never
     // observe which implementation ran.

@@ -43,10 +43,13 @@
  *  - xmax tie-break: among maximum-score cells, the lexicographically
  *    smallest (i, j) — what a row-major scan with strictly-greater
  *    updates naturally produces.
+ *  - Target and query are each at most kBswMaxTile bases; a longer
+ *    tile is a caller bug and panics.
  */
 #ifndef DARWIN_ALIGN_BANDED_SW_H
 #define DARWIN_ALIGN_BANDED_SW_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -64,6 +67,13 @@ struct BswResult {
     /// Kernels are bit-identical, so whole-result comparison is meaningful.
     bool operator==(const BswResult&) const = default;
 };
+
+/**
+ * Longest target or query span of one tile. The vector kernels keep a
+ * cell's row-major index in an int32 lane, which fits at any band up to
+ * this length; filter tiles are Tf = 320 bases.
+ */
+inline constexpr std::size_t kBswMaxTile = std::size_t{1} << 14;
 
 /** One tile of a batch: spans over the caller's bases, valid for the
  *  call. */

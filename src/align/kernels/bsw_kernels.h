@@ -94,15 +94,11 @@ std::uint64_t bsw_band_cells(std::size_t n, std::size_t m, std::size_t band);
  */
 struct BswLanes {
     static constexpr std::size_t kMaxLanes = 16;
-    /** Tiles longer than this run the row-major reference: a cell's
-     *  row-major index i * (2B + 2) + k must fit an int32 lane. */
-    static constexpr std::size_t kMaxTile = 1 << 14;
 
     std::size_t used = 0;   ///< lanes holding a tile; the rest copy lane 0
     std::size_t band = 0;
     std::size_t n = 0;
     std::size_t m = 0;
-    bool ragged = false;    ///< some lane's tile is shorter than n x m
     std::size_t tile[kMaxLanes] = {};  ///< batch index of lane l's tile
     Score n_lane[kMaxLanes] = {};
     Score m_lane[kMaxLanes] = {};
@@ -113,13 +109,13 @@ struct BswLanes {
 
     /**
      * Pack the next pass from tiles[*next...]: empty tiles get the
-     * all-zero result and oversize ones the reference's, both in place;
-     * every packed tile gets its cells_computed. Returns false when no
-     * tile is left to run.
+     * all-zero result in place, every packed tile its cells_computed.
+     * Tiles are at most kBswMaxTile long (banded_sw.h), so a cell's
+     * row-major index i * (2B + 2) + k fits an int32 lane. Returns
+     * false when no tile is left to run.
      */
     bool pack(std::span<const BswTile> tiles, std::size_t* next,
-              std::size_t width, std::size_t tile_band,
-              const ScoringParams& scoring, BswResult* out);
+              std::size_t width, std::size_t tile_band, BswResult* out);
 
   private:
     std::vector<std::uint8_t> codes_;

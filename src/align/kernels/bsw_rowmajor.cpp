@@ -150,8 +150,7 @@ bsw_band_cells(std::size_t n, std::size_t m, std::size_t band)
 
 bool
 BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
-               std::size_t width, std::size_t tile_band,
-               const ScoringParams& scoring, BswResult* out)
+               std::size_t width, std::size_t tile_band, BswResult* out)
 {
     used = 0;
     n = 0;
@@ -160,16 +159,9 @@ BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
         const BswTile& tile_i = tiles[*next];
         const std::size_t tn = tile_i.target.size();
         const std::size_t tm = tile_i.query.size();
-        if (tn == 0 || tm == 0) {
-            out[*next] = BswResult{};
-            continue;
-        }
-        if (std::max(tn, tm) > kMaxTile) {
-            out[*next] = bsw_rowmajor_reference(tile_i.target, tile_i.query,
-                                                scoring, tile_band);
-            continue;
-        }
         out[*next] = BswResult{};
+        if (tn == 0 || tm == 0)
+            continue;
         out[*next].cells_computed = bsw_band_cells(tn, tm, tile_band);
         tile[used] = *next;
         n_lane[used] = static_cast<Score>(tn);
@@ -181,10 +173,6 @@ BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
     if (used == 0)
         return false;
 
-    ragged = false;
-    for (std::size_t l = 0; l < used; ++l)
-        ragged |= n_lane[l] != static_cast<Score>(n) ||
-                  m_lane[l] != static_cast<Score>(m);
     // Spare lanes rerun lane 0's tile, so a full-size pass stays even.
     for (std::size_t l = used; l < width; ++l) {
         tile[l] = tile[0];
@@ -194,9 +182,8 @@ BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
     // Every cell of an n x m tile has |i - j| < max(n, m).
     band = std::min(tile_band, std::max(n, m));
 
-    codes_.resize((n + m) * width);
-    if (ragged)  // shorter lanes read code 0 past their ends
-        std::fill(codes_.begin(), codes_.end(), std::uint8_t{0});
+    // Shorter lanes read code 0 past their ends.
+    codes_.assign((n + m) * width, std::uint8_t{0});
     std::uint8_t* tc = codes_.data();
     std::uint8_t* qc = tc + n * width;
     for (std::size_t l = 0; l < width; ++l) {
@@ -210,12 +197,10 @@ BswLanes::pack(std::span<const BswTile> tiles, std::size_t* next,
     t = tc;
     q = qc;
 
-    // Two band rows of 2B + 2 vectors, 64-byte aligned.
-    constexpr std::size_t kAlign = 64 / sizeof(Score);
+    // Two band rows of 2B + 2 vectors: V, then G.
     const std::size_t row = (2 * band + 2) * width;
-    rows_.resize(2 * row + kAlign);
-    const auto addr = reinterpret_cast<std::uintptr_t>(rows_.data());
-    v = rows_.data() + (kAlign - addr / sizeof(Score) % kAlign) % kAlign;
+    rows_.resize(2 * row);
+    v = rows_.data();
     g = v + row;
     for (std::size_t k = 0; k <= 2 * band + 1; ++k) {
         const Score row0 = k >= band && k <= 2 * band ? 0 : kScoreNegInf;

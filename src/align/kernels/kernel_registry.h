@@ -37,7 +37,8 @@
 
 namespace darwin::align::kernels {
 
-/** Banded SW over a batch of tiles: out[i] is tiles[i]'s result. */
+/** Banded SW over a batch of tiles: out[i] is tiles[i]'s result. Each
+ *  tile is at most kBswMaxTile long (banded_sw.h). */
 using BswKernelFn = void (*)(std::span<const BswTile> tiles,
                              const ScoringParams& scoring, std::size_t band,
                              BswResult* out);

@@ -158,9 +158,8 @@ struct SimdKernels {
      * xmax; the best's position is the cell's row-major index
      * i * (2B + 2) + k. Cells past a shorter lane's tile compute on
      * padding codes; no in-tile cell reads them, since every dependency
-     * points up or left, and a ragged pass masks them out of the best.
+     * points up or left, and the best update masks them out.
      */
-    template <bool kRagged>
     static void
     bsw_pass(const BswLanes& lanes, const Lut& sub, V vopen, V vext,
              BswResult* out)
@@ -187,11 +186,10 @@ struct SimdKernels {
             V diag = load(vrow + k_lo * W);
             V at = splat(static_cast<Score>(i * stride + k_lo));
             // Row-major index of each lane's last in-tile cell of row i.
-            V last{};
-            if constexpr (kRagged)
-                last = splat(static_cast<Score>(i)) <= mv
-                           ? nv + static_cast<Score>(i * stride + band - i)
-                           : splat(-1);
+            const V last =
+                splat(static_cast<Score>(i)) <= mv
+                    ? nv + static_cast<Score>(i * stride + band - i)
+                    : splat(-1);
             for (std::size_t k = k_lo; k <= k_hi; ++k, tp += W) {
                 const V up = load(vrow + (k + 1) * W);
                 const V g_up = load(grow + (k + 1) * W);
@@ -201,9 +199,7 @@ struct SimdKernels {
                 const V val = max(max(dval, g), h);
                 store(vrow + k * W, val);
                 store(grow + k * W, g);
-                V better = val > best;
-                if constexpr (kRagged)
-                    better &= at <= last;
+                const V better = (val > best) & (at <= last);
                 best = better ? val : best;
                 best_at = better ? at : best_at;
                 at += 1;
@@ -234,12 +230,8 @@ struct SimdKernels {
         const V vext = splat(scoring.gap_extend);
         BswLanes& lanes = bsw_lanes();
         std::size_t next = 0;
-        while (lanes.pack(tiles, &next, W, band, scoring, out)) {
-            if (lanes.ragged)
-                bsw_pass<true>(lanes, sub, vopen, vext, out);
-            else
-                bsw_pass<false>(lanes, sub, vopen, vext, out);
-        }
+        while (lanes.pack(tiles, &next, W, band, out))
+            bsw_pass(lanes, sub, vopen, vext, out);
     }
 
     /**

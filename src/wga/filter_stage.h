@@ -91,8 +91,12 @@ class FilterStage {
      * Hits per filter_hits task. A task polls `filter.hit` once per hit,
      * then runs its tiles as one batch (each tile polls `filter.tile`
      * and charges its cells), so a budget or a cancellation takes effect
-     * at the granularity of one task. A constant, so results and
-     * counters do not depend on the thread count.
+     * at the granularity of one task. 32 tiles fill two 16-lane AVX-512
+     * passes (four AVX2, eight SSE4.2 passes), so at most one pass per
+     * task runs spare lanes. A constant, so the cancellation point does
+     * not depend on the thread count. A pipeline batch of the benchmark
+     * pairs holds ~2,000-3,700 hits, i.e. 62-116 tasks: at least 4 per
+     * thread up to 16 threads.
      */
     static constexpr std::size_t kTaskHits = 32;
 

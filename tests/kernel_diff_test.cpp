@@ -343,31 +343,6 @@ TEST(KernelDiff, SynthEvolvedPairSweep)
     sweep.check();
 }
 
-TEST(KernelDiff, OversizeTilesRunTheReference)
-{
-    // A tile longer than BswLanes::kMaxTile runs the row-major
-    // reference instead of a lane (lanes hold a cell's row-major index
-    // in an int32, which fits up to kMaxTile at any band), between two
-    // tiles that take lanes.
-    const auto scoring = ScoringParams::paper_defaults();
-    Rng rng(7007);
-    const auto big_t = random_codes(kernels::BswLanes::kMaxTile + 1, 4, rng);
-    const auto big_q = mutated_copy(big_t, 0.1, 0.01, rng);
-    const auto small = random_codes(97, 4, rng);
-    const BswTile tiles[] = {{sp(small), sp(small)},
-                             {sp(big_t), sp(big_q)},
-                             {sp(small), sp(big_q)}};
-    for (const auto& [name, fn] : bsw_contenders()) {
-        BswResult got[3];
-        fn(std::span<const BswTile>(tiles), scoring, 8, got);
-        for (std::size_t i = 0; i < 3; ++i)
-            EXPECT_EQ(got[i], kernels::bsw_rowmajor_reference(
-                                  tiles[i].target, tiles[i].query, scoring,
-                                  8))
-                << name << " tile " << i;
-    }
-}
-
 TEST(KernelDiff, UngappedKernelsMatchScalar)
 {
     const auto scoring = ScoringParams::paper_defaults();
