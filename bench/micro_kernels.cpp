@@ -13,10 +13,12 @@
  *    kernel and the stripe-sequential GACT-X reference), printed as a
  *    BENCH-stamped JSON report. BSW runs through each tier's batch entry,
  *    one call over the whole 64-tile pool, as the filter stage calls it;
- *    the row-major baseline runs one tile after another. `--check-speedup X` additionally
- *    exits non-zero when any usable vector tier's BSW *or* GACT-X
- *    kernel is slower than X times its seed engine — the CI smoke gate uses X=1.0
- *    (vectorized must never lose to scalar); the paper-reproduction
+ *    the row-major baseline runs one tile after another, and the
+ *    baseline and the tiers are timed interleaved, window by window.
+ *    `--check-speedup X` additionally exits non-zero when any usable
+ *    vector tier's BSW *or* GACT-X kernel is slower than X times its
+ *    seed engine — the CI smoke gate uses X=1.0 (vectorized must never
+ *    lose to scalar); the paper-reproduction
  *    target is >= 2.0. Every comparison also asserts bit-identity
  *    (checksums over all result fields, including the CIGAR and
  *    per-stripe column counts for GACT-X). Each GACT-X kernel is also
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -337,43 +340,61 @@ struct PoolTiming {
     std::uint64_t checksum = 0;  ///< bit-identity guard across kernels
 };
 
+/** One pass of a kernel over a tile pool: adds the pass's results to
+ *  the checksum and its cells to the cell count. */
+using RunPool =
+    std::function<void(std::uint64_t* checksum, std::uint64_t* cells)>;
+
 /**
- * Time `run_pool(checksum, cells)` (one pass over a `pool_size`-tile
- * pool): one warm-up pass records the checksum and the pass's cells,
- * then each of kRepeats windows repeats the pool until kMinSeconds have
- * passed. Kernels are deterministic, so every pass computes the same
- * cells and cells/s follows from seconds per tile.
+ * Time each of `runs` (one pass over the same `pool_size`-tile pool):
+ * one warm-up pass each records the checksum and the pass's cells, then
+ * kRepeats rounds time one window of every run in turn, each window
+ * repeating the pool until kMinSeconds have passed. Interleaving puts
+ * any drift in host speed over the run on every kernel alike: timed
+ * back to back, whichever kernel went first read up to 2x off. Kernels
+ * are deterministic, so every pass computes the same cells and cells/s
+ * follows from seconds per tile.
  */
-template <class RunPool>
-PoolTiming
-time_pool(const RunPool& run_pool, std::size_t pool_size)
+std::vector<PoolTiming>
+time_pools(const std::vector<RunPool>& runs, std::size_t pool_size)
 {
     using Clock = std::chrono::steady_clock;
-    PoolTiming timing;
-    std::uint64_t cells = 0;
-    run_pool(&timing.checksum, &cells);  // warmup + checksum
-    const double cells_per_tile =
-        static_cast<double>(cells) / static_cast<double>(pool_size);
+    std::vector<PoolTiming> timings(runs.size());
+    std::vector<double> cells_per_tile(runs.size());
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        std::uint64_t cells = 0;
+        runs[k](&timings[k].checksum, &cells);  // warmup + checksum
+        cells_per_tile[k] =
+            static_cast<double>(cells) / static_cast<double>(pool_size);
+    }
 
     std::uint64_t dummy = 0;
-    timing.seconds_per_tile = repeat_windows([&] {
-        std::uint64_t tiles = 0;
-        const auto start = Clock::now();
-        double elapsed = 0.0;
-        do {
-            run_pool(&dummy, &cells);
-            tiles += pool_size;
-            elapsed = std::chrono::duration<double>(Clock::now() - start)
-                          .count();
-        } while (elapsed < kMinSeconds);
-        return elapsed / static_cast<double>(tiles);
-    });
+    std::uint64_t cells = 0;
+    std::vector<std::vector<double>> samples(runs.size());
+    for (int r = 0; r < kRepeats; ++r) {
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+            std::uint64_t tiles = 0;
+            const auto start = Clock::now();
+            double elapsed = 0.0;
+            do {
+                runs[k](&dummy, &cells);
+                tiles += pool_size;
+                elapsed = std::chrono::duration<double>(Clock::now() - start)
+                              .count();
+            } while (elapsed < kMinSeconds);
+            samples[k].push_back(elapsed / static_cast<double>(tiles));
+        }
+    }
     benchmark::DoNotOptimize(dummy);
-    const Spread& seconds = timing.seconds_per_tile;
-    timing.cells_per_second = {cells_per_tile / seconds.median,
-                               cells_per_tile / seconds.max,
-                               cells_per_tile / seconds.min};
-    return timing;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        PoolTiming& timing = timings[k];
+        timing.seconds_per_tile = spread_of(std::move(samples[k]));
+        const Spread& seconds = timing.seconds_per_tile;
+        timing.cells_per_second = {cells_per_tile[k] / seconds.median,
+                                   cells_per_tile[k] / seconds.max,
+                                   cells_per_tile[k] / seconds.min};
+    }
+    return timings;
 }
 
 /** `"key": median, "key_min": min, "key_max": max` at `digits`
@@ -394,9 +415,10 @@ pool_json(const PoolTiming& timing)
            ", " + spread_json("cells_per_second", timing.cells_per_second, 0);
 }
 
-/** A BSW kernel's batch entry over the whole pool, one call per pass. */
-PoolTiming
-time_bsw(align::kernels::BswKernelFn kernel,
+/** Each BSW kernel's batch entry over the whole pool, one call per
+ *  pass, the kernels timed interleaved (time_pools). */
+std::vector<PoolTiming>
+time_bsw(const std::vector<align::kernels::BswKernelFn>& kernels,
          const std::vector<TilePair>& pool,
          const align::ScoringParams& scoring)
 {
@@ -404,17 +426,20 @@ time_bsw(align::kernels::BswKernelFn kernel,
     for (const TilePair& pair : pool)
         tiles.push_back({pair.target, pair.query});
     std::vector<align::BswResult> results(pool.size());
-    const auto run_pool = [&](std::uint64_t* checksum,
-                              std::uint64_t* cells) {
-        kernel(tiles, scoring, kBand, results.data());
-        for (const align::BswResult& r : results) {
-            *checksum = *checksum * 1000003u +
-                        static_cast<std::uint64_t>(r.max_score) * 31u +
-                        r.target_max * 7u + r.query_max;
-            *cells += r.cells_computed;
-        }
-    };
-    return time_pool(run_pool, pool.size());
+    std::vector<RunPool> runs;
+    for (const align::kernels::BswKernelFn kernel : kernels) {
+        runs.push_back([&, kernel](std::uint64_t* checksum,
+                                   std::uint64_t* cells) {
+            kernel(tiles, scoring, kBand, results.data());
+            for (const align::BswResult& r : results) {
+                *checksum = *checksum * 1000003u +
+                            static_cast<std::uint64_t>(r.max_score) * 31u +
+                            r.target_max * 7u + r.query_max;
+                *cells += r.cells_computed;
+            }
+        });
+    }
+    return time_pools(runs, pool.size());
 }
 
 // GACT-X extension-kernel pool: full-size extension tiles (1920 bases by
@@ -465,7 +490,7 @@ time_gactx(align::kernels::GactXKernelFn kernel,
         }
     };
 
-    return time_pool(run_pool, pool.size());
+    return time_pools({run_pool}, pool.size()).front();
 }
 
 struct UngappedWorkload {
@@ -517,9 +542,19 @@ run_kernel_comparison(bool emit_json, double check_speedup)
     const auto pool = make_tile_pool();
 
     // Seed baseline: the row-major kernel this repo shipped with (the
-    // scalar tier and the differential reference).
-    const PoolTiming baseline =
-        time_bsw(&bsw_rowmajor_batch, pool, scoring);
+    // scalar tier and the differential reference), timed interleaved
+    // with every usable tier.
+    std::vector<const KernelImpl*> usable;
+    std::vector<BswKernelFn> bsw_kernels = {&bsw_rowmajor_batch};
+    for (const KernelImpl& k : KernelRegistry::instance().kernels()) {
+        if (k.usable()) {
+            usable.push_back(&k);
+            bsw_kernels.push_back(k.bsw);
+        }
+    }
+    const std::vector<PoolTiming> bsw_timings =
+        time_bsw(bsw_kernels, pool, scoring);
+    const PoolTiming& baseline = bsw_timings.front();
 
     struct Row {
         const char* name;
@@ -529,10 +564,8 @@ run_kernel_comparison(bool emit_json, double check_speedup)
     };
     std::vector<Row> rows;
     bool identical = true;
-    for (const KernelImpl& k : KernelRegistry::instance().kernels()) {
-        if (!k.usable())
-            continue;
-        Row row{k.name, k.id, time_bsw(k.bsw, pool, scoring), 0.0};
+    for (std::size_t i = 0; i < usable.size(); ++i) {
+        Row row{usable[i]->name, usable[i]->id, bsw_timings[i + 1], 0.0};
         row.speedup = baseline.seconds_per_tile.median /
                       row.timing.seconds_per_tile.median;
         if (row.timing.checksum != baseline.checksum)

@@ -1,55 +1,134 @@
 #include "seq/fasta.h"
 
+#include <array>
 #include <cctype>
+#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
+#include "seq/alphabet.h"
+#include "util/artifact.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
 namespace darwin::seq {
 
-std::vector<Sequence>
-read_fasta(std::istream& in, const std::string& source)
-{
-    const std::string where = source.empty() ? "fasta" : source;
-    std::vector<Sequence> records;
-    std::string line;
-    std::string name;
-    std::vector<std::uint8_t> codes;
-    bool in_record = false;
-    std::size_t line_no = 0;
-    std::size_t header_line = 0;
+namespace {
 
-    auto flush = [&] {
+/** What a byte of sequence data is: a base code below kNumCodes, or one
+ *  of these. */
+constexpr std::uint8_t kSkip = 0xff;       ///< whitespace
+constexpr std::uint8_t kNotLetter = 0xfe;  ///< "invalid character"
+constexpr std::uint8_t kNotIupac = 0xfd;   ///< a letter, no nucleotide
+
+std::array<std::uint8_t, 256>
+byte_classes()
+{
+    std::array<std::uint8_t, 256> classes{};
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        classes[b] = std::isspace(b)    ? kSkip
+                     : !std::isalpha(b) ? kNotLetter
+                     : !is_iupac(c)     ? kNotIupac
+                                        : encode_base(c);
+    }
+    return classes;
+}
+
+/** Builds byte-per-base chromosomes. */
+struct ByteSink {
+    Genome& genome;
+    std::vector<std::uint8_t> codes;
+
+    void
+    append(std::span<const std::uint8_t> line)
+    {
+        codes.insert(codes.end(), line.begin(), line.end());
+    }
+
+    void
+    finish(std::string name)
+    {
+        genome.add_chromosome(Sequence(std::move(name), std::move(codes)));
+        codes = {};
+    }
+};
+
+/** Packs chromosomes as they are read: no byte-per-base copy exists. */
+struct PackedSink {
+    Genome& genome;
+    PackedSequence current;
+
+    void
+    append(std::span<const std::uint8_t> line)
+    {
+        current.append_codes(line);
+    }
+
+    void
+    finish(std::string name)
+    {
+        current.set_name(std::move(name));
+        genome.add_chromosome(std::move(current));
+        current = PackedSequence();
+    }
+};
+
+/** The one FASTA loop (see the file comment for its rules). The sink
+ *  takes each line's base codes and each finished record's name. */
+template <class Sink>
+void
+tokenize(std::span<const std::uint8_t> fasta, const std::string& where,
+         Sink& sink)
+{
+    static const auto classes = byte_classes();
+    std::vector<std::uint8_t> codes;  // one line's bases
+    std::string name;
+    bool in_record = false;
+    std::size_t record_bases = 0;
+    std::size_t records = 0;
+    std::size_t header_line = 0;
+    std::size_t line_no = 0;
+
+    const auto flush = [&] {
         if (!in_record)
             return;
-        if (codes.empty()) {
+        if (record_bases == 0) {
             fatal(strprintf("%s:%zu: record '%s' has no sequence data "
                             "(empty or truncated record)",
                             where.c_str(), header_line, name.c_str()));
         }
-        records.emplace_back(name, std::move(codes));
-        codes = {};
+        sink.finish(std::move(name));
+        record_bases = 0;
+        ++records;
     };
 
-    while (std::getline(in, line)) {
+    const std::uint8_t* pos = fasta.data();
+    const std::uint8_t* const end = pos + fasta.size();
+    while (pos < end) {
         ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty() || line[0] == ';')
+        const auto* newline = static_cast<const std::uint8_t*>(
+            std::memchr(pos, '\n', static_cast<std::size_t>(end - pos)));
+        const std::uint8_t* line = pos;
+        const std::uint8_t* line_end = newline ? newline : end;
+        pos = newline ? newline + 1 : end;
+        if (line_end > line && line_end[-1] == '\r')
+            --line_end;
+        if (line == line_end || *line == ';')
             continue;
-        if (line[0] == '>') {
+        if (*line == '>') {
             flush();
-            name = trim(line.substr(1));
-            // Use only the first whitespace-delimited token as the name.
-            const auto space = name.find_first_of(" \t\r\v\f");
-            if (space != std::string::npos)
-                name = name.substr(0, space);
-            if (name.empty())
+            // The name is the first whitespace-delimited token.
+            const std::uint8_t* first = line + 1;
+            while (first < line_end && std::isspace(*first))
+                ++first;
+            const std::uint8_t* last = first;
+            while (last < line_end && !std::isspace(*last))
+                ++last;
+            if (first == last)
                 fatal(strprintf("%s:%zu: empty record name",
                                 where.c_str(), line_no));
+            name.assign(first, last);
             header_line = line_no;
             in_record = true;
             continue;
@@ -58,47 +137,52 @@ read_fasta(std::istream& in, const std::string& source)
             fatal(strprintf("%s:%zu: sequence data before first '>' header",
                             where.c_str(), line_no));
         }
-        for (char c : line) {
-            if (std::isspace(static_cast<unsigned char>(c)))
-                continue;
-            if (!std::isalpha(static_cast<unsigned char>(c))) {
+        codes.resize(static_cast<std::size_t>(line_end - line));
+        std::size_t n = 0;
+        for (const std::uint8_t* p = line; p < line_end; ++p) {
+            const std::uint8_t code = classes[*p];
+            if (code < kNumCodes) {
+                codes[n++] = code;
+            } else if (code == kNotLetter) {
                 fatal(strprintf("%s:%zu: invalid character '%c'",
-                                where.c_str(), line_no, c));
-            }
-            if (!is_iupac(c)) {
+                                where.c_str(), line_no, *p));
+            } else if (code == kNotIupac) {
                 fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
                                 "code (corrupt or non-DNA file?)",
-                                where.c_str(), line_no, c));
+                                where.c_str(), line_no, *p));
             }
-            codes.push_back(encode_base(c));
         }
-    }
-    if (in.bad()) {
-        fatal(strprintf("%s:%zu: read error (truncated file?)",
-                        where.c_str(), line_no));
+        sink.append({codes.data(), n});
+        record_bases += n;
     }
     flush();
-    return records;
+    if (records == 0)
+        fatal("fasta: no records in file: " + where);
 }
 
-std::vector<Sequence>
-read_fasta_file(const std::string& path)
+}  // namespace
+
+Genome
+parse_fasta(std::span<const std::uint8_t> fasta, const std::string& where,
+            GenomeStorage storage)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("fasta: cannot open file: " + path);
-    return read_fasta(in, path);
+    Genome genome(where);
+    if (storage == GenomeStorage::Packed) {
+        PackedSink sink{genome, {}};
+        tokenize(fasta, where, sink);
+    } else {
+        ByteSink sink{genome, {}};
+        tokenize(fasta, where, sink);
+    }
+    return genome;
 }
 
 Genome
-read_genome(const std::string& path, const std::string& name)
+read_genome(const std::string& path)
 {
-    Genome genome(name.empty() ? path : name);
-    for (auto& record : read_fasta_file(path))
-        genome.add_chromosome(std::move(record));
-    if (genome.num_chromosomes() == 0)
-        fatal("fasta: no records in file: " + path);
-    return genome;
+    const auto fasta = artifact::map_file(path, "fasta");
+    return parse_fasta({fasta->bytes(), fasta->size()}, path,
+                       GenomeStorage::Bytes);
 }
 
 void

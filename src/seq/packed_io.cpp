@@ -1,11 +1,10 @@
 #include "seq/packed_io.h"
 
-#include <cctype>
 #include <cstring>
 #include <span>
 #include <vector>
 
-#include "seq/alphabet.h"
+#include "seq/fasta.h"
 #include "util/artifact.h"
 #include "util/digest.h"
 #include "util/logging.h"
@@ -13,113 +12,12 @@
 
 namespace darwin::seq {
 
-namespace {
-
-/**
- * Parse mmap'd FASTA bytes straight into packed chromosomes — same
- * acceptance rules and diagnostics as seq/fasta.cpp's read_fasta, but
- * no byte-per-base intermediate is ever allocated.
- */
-Genome
-parse_fasta_packed(const std::uint8_t* data, std::size_t size,
-                   const std::string& where, const std::string& name)
-{
-    Genome genome(name);
-    PackedSequence current;
-    std::string current_name;
-    bool in_record = false;
-    std::size_t header_line = 0;
-    std::size_t line_no = 0;
-    std::size_t pos = 0;
-
-    auto flush = [&] {
-        if (!in_record)
-            return;
-        if (current.empty()) {
-            fatal(strprintf("%s:%zu: record '%s' has no sequence data "
-                            "(empty or truncated record)",
-                            where.c_str(), header_line,
-                            current_name.c_str()));
-        }
-        current.set_name(current_name);
-        genome.add_chromosome(std::move(current));
-        current = PackedSequence();
-    };
-
-    while (pos < size) {
-        ++line_no;
-        std::size_t end = pos;
-        while (end < size && data[end] != '\n')
-            ++end;
-        std::size_t line_end = end;
-        if (line_end > pos && data[line_end - 1] == '\r')
-            --line_end;
-        const char* line = reinterpret_cast<const char*>(data + pos);
-        const std::size_t len = line_end - pos;
-        pos = (end < size) ? end + 1 : end;
-        if (len == 0 || line[0] == ';')
-            continue;
-        if (line[0] == '>') {
-            flush();
-            std::string header = trim(std::string(line + 1, len - 1));
-            const auto space = header.find_first_of(" \t\r\v\f");
-            if (space != std::string::npos)
-                header = header.substr(0, space);
-            if (header.empty())
-                fatal(strprintf("%s:%zu: empty record name",
-                                where.c_str(), line_no));
-            current_name = std::move(header);
-            header_line = line_no;
-            in_record = true;
-            continue;
-        }
-        if (!in_record) {
-            fatal(strprintf("%s:%zu: sequence data before first '>' header",
-                            where.c_str(), line_no));
-        }
-        for (std::size_t i = 0; i < len; ++i) {
-            const char c = line[i];
-            if (std::isspace(static_cast<unsigned char>(c)))
-                continue;
-            if (!std::isalpha(static_cast<unsigned char>(c))) {
-                fatal(strprintf("%s:%zu: invalid character '%c'",
-                                where.c_str(), line_no, c));
-            }
-            if (!is_iupac(c)) {
-                fatal(strprintf("%s:%zu: '%c' is not an IUPAC nucleotide "
-                                "code (corrupt or non-DNA file?)",
-                                where.c_str(), line_no, c));
-            }
-            current.append_code(encode_base(c));
-        }
-    }
-    flush();
-    if (genome.num_chromosomes() == 0)
-        fatal("fasta: no records in file: " + where);
-    return genome;
-}
-
-}  // namespace
-
 void
 save_packed_genome(const std::string& path, const Genome& genome,
                    std::uint64_t fasta_digest)
 {
+    require(genome.packed(), "save_packed_genome: genome is not packed");
     const std::size_t n = genome.num_chromosomes();
-
-    // Byte-mode genomes are packed chromosome-at-a-time on the fly;
-    // packed genomes write their words directly.
-    std::vector<PackedSequence> transient;
-    const auto packed_of = [&](std::size_t i) -> const PackedSequence& {
-        if (genome.packed())
-            return genome.packed_chromosome(i);
-        return transient[i];
-    };
-    if (!genome.packed()) {
-        transient.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            transient.push_back(PackedSequence::pack(genome.chromosome(i)));
-    }
 
     PackedHeader header = {};
     std::memcpy(header.magic, kPackedMagic, sizeof(kPackedMagic));
@@ -136,7 +34,7 @@ save_packed_genome(const std::string& path, const Genome& genome,
     artifact::write_atomic(path, [&](std::ostream& out) {
         artifact::Writer writer(out, kPackedFormat);
         for (std::size_t i = 0; i < n; ++i) {
-            const PackedSequence& chrom = packed_of(i);
+            const PackedSequence& chrom = genome.packed_chromosome(i);
             dir[i].name_offset = names.size();
             dir[i].name_length = genome.chromosome_name(i).size();
             dir[i].num_bases = chrom.size();
@@ -217,24 +115,17 @@ load_packed_genome(const std::string& path, std::uint64_t expected_digest)
 }
 
 Genome
-read_genome_packed(const std::string& fasta_path, const std::string& name,
-                   const std::string& sidecar_path)
+read_genome_packed(const std::string& fasta_path)
 {
     const auto fasta = artifact::map_file(fasta_path, "fasta");
-    const std::uint64_t digest =
-        fnv1a64_bytes({fasta->bytes(), fasta->size()});
-    const std::string genome_name = name.empty() ? fasta_path : name;
+    const std::span<const std::uint8_t> bytes(fasta->bytes(), fasta->size());
+    const std::uint64_t digest = fnv1a64_bytes(bytes);
+    const std::string sidecar = fasta_path + ".2bit";
 
-    std::string sidecar;
-    if (sidecar_path == "auto")
-        sidecar = fasta_path + ".2bit";
-    else
-        sidecar = sidecar_path;
-
-    if (!sidecar.empty() && artifact::sniff(sidecar, {&kPackedFormat})) {
+    if (artifact::sniff(sidecar, {&kPackedFormat})) {
         try {
             Genome genome = load_packed_genome(sidecar, digest);
-            genome.set_name(genome_name);
+            genome.set_name(fasta_path);
             debug(strprintf("reusing packed sidecar %s", sidecar.c_str()));
             return genome;
         } catch (const FatalError& e) {
@@ -243,16 +134,13 @@ read_genome_packed(const std::string& fasta_path, const std::string& name,
         }
     }
 
-    Genome genome = parse_fasta_packed(fasta->bytes(), fasta->size(),
-                                       fasta_path, genome_name);
-    if (!sidecar.empty()) {
-        try {
-            save_packed_genome(sidecar, genome, digest);
-        } catch (const FatalError& e) {
-            // A read-only FASTA directory only costs us the cache.
-            warn(strprintf("cannot write packed sidecar %s: %s",
-                           sidecar.c_str(), e.what()));
-        }
+    Genome genome = parse_fasta(bytes, fasta_path, GenomeStorage::Packed);
+    try {
+        save_packed_genome(sidecar, genome, digest);
+    } catch (const FatalError& e) {
+        // A read-only FASTA directory only costs us the cache.
+        warn(strprintf("cannot write packed sidecar %s: %s",
+                       sidecar.c_str(), e.what()));
     }
     return genome;
 }

@@ -27,10 +27,11 @@
  * (util/digest.h), so `read_genome_packed` can key the sidecar on
  * exactly the input that produced it: matching digest -> mmap reuse,
  * anything else (stale, corrupt, truncated, an older version) ->
- * rebuild via the container's tmp+rename. Ingestion parses the mmap'd
- * FASTA straight into packed words — no byte-per-base intermediate ever
- * exists, which is what lets a 100 Mbp assembly load in ~total/4 bytes
- * of heap.
+ * rebuild via the container's tmp+rename. A rebuild runs the one FASTA
+ * tokenizer (seq/fasta.h's parse_fasta) over the mmap'd FASTA with its
+ * packed sink, which appends each line's codes straight into packed
+ * words — no byte-per-base intermediate ever exists, which is what lets
+ * a 100 Mbp assembly load in ~total/4 bytes of heap.
  *
  * Version 1 (checksums in the header's reserved bytes, sections not
  * all aligned) is refused with a "rebuild" error and, through
@@ -101,8 +102,8 @@ inline constexpr artifact::Format kPackedFormat = {
     "rebuild it from its FASTA",
 };
 
-/** Serialize a genome to `path` atomically (the container's tmp +
- *  rename). Works for byte-mode genomes too (packs on the fly). */
+/** Serialize a packed genome to `path` atomically (the container's
+ *  tmp + rename). The genome must be packed (Genome::packed()). */
 void save_packed_genome(const std::string& path, const Genome& genome,
                         std::uint64_t fasta_digest);
 
@@ -116,17 +117,14 @@ Genome load_packed_genome(const std::string& path,
                           std::uint64_t expected_digest = 0);
 
 /**
- * Read a FASTA as a packed Genome with a `.2bit` sidecar next to it:
- * a sidecar whose digest matches the FASTA bytes is mmap-reused; a
- * missing, stale, or corrupt sidecar is rebuilt by packing the
- * mmap'd FASTA into words and written tmp+rename. Set
- * `sidecar_path` to override the default `<fasta>.2bit` (useful when
- * the FASTA's directory is read-only); empty disables the cache
- * entirely (parse-only).
+ * Read a FASTA as a packed Genome named by its path, with a
+ * `<fasta>.2bit` sidecar next to it: a sidecar whose digest matches the
+ * FASTA bytes is mmap-reused; a missing, stale, or corrupt one is
+ * rebuilt from the mmap'd FASTA and written tmp+rename. A sidecar that
+ * cannot be written (a read-only directory) costs only the cache: the
+ * genome is returned with a warning.
  */
-Genome read_genome_packed(const std::string& fasta_path,
-                          const std::string& name = "",
-                          const std::string& sidecar_path = "auto");
+Genome read_genome_packed(const std::string& fasta_path);
 
 }  // namespace darwin::seq
 

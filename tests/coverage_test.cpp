@@ -200,7 +200,8 @@ TEST(Fasta, GenomeFileRoundTrip)
     const test::ScratchDir dir("fasta_round_trip");
     const std::string path = dir.file("genome.fa");
     seq::write_genome_file(path, genome);
-    const auto loaded = seq::read_genome(path, "g2");
+    const auto loaded = seq::read_genome(path);
+    EXPECT_EQ(loaded.name(), path);
     ASSERT_EQ(loaded.num_chromosomes(), 2u);
     EXPECT_EQ(loaded.chromosome(0).name(), "chrA");
     EXPECT_EQ(loaded.chromosome(0).to_string(),

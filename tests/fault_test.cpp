@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -596,21 +598,41 @@ TEST(Manifest, ValidatesGenomesAreNonEmpty)
 
 // ----------------------------------------------------- FASTA ingestion
 
+/** Parse FASTA text through one sink of the tokenizer. */
+seq::Genome
+parse_fasta_text(const std::string& text, const std::string& where,
+                 seq::GenomeStorage storage)
+{
+    return seq::parse_fasta(
+        {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()},
+        where, storage);
+}
+
+/** The FatalError message `storage`'s sink gives on `text`. */
+std::string
+fasta_error(const std::string& text, seq::GenomeStorage storage)
+{
+    try {
+        parse_fasta_text(text, "input.fa", storage);
+    } catch (const FatalError& error) {
+        return error.what();
+    }
+    ADD_FAILURE() << "expected FatalError for: " << text;
+    return "";
+}
+
+/** Both sinks reject `text` with the same message, which names the
+ *  file, `fragment` and `line_tag`. */
 void
 expect_fasta_error(const std::string& text, const std::string& fragment,
                    const std::string& line_tag)
 {
-    std::istringstream in(text);
-    try {
-        seq::read_fasta(in, "input.fa");
-        FAIL() << "expected FatalError for: " << text;
-    } catch (const FatalError& error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("input.fa"), std::string::npos) << what;
-        EXPECT_NE(what.find(fragment), std::string::npos) << what;
-        if (!line_tag.empty()) {
-            EXPECT_NE(what.find(line_tag), std::string::npos) << what;
-        }
+    const std::string what = fasta_error(text, seq::GenomeStorage::Bytes);
+    EXPECT_EQ(fasta_error(text, seq::GenomeStorage::Packed), what);
+    EXPECT_NE(what.find("input.fa"), std::string::npos) << what;
+    EXPECT_NE(what.find(fragment), std::string::npos) << what;
+    if (!line_tag.empty()) {
+        EXPECT_NE(what.find(line_tag), std::string::npos) << what;
     }
 }
 
@@ -620,6 +642,7 @@ TEST(FastaHardening, EmptyAndTruncatedRecordsAreFatal)
     expect_fasta_error(">r1\n>r2\nACGT\n", "no sequence data", ":1:");
     expect_fasta_error("ACGT\n>r1\nACGT\n", "before first", ":1:");
     expect_fasta_error(">\nACGT\n", "empty record name", ":1:");
+    expect_fasta_error(";only a comment\n\r\n", "no records", "");
 }
 
 TEST(FastaHardening, NonNucleotideBytesAreFatalWithPosition)
@@ -633,10 +656,13 @@ TEST(FastaHardening, NonNucleotideBytesAreFatalWithPosition)
 
 TEST(FastaHardening, IupacAmbiguityCodesStillParse)
 {
-    std::istringstream in(">r1\nACGTNRYSWKMBDHVacgtn\n");
-    const auto records = seq::read_fasta(in, "input.fa");
-    ASSERT_EQ(records.size(), 1u);
-    EXPECT_EQ(records[0].size(), 20u);
+    for (const auto storage :
+         {seq::GenomeStorage::Bytes, seq::GenomeStorage::Packed}) {
+        const auto genome = parse_fasta_text(">r1\nACGTNRYSWKMBDHVacgtn\n",
+                                             "input.fa", storage);
+        ASSERT_EQ(genome.num_chromosomes(), 1u);
+        EXPECT_EQ(genome.chromosome_length(0), 20u);
+    }
 }
 
 // ------------------------------------------- queues/pools under faults
@@ -739,9 +765,10 @@ TEST(ThreadPoolFaults, InjectedFaultPlanPropagatesThroughPool)
 }
 
 // ------------------------------------------------------------ fuzzing
-// Seeded mutation fuzzing (fuzz_driver.h) of two text readers: FASTA
-// ingestion and DARWIN_FAULT specs. Each mutant gives a value or a
-// FatalError, nothing else.
+// Seeded mutation fuzzing (fuzz_driver.h) of three text readers: FASTA
+// ingestion (through both of the tokenizer's sinks), batch manifests
+// and DARWIN_FAULT specs. Each mutant gives a value or a FatalError,
+// nothing else.
 
 constexpr int kFuzzIterations = 20000;
 
@@ -760,6 +787,22 @@ const std::vector<test::Mutation> kFastaMutations = {
     },
 };
 
+/** Every chromosome of `genome` as (name, decoded codes). */
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+fasta_records(const seq::Genome& genome)
+{
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> records;
+    for (std::size_t i = 0; i < genome.num_chromosomes(); ++i) {
+        records.emplace_back(
+            genome.chromosome_name(i),
+            genome.packed()
+                ? genome.packed_chromosome(i).decode(
+                      0, genome.chromosome_length(i))
+                : genome.chromosome(i).codes());
+    }
+    return records;
+}
+
 TEST(FastaFuzz, RecordsRoundTripOrAFatalError)
 {
     const std::vector<std::string> seeds = {
@@ -769,18 +812,35 @@ TEST(FastaFuzz, RecordsRoundTripOrAFatalError)
     const std::size_t accepted = test::fuzz<FatalError>(
         seeds, 0xfa57a, kFuzzIterations, kFastaMutations,
         [](const std::string& text) {
-            std::istringstream in(text);
-            const auto records = seq::read_fasta(in, "fuzz");
+            // The packed sink must give the byte sink's records, or the
+            // same error.
+            std::string packed_error;
+            std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+                packed;
+            try {
+                packed = fasta_records(parse_fasta_text(
+                    text, "fuzz", seq::GenomeStorage::Packed));
+            } catch (const FatalError& error) {
+                packed_error = error.what();
+            }
+            seq::Genome genome;
+            try {
+                genome = parse_fasta_text(text, "fuzz",
+                                          seq::GenomeStorage::Bytes);
+            } catch (const FatalError& error) {
+                EXPECT_EQ(packed_error, error.what()) << text;
+                throw;
+            }
+            EXPECT_EQ(packed_error, "") << text;
+            const auto records = fasta_records(genome);
+            EXPECT_EQ(packed, records) << text;
             // What was read writes back and reads the same.
             std::ostringstream out;
-            seq::write_fasta(out, records);
-            std::istringstream again(out.str());
-            const auto reread = seq::read_fasta(again, "fuzz");
-            ASSERT_EQ(reread.size(), records.size()) << text;
-            for (std::size_t i = 0; i < records.size(); ++i) {
-                EXPECT_EQ(reread[i].name(), records[i].name()) << text;
-                EXPECT_EQ(reread[i].codes(), records[i].codes()) << text;
-            }
+            seq::write_fasta(out, genome.chromosomes());
+            EXPECT_EQ(fasta_records(parse_fasta_text(
+                          out.str(), "fuzz", seq::GenomeStorage::Bytes)),
+                      records)
+                << text;
         });
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, static_cast<std::size_t>(kFuzzIterations));
@@ -822,6 +882,78 @@ TEST(FaultSpecFuzz, PlanOrAFatalError)
         [](const std::string& spec) {
             const auto plan = fault::FaultPlan::parse(spec);
             EXPECT_EQ(plan.specs().size(), plan.num_entries()) << spec;
+        });
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, static_cast<std::size_t>(kFuzzIterations));
+}
+
+/** Manifest mutations: a field separator, a comment mark or an odd
+ *  byte at a random point, or a copy of a line (a duplicate name). */
+const std::vector<test::Mutation> kManifestMutations = {
+    [](std::string& text, Rng& rng) {
+        static const char kChars[] = " \t\r\n\v#/\"\0\x80";
+        text.insert(test::cut_point(text, rng), 1,
+                    kChars[rng.uniform(sizeof kChars - 1)]);
+    },
+    [](std::string& text, Rng& rng) {
+        const std::size_t begin = text.rfind('\n', test::cut_point(text, rng));
+        const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+        const std::size_t to = text.find('\n', from);
+        text += "\n" + text.substr(from, to == std::string::npos
+                                             ? std::string::npos
+                                             : to - from);
+    },
+};
+
+/** The whitespace-separated fields of `line`, as `istream >>` reads
+ *  them. */
+std::vector<std::string>
+manifest_fields(const std::string& line)
+{
+    std::vector<std::string> fields;
+    std::size_t pos = 0;
+    while (pos < line.size()) {
+        while (pos < line.size() &&
+               std::isspace(static_cast<unsigned char>(line[pos])))
+            ++pos;
+        std::size_t end = pos;
+        while (end < line.size() &&
+               !std::isspace(static_cast<unsigned char>(line[end])))
+            ++end;
+        if (end > pos)
+            fields.push_back(line.substr(pos, end - pos));
+        pos = end;
+    }
+    return fields;
+}
+
+TEST(ManifestFuzz, PairsMatchTheirLinesOrAFatalError)
+{
+    const std::vector<std::string> seeds = {
+        "# header comment\n\nce11-cb4 t1.fa q1.fa\n"
+        "  dm6-dp4\tt2.fa\tq2.fa  \n",
+        "p1 a/t.fa b/q.fa\r\np.2_x t.fa q.fa\n# tail\n",
+    };
+    const std::size_t accepted = test::fuzz<FatalError>(
+        seeds, 0xfa5e1, kFuzzIterations, kManifestMutations,
+        [](const std::string& text) {
+            const auto pairs = batch::parse_manifest(text, "fuzz.tsv");
+            std::vector<std::string> lines;
+            std::istringstream in(text);
+            for (std::string line; std::getline(in, line);)
+                lines.push_back(line);
+            std::set<std::string> names;
+            for (const auto& pair : pairs) {
+                ASSERT_GE(pair.line, 1u) << text;
+                ASSERT_LE(pair.line, lines.size()) << text;
+                const std::vector<std::string> expected = {
+                    pair.name, pair.target_path, pair.query_path};
+                EXPECT_EQ(manifest_fields(lines[pair.line - 1]), expected)
+                    << text;
+                EXPECT_TRUE(batch::valid_pair_name(pair.name)) << text;
+                EXPECT_TRUE(names.insert(pair.name).second) << text;
+            }
+            EXPECT_FALSE(pairs.empty()) << text;
         });
     EXPECT_GT(accepted, 0u);
     EXPECT_LT(accepted, static_cast<std::size_t>(kFuzzIterations));

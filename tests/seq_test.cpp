@@ -150,12 +150,22 @@ TEST(Genome, TotalLength)
     EXPECT_EQ(g.total_length(), 6u);
 }
 
+/** Parse FASTA text through the byte sink. */
+Genome
+parse_text(const std::string& text)
+{
+    return parse_fasta(
+        {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()},
+        "test.fa", GenomeStorage::Bytes);
+}
+
 TEST(Fasta, ParsesMultiRecord)
 {
-    std::istringstream in(">chr1 some description\nACGT\nacgt\n"
-                          ";comment\n>chr2\nNNNN\n");
-    const auto records = read_fasta(in);
+    const Genome genome = parse_text(">chr1 some description\nACGT\nacgt\n"
+                                     ";comment\n>chr2\nNNNN\n");
+    const auto& records = genome.chromosomes();
     ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(genome.name(), "test.fa");
     EXPECT_EQ(records[0].name(), "chr1");
     EXPECT_EQ(records[0].to_string(), "ACGTACGT");
     EXPECT_EQ(records[1].name(), "chr2");
@@ -164,14 +174,12 @@ TEST(Fasta, ParsesMultiRecord)
 
 TEST(Fasta, RejectsDataBeforeHeader)
 {
-    std::istringstream in("ACGT\n");
-    EXPECT_THROW(read_fasta(in), FatalError);
+    EXPECT_THROW(parse_text("ACGT\n"), FatalError);
 }
 
 TEST(Fasta, RejectsGarbageCharacters)
 {
-    std::istringstream in(">x\nAC!GT\n");
-    EXPECT_THROW(read_fasta(in), FatalError);
+    EXPECT_THROW(parse_text(">x\nAC!GT\n"), FatalError);
 }
 
 TEST(Fasta, WriteReadRoundTrip)
@@ -181,8 +189,7 @@ TEST(Fasta, WriteReadRoundTrip)
     records.emplace_back("b", "TTGG");
     std::ostringstream out;
     write_fasta(out, records, 60);
-    std::istringstream in(out.str());
-    const auto parsed = read_fasta(in);
+    const auto parsed = parse_text(out.str()).chromosomes();
     ASSERT_EQ(parsed.size(), 2u);
     EXPECT_EQ(parsed[0].to_string(), records[0].to_string());
     EXPECT_EQ(parsed[1].to_string(), records[1].to_string());
